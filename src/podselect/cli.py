@@ -239,19 +239,30 @@ def _run_summarize(selections_path: str, episodes_path: str, output_path: Path,
         for line_number, line in enumerate(handle, 1):
             if not line.strip():
                 continue
-            record = json.loads(line)
-            episode_id = record["id"]
-            doc = documents.get(episode_id)
-            if doc is None:
-                logger.warning("selection line %d: no episode %r", line_number, episode_id)
-                continue
-            result = selection.SelectionResult(
-                episode_id=episode_id,
-                strategy=record.get("strategy", "window"),
-                sentence_indices=tuple(record["indices"]),
-                selected_token_count=record.get("tokens", 0),
-            )
-            inputs.append(abstractive.enforce_budget(result, doc, budget))
+            try:
+                record = json.loads(line)
+                if not isinstance(record, dict):
+                    raise ValueError("not a JSON object")
+                episode_id = record["id"]
+                doc = documents.get(episode_id)
+                if doc is None:
+                    logger.warning("selection line %d: no episode %r", line_number, episode_id)
+                    continue
+                result = selection.SelectionResult(
+                    episode_id=episode_id,
+                    strategy=record.get("strategy", "window"),
+                    sentence_indices=tuple(record["indices"]),
+                    selected_token_count=record.get("tokens", 0),
+                )
+                inputs.append(abstractive.enforce_budget(result, doc, budget))
+            except json.JSONDecodeError as exc:
+                raise PodselectError(
+                    f"selection line {line_number}: invalid JSON: {exc}") from exc
+            except KeyError as exc:
+                raise PodselectError(
+                    f"selection line {line_number}: missing key {exc}") from exc
+            except (TypeError, ValueError) as exc:
+                raise PodselectError(f"selection line {line_number}: {exc}") from exc
 
     def run_one(backend_input):
         return abstractive.summarize(backend_input, backend, max_length=budget)

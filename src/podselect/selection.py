@@ -1,20 +1,23 @@
 """Extractive selection: sliding-window argmax and the novelty variant.
 
 The window scorer slides a fixed-size block of sentences across the
-transcript and scores each block against the whole document. ROUGE-1 and
-ROUGE-2 overlaps are maintained incrementally as the window slides
-(subtract the leaving sentence's grams, add the entering sentence's);
-ROUGE-L has no such decomposition and is recomputed per window.
+transcript and scores each block against the whole document; the novelty
+variant adds the best-scoring single sentences. A candidate is always a
+contiguous slice of the document it is scored against, so its ROUGE-1/2
+overlaps are its own gram counts and its LCS is its own length. Every score
+is therefore a closed-form function of the slice's token count and the
+document's, read off one prefix sum of sentence token counts. The score
+rises strictly with the slice's length: the window with the most tokens
+wins (earliest on ties), and the top singles are the longest sentences.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Sequence
 
 from .corpus import Document
 from .errors import ConfigError
-from .rouge import RougeScore, lcs_length, ngram_counts, overlap_count, rouge_n, rouge_l
+from .rouge import RougeScore
 
 DEFAULT_WINDOW_SIZE = 40
 NOVELTY_WINDOW_SIZE = 25
@@ -28,7 +31,6 @@ class SelectorConfig:
     window_size: int | None = None
     novelty_top_k: int = DEFAULT_TOP_K
     token_budget: int = DEFAULT_TOKEN_BUDGET
-    include_rouge_l: bool = True
 
     def __post_init__(self):
         if self.window_size is not None and self.window_size < 1:
@@ -68,154 +70,29 @@ class SelectionResult:
         return record
 
 
-class SlidingWindowScorer:
-    """Incremental ROUGE-1/2 overlap between a sentence window and its document.
+def _self_score(length: int, total: int) -> float:
+    """Mean ROUGE-1/2/L F1 of a contiguous slice of `length` tokens against
+    the `total`-token document it was cut from.
 
-    The candidate is the concatenation of the window's sentences, so
-    bigrams that bridge adjacent sentences inside the window count too;
-    advance/retreat keep those bridge grams consistent. Counts after any
-    slide sequence are identical to counting the window from scratch.
+    A slice's unigrams, bigrams and token sequence are all contained in its
+    document, so both n-gram overlaps equal the slice's own gram counts and
+    its LCS equals its length. Each term is built with RougeScore.from_counts
+    from exactly those integer counts, so the float matches scoring the
+    slice's tokens against the document from scratch. ROUGE-L reads the same
+    counts as ROUGE-1, so it has the same value.
     """
-
-    def __init__(self, doc: Document, window_size: int, start: int = 0):
-        if window_size < 1:
-            raise ConfigError(f"window_size must be >= 1, got {window_size}")
-        self._sentences = [s.token_texts() for s in doc.sentences]
-        n = len(self._sentences)
-        if n == 0:
-            raise ConfigError("document has no sentences")
-        self.window_size = window_size
-        self.max_start = max(0, n - window_size)
-        if not 0 <= start <= self.max_start:
-            raise ConfigError(f"start {start} outside [0, {self.max_start}]")
-
-        flat: list[str] = []
-        for sentence in self._sentences:
-            flat.extend(sentence)
-        self._ref1 = dict(ngram_counts(flat, 1).counts)
-        self._ref2 = dict(ngram_counts(flat, 2).counts)
-        self.reference_unigram_total = len(flat)
-        self.reference_bigram_total = max(0, len(flat) - 1)
-
-        self._cand1: dict[tuple[str, ...], int] = {}
-        self._cand2: dict[tuple[str, ...], int] = {}
-        self.overlap_unigram = 0
-        self.overlap_bigram = 0
-        self.token_count = 0
-        self.start = start
-        self.end = start
-        for index in range(start, min(start + window_size, n)):
-            self._append_sentence(index)
-
-    # -- gram bookkeeping ------------------------------------------------
-
-    def _bump(self, table, ref, gram, delta):
-        old = table.get(gram, 0)
-        new = old + delta
-        if new:
-            table[gram] = new
-        else:
-            del table[gram]
-        limit = ref.get(gram, 0)
-        return min(new, limit) - min(old, limit)
-
-    def _add_tokens(self, tokens, delta):
-        bump = self._bump
-        cand1, ref1 = self._cand1, self._ref1
-        change = 0
-        for token in tokens:
-            change += bump(cand1, ref1, (token,), delta)
-        self.overlap_unigram += change
-        self.token_count += delta * len(tokens)
-
-    def _add_bigrams(self, grams, delta):
-        bump = self._bump
-        cand2, ref2 = self._cand2, self._ref2
-        change = 0
-        for gram in grams:
-            change += bump(cand2, ref2, gram, delta)
-        self.overlap_bigram += change
-
-    @staticmethod
-    def _internal_bigrams(tokens):
-        return [(tokens[i], tokens[i + 1]) for i in range(len(tokens) - 1)]
-
-    def _append_sentence(self, index):
-        """Extend the window by the sentence at its current end."""
-        tokens = self._sentences[index]
-        self._add_tokens(tokens, +1)
-        grams = self._internal_bigrams(tokens)
-        if index > self.start:
-            grams = grams + [(self._sentences[index - 1][-1], tokens[0])]
-        self._add_bigrams(grams, +1)
-        self.end = index + 1
-
-    def _pop_front(self):
-        tokens = self._sentences[self.start]
-        grams = self._internal_bigrams(tokens)
-        if self.start + 1 < self.end:
-            grams = grams + [(tokens[-1], self._sentences[self.start + 1][0])]
-        self._add_bigrams(grams, -1)
-        self._add_tokens(tokens, -1)
-        self.start += 1
-
-    def _pop_back(self):
-        tokens = self._sentences[self.end - 1]
-        grams = self._internal_bigrams(tokens)
-        if self.end - 1 > self.start:
-            grams = grams + [(self._sentences[self.end - 2][-1], tokens[0])]
-        self._add_bigrams(grams, -1)
-        self._add_tokens(tokens, -1)
-        self.end -= 1
-
-    def _push_front(self):
-        index = self.start - 1
-        tokens = self._sentences[index]
-        self._add_tokens(tokens, +1)
-        grams = self._internal_bigrams(tokens)
-        if index + 1 < self.end:
-            grams = grams + [(tokens[-1], self._sentences[index + 1][0])]
-        self._add_bigrams(grams, +1)
-        self.start = index
-
-    # -- public sliding interface ----------------------------------------
-
-    def advance(self):
-        """Slide the window one sentence forward."""
-        if self.start >= self.max_start:
-            raise ValueError("window already at the last start position")
-        self._pop_front()
-        if self.end < len(self._sentences) and self.end - self.start < self.window_size:
-            self._append_sentence(self.end)
-
-    def retreat(self):
-        """Slide the window one sentence backward."""
-        if self.start <= 0:
-            raise ValueError("window already at the first start position")
-        if self.end - self.start >= self.window_size:
-            self._pop_back()
-        self._push_front()
-
-    @property
-    def bigram_count(self) -> int:
-        return max(0, self.token_count - 1)
-
-    def scores(self) -> tuple[RougeScore, RougeScore]:
-        """Current window's ROUGE-1 and ROUGE-2 against the whole document."""
-        r1 = RougeScore.from_counts(
-            self.overlap_unigram, self.token_count, self.reference_unigram_total)
-        r2 = RougeScore.from_counts(
-            self.overlap_bigram, self.bigram_count, self.reference_bigram_total)
-        return r1, r2
+    unigram = RougeScore.from_counts(length, length, total).f1
+    bigrams = max(0, length - 1)
+    bigram = RougeScore.from_counts(bigrams, bigrams, max(0, total - 1)).f1
+    return sum([unigram, bigram, unigram]) / 3
 
 
-def score_windows(doc: Document, window_size: int,
-                  include_rouge_l: bool = True) -> list[WindowScore]:
+def score_windows(doc: Document, window_size: int) -> list[WindowScore]:
     """Score every window start against the whole document.
 
     One WindowScore per start in [0, max(1, N - w + 1)); when the document
     has fewer sentences than the window, the single window covers it all.
-    The score is the mean of the ROUGE F1 components in play.
+    The score is the mean of the ROUGE-1, ROUGE-2 and ROUGE-L F1 values.
     """
     if window_size < 1:
         raise ConfigError(f"window_size must be >= 1, got {window_size}")
@@ -223,23 +100,16 @@ def score_windows(doc: Document, window_size: int,
     if n == 0:
         raise ConfigError("cannot score an empty document")
 
-    flat = doc.token_texts()
     offsets = [0]
     for sentence in doc.sentences:
         offsets.append(offsets[-1] + len(sentence.tokens))
+    total = offsets[-1]
 
-    scorer = SlidingWindowScorer(doc, window_size)
     results: list[WindowScore] = []
     for start in range(max(1, n - window_size + 1)):
-        if start > 0:
-            scorer.advance()
-        r1, r2 = scorer.scores()
-        parts = [r1.f1, r2.f1]
-        if include_rouge_l:
-            candidate = flat[offsets[scorer.start]:offsets[scorer.end]]
-            parts.append(rouge_l(candidate, flat).f1)
-        results.append(WindowScore(start=scorer.start, end=scorer.end,
-                                   score=sum(parts) / len(parts)))
+        end = min(start + window_size, n)
+        results.append(WindowScore(start=start, end=end,
+                                   score=_self_score(offsets[end] - offsets[start], total)))
     return results
 
 
@@ -250,7 +120,7 @@ def select_window(doc: Document, config: SelectorConfig = SelectorConfig()) -> S
     result diagnostics.
     """
     window_size = config.window_size or DEFAULT_WINDOW_SIZE
-    scores = score_windows(doc, window_size, config.include_rouge_l)
+    scores = score_windows(doc, window_size)
     best = scores[0]
     for candidate in scores[1:]:
         if candidate.score > best.score:
@@ -266,25 +136,11 @@ def select_window(doc: Document, config: SelectorConfig = SelectorConfig()) -> S
     )
 
 
-def score_single_sentences(doc: Document,
-                           include_rouge_l: bool = True) -> list[tuple[int, float]]:
+def score_single_sentences(doc: Document) -> list[tuple[int, float]]:
     """Score each sentence alone against the whole document."""
-    flat = doc.token_texts()
-    ref1 = ngram_counts(flat, 1)
-    ref2 = ngram_counts(flat, 2)
-    results: list[tuple[int, float]] = []
-    for sentence in doc.sentences:
-        tokens = sentence.token_texts()
-        cand1 = ngram_counts(tokens, 1)
-        cand2 = ngram_counts(tokens, 2)
-        parts = [
-            RougeScore.from_counts(overlap_count(cand1, ref1), cand1.total, ref1.total).f1,
-            RougeScore.from_counts(overlap_count(cand2, ref2), cand2.total, ref2.total).f1,
-        ]
-        if include_rouge_l:
-            parts.append(rouge_l(tokens, flat).f1)
-        results.append((sentence.index, sum(parts) / len(parts)))
-    return results
+    total = sum(len(sentence.tokens) for sentence in doc.sentences)
+    return [(sentence.index, _self_score(len(sentence.tokens), total))
+            for sentence in doc.sentences]
 
 
 def select_novelty(doc: Document, config: SelectorConfig = SelectorConfig()) -> SelectionResult:
@@ -295,7 +151,7 @@ def select_novelty(doc: Document, config: SelectorConfig = SelectorConfig()) -> 
     """
     window_size = config.window_size or NOVELTY_WINDOW_SIZE
     base = select_window(doc, replace(config, window_size=window_size))
-    singles = score_single_sentences(doc, config.include_rouge_l)
+    singles = score_single_sentences(doc)
     ranked = sorted(singles, key=lambda pair: (-pair[1], pair[0]))
     top_k = [index for index, _ in ranked[:config.novelty_top_k]]
     merged = tuple(sorted(set(base.sentence_indices) | set(top_k)))

@@ -318,6 +318,27 @@ class TestSummarizeCommand:
         assert code == 1
         assert read_jsonl(out) == []
 
+    @pytest.mark.parametrize("bad_line, reason", [
+        ('{"id": "tiny-01", "indices": [0', "invalid JSON"),
+        ('["tiny-01", [0, 1]]', "not a JSON object"),
+        ('{"id": "tiny-01", "strategy": "window", "tokens": 3}', "missing key 'indices'"),
+        ('{"id": "tiny-01", "indices": [0, 99], "tokens": 6}',
+         "selection for 'tiny-01' references sentence 99"),
+    ], ids=["not-json", "not-an-object", "missing-indices", "index-out-of-range"])
+    def test_malformed_selection_line_exits_one(self, tmp_path, bad_line, reason):
+        source, selections = self.prepare(tmp_path)
+        first_line = selections.read_text("utf-8").splitlines()[0]
+        selections.write_text(first_line + "\n" + bad_line + "\n", "utf-8")
+        out = tmp_path / "summ.jsonl"
+        proc = subprocess.run(
+            [sys.executable, "-m", "podselect", "summarize", "--input", str(selections),
+             "--episodes", str(source), "--output", str(out), "--jobs", "1"],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert f"selection line 2: {reason}" in proc.stderr
+        assert not out.exists()
+
     def test_remote_without_endpoint_exits_two(self, tmp_path):
         source, selections = self.prepare(tmp_path, count=1)
         code = main(["summarize", "--input", str(selections),

@@ -3,13 +3,12 @@ import random
 import pytest
 
 from podselect.errors import ConfigError
-from podselect.selection import (SelectorConfig, SlidingWindowScorer,
-                                 score_single_sentences, score_windows,
-                                 select_head, select_novelty, select_window,
-                                 window_tokens)
+from podselect.selection import (SelectorConfig, score_single_sentences,
+                                 score_windows, select_head, select_novelty,
+                                 select_window, window_tokens)
 from conftest import make_doc, random_sentences
-from oracles import (oracle_ngram_overlap, oracle_rouge_l, oracle_rouge_n,
-                     oracle_window_argmax, oracle_window_scores)
+from oracles import (oracle_rouge_avg, oracle_rouge_n, oracle_window_argmax,
+                     oracle_window_scores)
 
 VOCAB = ["the", "a", "market", "update", "stocks", "bonds", "rise", "fall",
          "today", "weather", "mild", "sports", "news", "host", "guest"]
@@ -18,75 +17,6 @@ VOCAB = ["the", "a", "market", "update", "stocks", "bonds", "rise", "fall",
 def random_doc(rng, max_sentences=12):
     count = rng.randint(1, max_sentences)
     return make_doc(random_sentences(rng, count, VOCAB))
-
-
-class TestSlidingWindowScorer:
-    def test_initial_counts_match_scratch(self):
-        doc = make_doc([["a", "b"], ["b", "c"], ["a", "c", "d"]])
-        scorer = SlidingWindowScorer(doc, window_size=2)
-        flat = doc.token_texts()
-        window = window_tokens(doc, 0, 2)
-        assert scorer.token_count == len(window)
-        assert scorer.overlap_unigram == oracle_ngram_overlap(window, flat, 1)[0]
-        assert scorer.overlap_bigram == oracle_ngram_overlap(window, flat, 2)[0]
-
-    def test_advance_matches_fresh_scorer_everywhere(self):
-        rng = random.Random(11)
-        for _ in range(30):
-            doc = random_doc(rng)
-            w = rng.randint(1, len(doc.sentences) + 1)
-            scorer = SlidingWindowScorer(doc, w)
-            for start in range(scorer.max_start + 1):
-                if start > 0:
-                    scorer.advance()
-                fresh = SlidingWindowScorer(doc, w, start=start)
-                assert scorer.overlap_unigram == fresh.overlap_unigram
-                assert scorer.overlap_bigram == fresh.overlap_bigram
-                assert scorer.token_count == fresh.token_count
-
-    def test_random_walk_stays_consistent(self):
-        rng = random.Random(17)
-        doc = make_doc(random_sentences(rng, 10, VOCAB))
-        scorer = SlidingWindowScorer(doc, window_size=3)
-        for _ in range(200):
-            moves = []
-            if scorer.start < scorer.max_start:
-                moves.append(scorer.advance)
-            if scorer.start > 0:
-                moves.append(scorer.retreat)
-            rng.choice(moves)()
-            fresh = SlidingWindowScorer(doc, 3, start=scorer.start)
-            assert scorer.overlap_unigram == fresh.overlap_unigram
-            assert scorer.overlap_bigram == fresh.overlap_bigram
-            assert scorer.token_count == fresh.token_count
-            assert (scorer.start, scorer.end) == (fresh.start, fresh.end)
-
-    def test_bounds_raise(self):
-        doc = make_doc([["a"], ["b"], ["c"]])
-        scorer = SlidingWindowScorer(doc, window_size=2)
-        with pytest.raises(ValueError):
-            scorer.retreat()
-        scorer.advance()
-        with pytest.raises(ValueError):
-            scorer.advance()
-
-    def test_window_covering_whole_doc_has_full_overlap(self):
-        doc = make_doc([["a", "b"], ["c"], ["a", "d"]])
-        scorer = SlidingWindowScorer(doc, window_size=10)
-        assert scorer.max_start == 0
-        assert scorer.token_count == doc.total_tokens
-        assert scorer.overlap_unigram == doc.total_tokens
-        assert scorer.overlap_bigram == doc.total_tokens - 1
-        r1, r2 = scorer.scores()
-        assert r1.f1 == 1.0
-        assert r2.f1 == 1.0
-
-    def test_bad_start_and_size_rejected(self):
-        doc = make_doc([["a"], ["b"]])
-        with pytest.raises(ConfigError):
-            SlidingWindowScorer(doc, window_size=0)
-        with pytest.raises(ConfigError):
-            SlidingWindowScorer(doc, window_size=1, start=2)
 
 
 class TestScoreWindows:
@@ -118,14 +48,21 @@ class TestScoreWindows:
         assert got[0].score == 1.0
 
     def test_without_rouge_l_component(self):
-        doc = make_doc([["a", "b"], ["c", "a"], ["b", "d"]])
-        flat = doc.token_texts()
-        got = score_windows(doc, window_size=1, include_rouge_l=False)
-        for row in got:
-            cand = window_tokens(doc, row.start, row.end)
-            expected = (oracle_rouge_n(cand, flat, 1)[2]
-                        + oracle_rouge_n(cand, flat, 2)[2]) / 2
-            assert row.score == pytest.approx(expected, abs=1e-15)
+        # the ROUGE-1/2 mean alone picks the same window as the full score
+        rng = random.Random(29)
+        for _ in range(30):
+            doc = random_doc(rng)
+            w = rng.randint(1, len(doc.sentences) + 1)
+            flat = doc.token_texts()
+            best = None
+            for row in score_windows(doc, w):
+                cand = window_tokens(doc, row.start, row.end)
+                partial = (oracle_rouge_n(cand, flat, 1)[2]
+                           + oracle_rouge_n(cand, flat, 2)[2]) / 2
+                if best is None or partial > best[0]:
+                    best = (partial, row.start, row.end)
+            result = select_window(doc, SelectorConfig(window_size=w))
+            assert result.sentence_indices == tuple(range(best[1], best[2]))
 
     def test_empty_doc_rejected(self):
         doc = make_doc([["a"]])
@@ -158,6 +95,17 @@ class TestSelectWindow:
             start, end = oracle_window_argmax([s.token_texts() for s in doc.sentences], w)
             assert result.sentence_indices == tuple(range(start, end))
 
+    def test_picks_window_with_most_tokens(self):
+        rng = random.Random(43)
+        for _ in range(40):
+            doc = random_doc(rng)
+            w = rng.randint(1, len(doc.sentences) + 1)
+            lengths = [len(s.tokens) for s in doc.sentences]
+            starts = range(max(1, len(lengths) - w + 1))
+            start = max(starts, key=lambda i: (sum(lengths[i:i + w]), -i))
+            result = select_window(doc, SelectorConfig(window_size=w))
+            assert result.sentence_indices == tuple(range(start, min(start + w, len(lengths))))
+
     def test_tie_goes_to_lowest_start(self):
         doc = make_doc([["a", "b"], ["a", "b"], ["a", "b"]])
         result = select_window(doc, SelectorConfig(window_size=1))
@@ -189,14 +137,13 @@ class TestScoreSingleSentences:
         assert score_single_sentences(doc) == [(0, 1.0)]
 
     def test_matches_direct_computation(self):
-        doc = make_doc([["a", "b"], ["b", "c", "a"], ["d"]])
-        flat = doc.token_texts()
-        for index, score in score_single_sentences(doc):
-            tokens = doc.sentences[index].token_texts()
-            expected = (oracle_rouge_n(tokens, flat, 1)[2]
-                        + oracle_rouge_n(tokens, flat, 2)[2]
-                        + oracle_rouge_l(tokens, flat)[2]) / 3
-            assert score == pytest.approx(expected, abs=1e-15)
+        rng = random.Random(37)
+        for _ in range(30):
+            doc = random_doc(rng)
+            flat = doc.token_texts()
+            for index, score in score_single_sentences(doc):
+                tokens = doc.sentences[index].token_texts()
+                assert score == oracle_rouge_avg(tokens, flat)
 
 
 class TestSelectNovelty:
@@ -215,6 +162,15 @@ class TestSelectNovelty:
             assert result.strategy == "novelty"
             assert result.selected_token_count == sum(
                 len(doc.sentences[i].tokens) for i in expected)
+
+    def test_top_singles_are_longest_sentences(self):
+        rng = random.Random(47)
+        for _ in range(40):
+            doc = random_doc(rng)
+            top_k = rng.randint(0, 4)
+            result = select_novelty(doc, SelectorConfig(window_size=2, novelty_top_k=top_k))
+            longest = sorted(doc.sentences, key=lambda s: (-len(s.tokens), s.index))
+            assert result.diagnostics["top_k"] == [s.index for s in longest[:top_k]]
 
     def test_outlier_summary_sentence_joins_selection(self):
         # best 2-window sits in sentences 0-1; sentence 4 echoes the most
