@@ -308,15 +308,29 @@ def cmd_summarize(ns) -> int:
 def _load_summaries(path: str) -> list[abstractive.Summary]:
     out: list[abstractive.Summary] = []
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
+        for line_number, line in enumerate(handle, 1):
             if not line.strip():
                 continue
-            record = json.loads(line)
-            out.append(abstractive.Summary(
-                episode_id=record["id"],
-                text=record.get("summary", ""),
-                backend_id=record.get("backend", "unknown"),
-            ))
+            try:
+                record = json.loads(line)
+                if not isinstance(record, dict):
+                    raise ValueError("not a JSON object")
+                episode_id, text = record["id"], record.get("summary", "")
+                if not isinstance(episode_id, str) or not isinstance(text, str):
+                    raise ValueError("'id' and 'summary' must be strings")
+                out.append(abstractive.Summary(
+                    episode_id=episode_id,
+                    text=text,
+                    backend_id=record.get("backend", "unknown"),
+                ))
+            except json.JSONDecodeError as exc:
+                raise PodselectError(
+                    f"summary line {line_number}: invalid JSON: {exc}") from exc
+            except KeyError as exc:
+                raise PodselectError(
+                    f"summary line {line_number}: missing key {exc}") from exc
+            except ValueError as exc:
+                raise PodselectError(f"summary line {line_number}: {exc}") from exc
     return out
 
 

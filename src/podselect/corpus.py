@@ -9,12 +9,15 @@ at the bytes they came from.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import logging
 import re
+import string
 import unicodedata
 from dataclasses import dataclass
 from importlib import resources
+from itertools import accumulate
 from typing import Iterable, Iterator
 
 from .errors import ConfigError, EmptyDocumentError, RecordParseError
@@ -193,6 +196,9 @@ def load_episodes(
 
 _TERMINALS = ".!?"
 _CLOSERS = "\"'”’)]"
+# A maximal run of terminals, then any closers (group 1). Closers are not
+# terminals, so resuming the search after them skips no run.
+_BOUNDARY_RE = re.compile(f"[{re.escape(_TERMINALS)}]+([{re.escape(_CLOSERS)}]*)")
 
 
 def _is_abbreviation_guard(text: str, dot_index: int) -> bool:
@@ -202,8 +208,7 @@ def _is_abbreviation_guard(text: str, dot_index: int) -> bool:
         start -= 1
     word = text[start:dot_index]
     # ignore any opening punctuation stuck to the word, e.g. '("Dr'
-    while word and (unicodedata.category(word[0]).startswith("P")
-                    or unicodedata.category(word[0]).startswith("S")):
+    while word and _is_edge_strippable(word[0]):
         word = word[1:]
     if not word:
         return False
@@ -224,24 +229,16 @@ def segment_spans(text: str) -> list[tuple[int, int]]:
     spans: list[tuple[int, int]] = []
     n = len(text)
     seg_start = 0
-    i = 0
-    while i < n:
-        if text[i] in _TERMINALS:
-            run_end = i + 1
-            while run_end < n and text[run_end] in _TERMINALS:
-                run_end += 1
-            close_end = run_end
-            while close_end < n and text[close_end] in _CLOSERS:
-                close_end += 1
-            guarded = (run_end - i == 1) and text[i] == "." and _is_abbreviation_guard(text, i)
-            if close_end < n and text[close_end].isspace() and not guarded:
-                spans.append((seg_start, close_end))
-                seg_start = close_end
-                i = close_end
-                continue
-            i = run_end
-        else:
-            i += 1
+    for match in _BOUNDARY_RE.finditer(text):
+        close_end = match.end()
+        if close_end == n or not text[close_end].isspace():
+            continue
+        run_start, run_end = match.start(), match.start(1)
+        if (run_end - run_start == 1 and text[run_start] == "."
+                and _is_abbreviation_guard(text, run_start)):
+            continue
+        spans.append((seg_start, close_end))
+        seg_start = close_end
     if seg_start < n:
         spans.append((seg_start, n))
 
@@ -265,10 +262,22 @@ def segment_sentences(text: str) -> list[str]:
 
 _UNIT_RE = re.compile(r"\S+")
 
+# The ASCII characters in Unicode categories P* and S* are exactly these.
+_ASCII_EDGE_CHARS = string.punctuation
 
+
+# Unbounded, but keyed by single characters, so at most one entry per code point.
+@functools.lru_cache(maxsize=None)
 def _is_edge_strippable(ch: str) -> bool:
     cat = unicodedata.category(ch)
     return cat.startswith("P") or cat.startswith("S")
+
+
+def _edge_chars(text: str) -> str:
+    """The characters of text that tokenize strips from token edges."""
+    if text.isascii():
+        return _ASCII_EDGE_CHARS
+    return "".join(ch for ch in set(text) if _is_edge_strippable(ch))
 
 
 def _s_stem(word: str) -> str:
@@ -286,12 +295,7 @@ def _byte_offset_table(text: str) -> list[int] | None:
     """Cumulative UTF-8 byte offsets per char index, or None for pure ASCII."""
     if text.isascii():
         return None
-    offsets = [0]
-    total = 0
-    for ch in text:
-        total += len(ch.encode("utf-8"))
-        offsets.append(total)
-    return offsets
+    return list(accumulate(map(len, map(str.encode, text)), initial=0))
 
 
 def _to_byte_span(table: list[int] | None, start: int, end: int) -> tuple[int, int]:
@@ -308,17 +312,18 @@ def tokenize(text: str, config: TokenizerConfig = DEFAULT_TOKENIZER) -> list[Tok
     built from (before case folding or stemming).
     """
     table = _byte_offset_table(text)
+    strip_chars = _edge_chars(text) if config.strip_edge_punct else ""
     tokens: list[Token] = []
     for match in _UNIT_RE.finditer(text):
-        start, end = match.start(), match.end()
-        if config.strip_edge_punct:
-            while start < end and _is_edge_strippable(text[start]):
-                start += 1
-            while end > start and _is_edge_strippable(text[end - 1]):
-                end -= 1
-        if start >= end:
+        unit = match.group()
+        # strip_chars holds every edge-strippable character of text, so the
+        # strips stop at the unit's first and last kept characters.
+        core = unit.lstrip(strip_chars)
+        if not core:
             continue
-        value = text[start:end]
+        start = match.end() - len(core)
+        value = core.rstrip(strip_chars)
+        end = start + len(value)
         if config.lowercase:
             value = value.lower()
         if config.drop_stopwords and value in ENGLISH_STOPWORDS:

@@ -73,30 +73,30 @@ def rouge_n(candidate: Sequence[str], reference: Sequence[str], n: int) -> Rouge
 
 
 def lcs_length(a: Sequence, b: Sequence) -> int:
-    """Longest common subsequence length in linear space.
+    """Longest common subsequence length, bit-parallel over the shorter side.
 
-    Two rolling rows over the shorter sequence, so memory is
-    O(min(len(a), len(b))).
+    ``row`` packs one DP row over the shorter sequence into an int: a
+    cleared bit j marks the positions where the row's value steps up by one,
+    so the LCS is the number of cleared bits. Each element of the longer
+    sequence advances the whole row with one big-int addition (Allison &
+    Dix 1986; Hyyrö 2004). Elements must be hashable; every caller passes
+    str tokens.
     """
     if len(a) < len(b):
         a, b = b, a
     if not b:
         return 0
-    width = len(b)
-    prev = [0] * (width + 1)
-    curr = [0] * (width + 1)
+    masks: dict = {}
+    for i, x in enumerate(b):
+        masks[x] = masks.get(x, 0) | (1 << i)
+    full = (1 << len(b)) - 1
+    row = full
     for x in a:
-        left = 0  # curr[j - 1]
-        for j in range(1, width + 1):
-            if x == b[j - 1]:
-                value = prev[j - 1] + 1
-            else:
-                up = prev[j]
-                value = left if left >= up else up
-            curr[j] = value
-            left = value
-        prev, curr = curr, prev
-    return prev[width]
+        mask = masks.get(x)
+        if mask:  # an element absent from the shorter side leaves row as it is
+            low = row & mask
+            row = ((row + low) | (row - low)) & full
+    return len(b) - row.bit_count()
 
 
 def rouge_l(candidate: Sequence[str], reference: Sequence[str]) -> RougeScore:

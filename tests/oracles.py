@@ -2,12 +2,125 @@
 
 Everything here is deliberately brute force and shares no code with the
 package: n-gram overlap via Counter intersection, LCS via the full
-quadratic table, and window selection via exhaustive rescoring.
+quadratic table, window selection via exhaustive rescoring, and
+segmentation and tokenization one character at a time. Only the bundled
+word lists are shared, read here with their own parser.
 """
 
 from __future__ import annotations
 
+import unicodedata
 from collections import Counter
+from importlib import resources
+
+
+def _oracle_wordlist(name):
+    text = resources.files("podselect").joinpath(f"data/{name}").read_text("utf-8")
+    words = (line.strip().lower() for line in text.splitlines())
+    return {word for word in words if word and not word.startswith("#")}
+
+
+_ORACLE_ABBREVIATIONS = _oracle_wordlist("abbreviations.txt")
+_ORACLE_STOPWORDS = _oracle_wordlist("english_stopwords.txt")
+
+
+def _oracle_punct_or_symbol(ch):
+    return unicodedata.category(ch)[0] in ("P", "S")
+
+
+def oracle_segment_spans(text):
+    """Sentence character spans, scanning every character.
+
+    A run of . ! ? plus any closing quotes or brackets ends a sentence when
+    whitespace follows, unless it is a lone period after an abbreviation or
+    a single letter. Spans are trimmed of whitespace; empty ones vanish.
+    """
+    spans = []
+    n = len(text)
+    seg_start = 0
+    i = 0
+    while i < n:
+        if text[i] not in ".!?":
+            i += 1
+            continue
+        run_end = i
+        while run_end < n and text[run_end] in ".!?":
+            run_end += 1
+        close_end = run_end
+        while close_end < n and text[close_end] in "\"'\u201d\u2019)]":
+            close_end += 1
+        guarded = False
+        if run_end - i == 1 and text[i] == ".":
+            word_start = i
+            while word_start > 0 and not text[word_start - 1].isspace():
+                word_start -= 1
+            word = text[word_start:i]
+            while word and _oracle_punct_or_symbol(word[0]):
+                word = word[1:]
+            guarded = bool(word) and ((len(word) == 1 and word.isalpha())
+                                      or word.lower() in _ORACLE_ABBREVIATIONS)
+        if close_end < n and text[close_end].isspace() and not guarded:
+            spans.append((seg_start, close_end))
+            seg_start = i = close_end
+        else:
+            i = run_end
+    spans.append((seg_start, n))
+    trimmed = []
+    for start, end in spans:
+        while start < end and text[start].isspace():
+            start += 1
+        while end > start and text[end - 1].isspace():
+            end -= 1
+        if start < end:
+            trimmed.append((start, end))
+    return trimmed
+
+
+def _oracle_stem(word):
+    if len(word) > 4 and word[-3:] == "ies" and word[-4] not in "ae":
+        return word[:-3] + "y"
+    if len(word) > 3 and word[-2:] == "es" and word[-3] not in "aeo":
+        return word[:-1]
+    if len(word) > 3 and word[-1] == "s" and word[-2] not in "su":
+        return word[:-1]
+    return word
+
+
+def oracle_tokenize(text, lowercase, strip_edge_punct, stem, drop_stopwords):
+    """[(token text, UTF-8 byte span)], scanning every character.
+
+    Units are maximal runs of non-whitespace. Edge characters in Unicode
+    categories P* and S* are stripped one at a time; each byte offset is the
+    encoded length of the text before it.
+    """
+    tokens = []
+    n = len(text)
+    i = 0
+    while i < n:
+        if text[i].isspace():
+            i += 1
+            continue
+        start = i
+        while i < n and not text[i].isspace():
+            i += 1
+        end = i
+        if strip_edge_punct:
+            while start < end and _oracle_punct_or_symbol(text[start]):
+                start += 1
+            while end > start and _oracle_punct_or_symbol(text[end - 1]):
+                end -= 1
+        if start == end:
+            continue
+        value = text[start:end]
+        if lowercase:
+            value = value.lower()
+        if drop_stopwords and value in _ORACLE_STOPWORDS:
+            continue
+        if stem:
+            value = _oracle_stem(value)
+        span = (len(text[:start].encode("utf-8")), len(text[:end].encode("utf-8")))
+        tokens.append((value, span))
+    return tokens
 
 
 def oracle_ngram_overlap(candidate, reference, n):

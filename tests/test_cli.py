@@ -390,6 +390,28 @@ class TestEvaluateCommand:
         assert cleaned_row.endswith("100.00,100.00,100.00")
         assert raw_row != cleaned_row
 
+    @pytest.mark.parametrize("bad_line, reason", [
+        ("{bad", "invalid JSON"),
+        ('["tiny-00", "text"]', "not a JSON object"),
+        ('{"summary": "text", "backend": "null"}', "missing key 'id'"),
+        ('{"id": "tiny-00", "summary": 5}', "'id' and 'summary' must be strings"),
+    ], ids=["not-json", "not-an-object", "missing-id", "summary-not-a-string"])
+    def test_malformed_summary_line_exits_one(self, tmp_path, bad_line, reason):
+        source = tmp_path / "eps.jsonl"
+        tiny_corpus(source, count=1)
+        summaries = tmp_path / "summ.jsonl"
+        summaries.write_text('{"id": "tiny-00", "summary": "text", "backend": "null"}\n'
+                             + bad_line + "\n", "utf-8")
+        out = tmp_path / "report.txt"
+        proc = subprocess.run(
+            [sys.executable, "-m", "podselect", "evaluate", "--input", str(summaries),
+             "--references", str(source), "--output", str(out)],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert f"summary line 2: {reason}" in proc.stderr
+        assert not out.exists()
+
     def test_missing_reference_exits_one(self, tmp_path):
         source = tmp_path / "eps.jsonl"
         tiny_corpus(source, count=1)

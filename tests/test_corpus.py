@@ -1,4 +1,6 @@
+import itertools
 import json
+import string
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,20 @@ from podselect.corpus import (Episode, TokenizerConfig, build_document,
                               load_episodes, segment_sentences, segment_spans,
                               tokenize)
 from podselect.errors import ConfigError, EmptyDocumentError, RecordParseError
+
+from oracles import oracle_segment_spans, oracle_tokenize
+
+# ASCII letters and punctuation, whitespace including NBSP, non-ASCII
+# punctuation and symbols, accented letters, a combining acute accent, CJK
+# and an emoji; plus words that exercise abbreviations, stopwords and stems.
+MIXED_CHARS = (string.ascii_letters + string.punctuation + " \t\n\u00a0"
+               + "“”‘’—…¿€™·" + "éÅñ" + "\u0301" + "中文" + "😀")
+MIXED_WORDS = ["Dr.", "e.g.", "J.", "The", "the", "and", "cats", "carries",
+               "classes", "focus", "café"]
+MIXED_TEXT = st.lists(st.sampled_from(list(MIXED_CHARS)) | st.sampled_from(MIXED_WORDS),
+                      max_size=60).map("".join)
+ASCII_TEXT = st.text(alphabet=string.ascii_letters + string.punctuation + " \t\n",
+                     max_size=60)
 
 
 def write_lines(path, lines):
@@ -135,6 +151,11 @@ class TestSegmentation:
         rebuilt.append(text[cursor:])
         assert "".join(rebuilt) == text
 
+    @given(MIXED_TEXT | ASCII_TEXT)
+    @settings(max_examples=300)
+    def test_matches_character_oracle(self, text):
+        assert segment_spans(text) == oracle_segment_spans(text)
+
 
 class TestTokenize:
     def test_basic_normalization(self):
@@ -176,6 +197,15 @@ class TestTokenize:
     def test_stopword_dropping_flag(self):
         tokens = tokenize("the cat and the hat", TokenizerConfig(drop_stopwords=True))
         assert [t.text for t in tokens] == ["cat", "hat"]
+
+    @given(MIXED_TEXT | ASCII_TEXT)
+    @settings(max_examples=300)
+    def test_matches_character_oracle_under_every_config(self, text):
+        for lowercase, strip, stem, drop in itertools.product((False, True), repeat=4):
+            config = TokenizerConfig(lowercase=lowercase, strip_edge_punct=strip,
+                                     stem=stem, drop_stopwords=drop)
+            assert [(t.text, t.byte_span) for t in tokenize(text, config)] \
+                == oracle_tokenize(text, lowercase, strip, stem, drop)
 
 
 class TestBuildDocument:

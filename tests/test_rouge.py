@@ -95,6 +95,21 @@ class TestLcs:
             b = [rng.choice(alphabet) for _ in range(rng.randint(0, 200))]
             assert lcs_length(a, b) == oracle_lcs_full_table(a, b)
 
+    def test_matches_full_table_at_evaluation_shape(self):
+        # A ~1,100-token capped summary against a ~70-token description,
+        # words drawn Zipf-like from a ~300-word vocabulary; references past
+        # 64 and 128 tokens make the bit vector span several machine words.
+        vocab = [f"w{i}" for i in range(300)]
+        weights = [1 / (rank + 1) for rank in range(len(vocab))]
+        for seed in range(3):
+            rng = random.Random(seed)
+            for ref_len in (70, 65, 130, 200):
+                candidate = rng.choices(vocab, weights, k=rng.randint(1050, 1150))
+                reference = rng.choices(vocab, weights, k=ref_len)
+                expected = oracle_lcs_full_table(candidate, reference)
+                assert lcs_length(candidate, reference) == expected
+                assert lcs_length(reference, candidate) == expected
+
     @given(WORDS, WORDS)
     def test_symmetry(self, a, b):
         assert lcs_length(a, b) == lcs_length(b, a)
