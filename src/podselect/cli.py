@@ -82,7 +82,7 @@ def _derive_seed(base_seed: int, episode_id: str) -> int:
 
 def _run_preprocess(input_path: str, out_dir: Path, seed: int,
                     filter_config: preprocess.FilterConfig) -> list[corpus.Episode]:
-    episodes = list(corpus.load_episodes(input_path, errors=[]))
+    episodes = list(corpus.load_episodes(input_path))
     kept, report = preprocess.filter_corpus(episodes, filter_config)
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -124,18 +124,13 @@ def cmd_preprocess(ns) -> int:
 # --- select -------------------------------------------------------------------
 
 
-def _select_one(record: dict, strategy: str, settings: dict) -> tuple[str, dict | None, str | None]:
+def _select_one(episode: corpus.Episode, strategy: str,
+                settings: dict) -> tuple[str, dict | None, str | None]:
     """Worker: build the document and run one selection strategy.
 
-    Takes and returns plain dicts so it can cross a process boundary.
+    Takes a picklable Episode and returns a plain record, so it can cross
+    a process boundary.
     """
-    episode = corpus.Episode(
-        id=record["id"],
-        show_id=record.get("show_id", ""),
-        transcript_text=record.get("transcript", ""),
-        description=record.get("description", ""),
-        show_description=record.get("show_description", ""),
-    )
     try:
         doc = corpus.build_document(episode)
         selector = selection.SelectorConfig(
@@ -165,18 +160,18 @@ def _select_one(record: dict, strategy: str, settings: dict) -> tuple[str, dict 
 
 def _run_select(input_path: str, output_path: Path, strategy: str,
                 settings: dict, jobs: int) -> int:
-    records = [e.to_record() for e in corpus.load_episodes(input_path, errors=[])]
+    episodes = list(corpus.load_episodes(input_path))
     skipped = 0
     results: list[dict] = []
-    if jobs > 1 and len(records) > 1:
+    if jobs > 1 and len(episodes) > 1:
         with futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(
-                _select_one, records,
-                [strategy] * len(records), [settings] * len(records),
-                chunksize=max(1, len(records) // (jobs * 4) or 1),
+                _select_one, episodes,
+                [strategy] * len(episodes), [settings] * len(episodes),
+                chunksize=max(1, len(episodes) // (jobs * 4) or 1),
             ))
     else:
-        outcomes = [_select_one(record, strategy, settings) for record in records]
+        outcomes = [_select_one(episode, strategy, settings) for episode in episodes]
     for episode_id, payload, error in outcomes:
         if error is not None:
             logger.warning("skipping %s: %s", episode_id, error)
@@ -228,13 +223,14 @@ def _make_backend(name: str, endpoint: str | None):
 def _run_summarize(selections_path: str, episodes_path: str, output_path: Path,
                    backend, budget: int, jobs: int) -> int:
     documents: dict[str, corpus.Document] = {}
-    for episode in corpus.load_episodes(episodes_path, errors=[]):
+    for episode in corpus.load_episodes(episodes_path):
         try:
             documents[episode.id] = corpus.build_document(episode)
         except EmptyDocumentError as exc:
             logger.warning("skipping %s: %s", episode.id, exc)
 
     inputs: list[abstractive.BackendInput] = []
+    seen: set[str] = set()
     with open(selections_path, "r", encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, 1):
             if not line.strip():
@@ -244,6 +240,9 @@ def _run_summarize(selections_path: str, episodes_path: str, output_path: Path,
                 if not isinstance(record, dict):
                     raise ValueError("not a JSON object")
                 episode_id = record["id"]
+                if episode_id in seen:
+                    raise ValueError(f"duplicate id {episode_id!r}")
+                seen.add(episode_id)
                 doc = documents.get(episode_id)
                 if doc is None:
                     logger.warning("selection line %d: no episode %r", line_number, episode_id)
@@ -297,6 +296,8 @@ def cmd_summarize(ns) -> int:
         _resolve(ns, config, "endpoint", None),
     )
     budget = _resolve(ns, config, "budget", selection.DEFAULT_TOKEN_BUDGET)
+    if not isinstance(budget, int) or budget < 1:
+        raise ConfigError(f"budget must be an integer >= 1, got {budget!r}")
     jobs = _resolve(ns, config, "jobs", None) or 4
     return _run_summarize(ns.input, ns.episodes, Path(ns.output),
                           backend, budget, int(jobs))
@@ -307,6 +308,7 @@ def cmd_summarize(ns) -> int:
 
 def _load_summaries(path: str) -> list[abstractive.Summary]:
     out: list[abstractive.Summary] = []
+    seen: set[str] = set()
     with open(path, "r", encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, 1):
             if not line.strip():
@@ -318,6 +320,9 @@ def _load_summaries(path: str) -> list[abstractive.Summary]:
                 episode_id, text = record["id"], record.get("summary", "")
                 if not isinstance(episode_id, str) or not isinstance(text, str):
                     raise ValueError("'id' and 'summary' must be strings")
+                if episode_id in seen:
+                    raise ValueError(f"duplicate id {episode_id!r}")
+                seen.add(episode_id)
                 out.append(abstractive.Summary(
                     episode_id=episode_id,
                     text=text,
@@ -336,7 +341,7 @@ def _load_summaries(path: str) -> list[abstractive.Summary]:
 
 def _load_references(path: str, raw: bool) -> dict[str, str]:
     references: dict[str, str] = {}
-    for episode in corpus.load_episodes(path, errors=[]):
+    for episode in corpus.load_episodes(path):
         description = episode.description
         references[episode.id] = description if raw else preprocess.clean_description(description)
     return references

@@ -8,7 +8,6 @@ at the bytes they came from.
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 import logging
@@ -20,12 +19,9 @@ from importlib import resources
 from itertools import accumulate
 from typing import Iterable, Iterator
 
-from .errors import ConfigError, EmptyDocumentError, RecordParseError
+from .errors import EmptyDocumentError, RecordParseError
 
 logger = logging.getLogger(__name__)
-
-_EPISODE_FIELDS = ("id", "show_id", "transcript", "description",
-                   "show_description", "duration_seconds")
 
 
 def _load_wordlist(name: str) -> frozenset[str]:
@@ -102,17 +98,6 @@ class Document:
         return out
 
 
-@dataclass(frozen=True)
-class TokenizerConfig:
-    lowercase: bool = True
-    strip_edge_punct: bool = True
-    stem: bool = False
-    drop_stopwords: bool = False
-
-
-DEFAULT_TOKENIZER = TokenizerConfig()
-
-
 def _parse_record(record: dict, line_number: int) -> Episode:
     if not isinstance(record, dict):
         raise RecordParseError(line_number, "record is not an object")
@@ -140,56 +125,31 @@ def _parse_record(record: dict, line_number: int) -> Episode:
     )
 
 
-def load_episodes(
-    path,
-    fmt: str = "jsonl",
-    errors: list[RecordParseError] | None = None,
-    strict: bool = False,
-) -> Iterator[Episode]:
-    """Lazily read episodes from a JSONL or TSV file.
+def load_episodes(path, errors: list[RecordParseError] | None = None) -> Iterator[Episode]:
+    """Lazily read episodes from a JSONL file.
 
     Malformed records are never silently dropped: each one is logged with
-    its line number and, when ``errors`` is given, appended to it. With
-    ``strict=True`` the first bad record raises instead.
+    its line number and, when ``errors`` is given, appended to it.
     """
-    if fmt not in ("jsonl", "tsv"):
-        raise ConfigError(f"unknown corpus format: {fmt!r}")
 
     def report(err: RecordParseError):
-        if strict:
-            raise err
         logger.warning("skipping record: %s", err)
         if errors is not None:
             errors.append(err)
 
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        if fmt == "jsonl":
-            for line_number, line in enumerate(handle, 1):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    report(RecordParseError(line_number, f"invalid JSON ({exc.msg})"))
-                    continue
-                try:
-                    yield _parse_record(record, line_number)
-                except RecordParseError as err:
-                    report(err)
-        else:
-            reader = csv.DictReader(handle, delimiter="\t")
-            header = reader.fieldnames or []
-            missing = {"id", "transcript"} - set(header)
-            if missing:
-                raise ConfigError(
-                    "TSV header lacks required columns: " + ", ".join(sorted(missing))
-                )
-            for row in reader:
-                record = {k: row.get(k) for k in _EPISODE_FIELDS if row.get(k) not in (None, "")}
-                try:
-                    yield _parse_record(record, reader.line_num)
-                except RecordParseError as err:
-                    report(err)
+    with open(path, "r", encoding="utf-8") as handle:
+        for line_number, line in enumerate(handle, 1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                report(RecordParseError(line_number, f"invalid JSON ({exc.msg})"))
+                continue
+            try:
+                yield _parse_record(record, line_number)
+            except RecordParseError as err:
+                report(err)
 
 
 # --- sentence segmentation ---------------------------------------------------
@@ -280,17 +240,6 @@ def _edge_chars(text: str) -> str:
     return "".join(ch for ch in set(text) if _is_edge_strippable(ch))
 
 
-def _s_stem(word: str) -> str:
-    """Light plural stemmer: ies->y, drop trailing es/s with guard endings."""
-    if len(word) > 4 and word.endswith("ies") and word[-4] not in "ae":
-        return word[:-3] + "y"
-    if len(word) > 3 and word.endswith("es") and word[-3] not in "aeo":
-        return word[:-1]
-    if len(word) > 3 and word.endswith("s") and word[-2] not in "su":
-        return word[:-1]
-    return word
-
-
 def _byte_offset_table(text: str) -> list[int] | None:
     """Cumulative UTF-8 byte offsets per char index, or None for pure ASCII."""
     if text.isascii():
@@ -304,15 +253,15 @@ def _to_byte_span(table: list[int] | None, start: int, end: int) -> tuple[int, i
     return (table[start], table[end])
 
 
-def tokenize(text: str, config: TokenizerConfig = DEFAULT_TOKENIZER) -> list[Token]:
-    """Whitespace tokenization with edge punctuation stripping.
+def tokenize(text: str) -> list[Token]:
+    """Whitespace tokenization with edge punctuation stripping and lowercasing.
 
-    Tokens that normalize to the empty string are dropped. Each token's
-    byte_span locates, in the given text, the characters the token was
-    built from (before case folding or stemming).
+    Units that are all punctuation are dropped. Each token's byte_span
+    locates, in the given text, the characters the token was built from
+    (before case folding).
     """
     table = _byte_offset_table(text)
-    strip_chars = _edge_chars(text) if config.strip_edge_punct else ""
+    strip_chars = _edge_chars(text)
     tokens: list[Token] = []
     for match in _UNIT_RE.finditer(text):
         unit = match.group()
@@ -324,19 +273,11 @@ def tokenize(text: str, config: TokenizerConfig = DEFAULT_TOKENIZER) -> list[Tok
         start = match.end() - len(core)
         value = core.rstrip(strip_chars)
         end = start + len(value)
-        if config.lowercase:
-            value = value.lower()
-        if config.drop_stopwords and value in ENGLISH_STOPWORDS:
-            continue
-        if config.stem:
-            value = _s_stem(value)
-        if not value:
-            continue
-        tokens.append(Token(text=value, byte_span=_to_byte_span(table, start, end)))
+        tokens.append(Token(text=value.lower(), byte_span=_to_byte_span(table, start, end)))
     return tokens
 
 
-def build_document(episode: Episode, config: TokenizerConfig = DEFAULT_TOKENIZER) -> Document:
+def build_document(episode: Episode) -> Document:
     """Segment and tokenize an episode transcript.
 
     Sentences that tokenize to nothing are dropped; the survivors are
@@ -348,7 +289,7 @@ def build_document(episode: Episode, config: TokenizerConfig = DEFAULT_TOKENIZER
     sentences: list[Sentence] = []
     for start, end in segment_spans(text):
         raw = text[start:end]
-        tokens = tokenize(raw, config)
+        tokens = tokenize(raw)
         if not tokens:
             continue
         sentences.append(

@@ -14,7 +14,7 @@ class ConfigError(PodselectError):
 class RecordParseError(PodselectError):
     """A corpus record could not be parsed.
 
-    Collected (not raised) by default during ingestion so one bad line
+    Logged and collected during ingestion, not propagated, so one bad line
     does not abort a batch run.
     """
 

@@ -42,7 +42,7 @@ ALL_RULES = (
     RULE_TOO_FEW_TOKENS,
 )
 
-DEFAULT_SPONSOR_PHRASES = (
+SPONSOR_PHRASES = (
     "sponsored by",
     "sponsorship",
     "brought to you by",
@@ -58,7 +58,7 @@ _HANDLE_RE = re.compile(r"(?<!\w)@\w+")
 _FOLLOW_RE = re.compile(r"\bfollow\s+(?:us|me)\b[^.!?\n]*[.!?]?", re.IGNORECASE)
 
 
-def clean_description(raw: str, sponsor_phrases: Sequence[str] = DEFAULT_SPONSOR_PHRASES) -> str:
+def clean_description(raw: str) -> str:
     """Strip promotional boilerplate from an episode description.
 
     Removes URLs, @handles, "follow us ..." clauses, and any sentence
@@ -68,12 +68,11 @@ def clean_description(raw: str, sponsor_phrases: Sequence[str] = DEFAULT_SPONSOR
     text = _URL_RE.sub(" ", raw)
     text = _HANDLE_RE.sub(" ", text)
     text = _FOLLOW_RE.sub(" ", text)
-    phrases = [p.lower() for p in sponsor_phrases]
     kept_parts: list[str] = []
     for line in text.split("\n"):
         for sentence in segment_sentences(line):
             lowered = sentence.lower()
-            if any(p in lowered for p in phrases):
+            if any(p in lowered for p in SPONSOR_PHRASES):
                 continue
             kept_parts.append(sentence)
     return re.sub(r"\s+", " ", " ".join(kept_parts)).strip()
@@ -146,7 +145,6 @@ class FilterConfig:
     desc_min_tokens: int = 10
     english_min_stopword_ratio: float = 0.2
     profanity_list_path: str | None = None
-    sponsor_phrases: tuple[str, ...] = DEFAULT_SPONSOR_PHRASES
 
     def __post_init__(self):
         if self.desc_min_chars >= self.desc_max_chars:
@@ -276,7 +274,7 @@ def filter_corpus(
         if not is_english:
             report.add_rejection(episode.id, RULE_NON_ENGLISH)
             continue
-        cleaned = clean_description(episode.description, config.sponsor_phrases)
+        cleaned = clean_description(episode.description)
         if len(tokenize(cleaned)) < config.desc_min_tokens:
             report.add_rejection(episode.id, RULE_TOO_FEW_TOKENS)
             continue
@@ -305,17 +303,11 @@ class SplitAssignment:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def split_dataset(
-    episode_ids: Sequence[str],
-    ratios: tuple[float, float, float] = (0.8, 0.1, 0.1),
-    seed: int = 0,
-) -> SplitAssignment:
-    """Seeded shuffle then slice into train/validation/test buckets.
+def split_dataset(episode_ids: Sequence[str], seed: int = 0) -> SplitAssignment:
+    """Seeded shuffle then slice into 80/10/10 train/validation/test buckets.
 
-    Bucket sizes are floor(ratio * n) with the remainder going to train.
+    Validation and test each get floor(n / 10) episodes; train gets the rest.
     """
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ConfigError(f"split ratios must sum to 1, got {ratios}")
     ids = list(episode_ids)
     if len(set(ids)) != len(ids):
         raise ConfigError("duplicate episode ids in split input")
@@ -323,15 +315,13 @@ def split_dataset(
         raise ConfigError("need at least 3 episodes to populate all split buckets")
     rng = random.Random(seed)
     rng.shuffle(ids)
-    n = len(ids)
-    n_val = math.floor(ratios[1] * n)
-    n_test = math.floor(ratios[2] * n)
-    n_train = n - n_val - n_test
+    n_held_out = len(ids) // 10
+    n_train = len(ids) - 2 * n_held_out
     assignments: dict[str, str] = {}
     for position, eid in enumerate(ids):
         if position < n_train:
             assignments[eid] = "train"
-        elif position < n_train + n_val:
+        elif position < n_train + n_held_out:
             assignments[eid] = "validation"
         else:
             assignments[eid] = "test"

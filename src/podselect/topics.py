@@ -9,7 +9,6 @@ versions, and at transcript scale it is fast enough.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass
@@ -59,31 +58,6 @@ class TopicModel:
     @property
     def num_topics(self) -> int:
         return len(self.topic_word)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "vocabulary": self.vocabulary,
-                "topic_word": [list(row) for row in self.topic_word],
-                "doc_topic_weight": list(self.doc_topic_weight),
-                "assignments": list(self.assignments),
-                "oov_probability": list(self.oov_probability),
-                "seed": self.seed,
-            },
-            ensure_ascii=False,
-        )
-
-    @classmethod
-    def from_json(cls, payload: str) -> "TopicModel":
-        data = json.loads(payload)
-        return cls(
-            vocabulary={str(k): int(v) for k, v in data["vocabulary"].items()},
-            topic_word=tuple(tuple(float(x) for x in row) for row in data["topic_word"]),
-            doc_topic_weight=tuple(float(x) for x in data["doc_topic_weight"]),
-            assignments=tuple(int(x) for x in data["assignments"]),
-            oov_probability=tuple(float(x) for x in data["oov_probability"]),
-            seed=int(data["seed"]),
-        )
 
 
 def fit_lda(doc: Document, config: TopicConfig = TopicConfig()) -> TopicModel:

@@ -21,7 +21,6 @@ def _oracle_wordlist(name):
 
 
 _ORACLE_ABBREVIATIONS = _oracle_wordlist("abbreviations.txt")
-_ORACLE_STOPWORDS = _oracle_wordlist("english_stopwords.txt")
 
 
 def _oracle_punct_or_symbol(ch):
@@ -76,22 +75,12 @@ def oracle_segment_spans(text):
     return trimmed
 
 
-def _oracle_stem(word):
-    if len(word) > 4 and word[-3:] == "ies" and word[-4] not in "ae":
-        return word[:-3] + "y"
-    if len(word) > 3 and word[-2:] == "es" and word[-3] not in "aeo":
-        return word[:-1]
-    if len(word) > 3 and word[-1] == "s" and word[-2] not in "su":
-        return word[:-1]
-    return word
-
-
-def oracle_tokenize(text, lowercase, strip_edge_punct, stem, drop_stopwords):
+def oracle_tokenize(text):
     """[(token text, UTF-8 byte span)], scanning every character.
 
     Units are maximal runs of non-whitespace. Edge characters in Unicode
-    categories P* and S* are stripped one at a time; each byte offset is the
-    encoded length of the text before it.
+    categories P* and S* are stripped one at a time, and what is left is
+    lowercased; each byte offset is the encoded length of the text before it.
     """
     tokens = []
     n = len(text)
@@ -104,20 +93,13 @@ def oracle_tokenize(text, lowercase, strip_edge_punct, stem, drop_stopwords):
         while i < n and not text[i].isspace():
             i += 1
         end = i
-        if strip_edge_punct:
-            while start < end and _oracle_punct_or_symbol(text[start]):
-                start += 1
-            while end > start and _oracle_punct_or_symbol(text[end - 1]):
-                end -= 1
+        while start < end and _oracle_punct_or_symbol(text[start]):
+            start += 1
+        while end > start and _oracle_punct_or_symbol(text[end - 1]):
+            end -= 1
         if start == end:
             continue
-        value = text[start:end]
-        if lowercase:
-            value = value.lower()
-        if drop_stopwords and value in _ORACLE_STOPWORDS:
-            continue
-        if stem:
-            value = _oracle_stem(value)
+        value = text[start:end].lower()
         span = (len(text[:start].encode("utf-8")), len(text[:end].encode("utf-8")))
         tokens.append((value, span))
     return tokens

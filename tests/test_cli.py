@@ -128,6 +128,20 @@ class TestPreprocessCommand:
                      "--output", str(tmp_path / "stage")])
         assert code == 1
 
+    def test_bad_input_line_reported_and_skipped(self, tmp_path):
+        source = tmp_path / "eps.jsonl"
+        records = tiny_corpus(source, count=3)
+        lines = source.read_text("utf-8").splitlines()
+        source.write_text("\n".join([lines[0], "{not json", *lines[1:]]) + "\n", "utf-8")
+        out = tmp_path / "stage"
+        proc = subprocess.run(
+            [sys.executable, "-m", "podselect", "preprocess", "--input", str(source),
+             "--output", str(out)],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0
+        assert "line 2: invalid JSON" in proc.stderr
+        assert [r["id"] for r in read_jsonl(out / "kept.jsonl")] == [r["id"] for r in records]
+
 
 class TestSelectCommand:
     def test_window_selection_matches_library(self, tmp_path):
@@ -324,7 +338,9 @@ class TestSummarizeCommand:
         ('{"id": "tiny-01", "strategy": "window", "tokens": 3}', "missing key 'indices'"),
         ('{"id": "tiny-01", "indices": [0, 99], "tokens": 6}',
          "selection for 'tiny-01' references sentence 99"),
-    ], ids=["not-json", "not-an-object", "missing-indices", "index-out-of-range"])
+        ('{"id": "tiny-00", "indices": [0], "tokens": 3}', "duplicate id 'tiny-00'"),
+    ], ids=["not-json", "not-an-object", "missing-indices", "index-out-of-range",
+            "duplicate-id"])
     def test_malformed_selection_line_exits_one(self, tmp_path, bad_line, reason):
         source, selections = self.prepare(tmp_path)
         first_line = selections.read_text("utf-8").splitlines()[0]
@@ -337,6 +353,18 @@ class TestSummarizeCommand:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert f"selection line 2: {reason}" in proc.stderr
+        assert not out.exists()
+
+    def test_zero_budget_exits_two(self, tmp_path):
+        source, selections = self.prepare(tmp_path, count=1)
+        out = tmp_path / "summ.jsonl"
+        proc = subprocess.run(
+            [sys.executable, "-m", "podselect", "summarize", "--input", str(selections),
+             "--episodes", str(source), "--output", str(out), "--budget", "0"],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "budget must be an integer >= 1, got 0" in proc.stderr
         assert not out.exists()
 
     def test_remote_without_endpoint_exits_two(self, tmp_path):
@@ -395,7 +423,9 @@ class TestEvaluateCommand:
         ('["tiny-00", "text"]', "not a JSON object"),
         ('{"summary": "text", "backend": "null"}', "missing key 'id'"),
         ('{"id": "tiny-00", "summary": 5}', "'id' and 'summary' must be strings"),
-    ], ids=["not-json", "not-an-object", "missing-id", "summary-not-a-string"])
+        ('{"id": "tiny-00", "summary": "text", "backend": "null"}', "duplicate id 'tiny-00'"),
+    ], ids=["not-json", "not-an-object", "missing-id", "summary-not-a-string",
+            "duplicate-id"])
     def test_malformed_summary_line_exits_one(self, tmp_path, bad_line, reason):
         source = tmp_path / "eps.jsonl"
         tiny_corpus(source, count=1)
