@@ -113,9 +113,9 @@ class RemoteBackend:
     """HTTP client for a remote summarization service.
 
     POSTs ``{"id", "text", "max_length"?}`` to ``<endpoint>/summarize`` and
-    expects ``{"id", "summary"}`` back. Transient failures (non-2xx,
-    timeouts, connection errors) are retried with exponential backoff; a
-    malformed response body is a protocol error and is not retried.
+    expects ``{"id", "summary"}`` back. Transient failures (5xx, 408, 429,
+    timeouts, connection errors) are retried with exponential backoff; other
+    4xx responses, and malformed bodies (a protocol error), fail at once.
     """
 
     backend_id = "remote"
@@ -151,10 +151,12 @@ class RemoteBackend:
             last_failure = f"HTTP {response.status_code}"
             logger.warning("backend attempt %d/%d failed for %s: %s",
                            attempt + 1, self.retries, episode_id, last_failure)
+            if 400 <= response.status_code < 500 and response.status_code not in (408, 429):
+                break  # no other client error can succeed when sent again
         raise BackendError(
-            f"backend failed for {episode_id!r} after {self.retries} attempts "
+            f"backend failed for {episode_id!r} after {attempt + 1} attempts "
             f"({last_failure})",
-            attempts=self.retries,
+            attempts=attempt + 1,
         )
 
     @staticmethod

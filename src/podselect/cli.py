@@ -4,12 +4,14 @@ Subcommands map one-to-one onto pipeline stages (preprocess, select,
 summarize, evaluate) plus a ``pipeline`` command that chains them. Flag
 values beat config-file values, which beat built-in defaults; the config
 file is JSON, named by --config or the PODSELECT_CONFIG environment
-variable.
+variable. Every command resolves and checks all of its settings, from the
+_SETTINGS table, before any stage runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import logging
@@ -27,7 +29,26 @@ logger = logging.getLogger("podselect")
 
 STRATEGIES = ("window", "novelty", "topic", "none")
 BACKENDS = ("null", "remote")
+_REPORT_EXT = {"text": "txt", "csv": "csv", "json": "json"}
+REPORT_FORMATS = tuple(_REPORT_EXT)
 PARTIAL_SUFFIX = ".partial"
+
+# Every setting a flag or the config file can give: key -> (type, default,
+# limit), the limit being an int's minimum or a str's allowed values (None: no
+# limit). A None window_size or jobs leaves the choice to each strategy or stage.
+_SETTINGS = {
+    "strategy": (str, "window", STRATEGIES),
+    "window_size": (int, None, 1),
+    "top_k": (int, selection.DEFAULT_TOP_K, 0),
+    "topics": (int, topics.DEFAULT_NUM_TOPICS, 1),
+    "budget": (int, selection.DEFAULT_TOKEN_BUDGET, 1),
+    "seed": (int, 0, None),
+    "jobs": (int, None, 1),
+    "backend": (str, "null", BACKENDS),
+    "endpoint": (str, None, None),
+    "format": (str, "text", REPORT_FORMATS),
+    "profanity_list_path": (str, None, None),
+}
 
 
 @contextmanager
@@ -62,13 +83,34 @@ def _load_config_mapping(ns) -> dict:
     return data
 
 
-def _resolve(ns, config: dict, key: str, default):
-    value = getattr(ns, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return default
+def _settings(ns) -> dict:
+    """Resolve every setting once: the flag, then the config file, then the default.
+
+    Raises ConfigError for an unknown config key and for a flag or config
+    value of the wrong type, below its minimum or outside its allowed values.
+    """
+    config = _load_config_mapping(ns)
+    for key in config:
+        if key not in _SETTINGS:
+            raise ConfigError(
+                f"unknown config key {key!r}; known keys: {', '.join(_SETTINGS)}")
+    resolved = {}
+    for key, (kind, default, limit) in _SETTINGS.items():
+        flag = getattr(ns, key, None)
+        if flag is None and key not in config:
+            resolved[key] = default
+            continue
+        value = config[key] if flag is None else flag
+        if kind is str:
+            ok = isinstance(value, str) and (limit is None or value in limit)
+            what = "a string" if limit is None else "one of " + ", ".join(limit)
+        else:  # type(), because a bool is an int to isinstance
+            ok = type(value) is int and (limit is None or value >= limit)
+            what = "an integer" if limit is None else f"an integer >= {limit}"
+        if not ok:
+            raise ConfigError(f"{key} must be {what}, got {value!r}")
+        resolved[key] = value
+    return resolved
 
 
 def _derive_seed(base_seed: int, episode_id: str) -> int:
@@ -80,10 +122,10 @@ def _derive_seed(base_seed: int, episode_id: str) -> int:
 # --- preprocess ---------------------------------------------------------------
 
 
-def _run_preprocess(input_path: str, out_dir: Path, seed: int,
-                    filter_config: preprocess.FilterConfig) -> list[corpus.Episode]:
+def _run_preprocess(input_path: str, out_dir: Path, settings: dict) -> list[corpus.Episode]:
     episodes = list(corpus.load_episodes(input_path))
-    kept, report = preprocess.filter_corpus(episodes, filter_config)
+    kept, report = preprocess.filter_corpus(
+        episodes, preprocess.FilterConfig(settings["profanity_list_path"]))
 
     out_dir.mkdir(parents=True, exist_ok=True)
     with atomic_write(out_dir / "kept.jsonl") as handle:
@@ -92,7 +134,7 @@ def _run_preprocess(input_path: str, out_dir: Path, seed: int,
         handle.write(report.to_json() + "\n")
 
     if kept:
-        assignment = preprocess.split_dataset([e.id for e in kept], seed=seed)
+        assignment = preprocess.split_dataset([e.id for e in kept], seed=settings["seed"])
         split_payload = assignment.to_jsonl()
     else:
         split_payload = ""
@@ -103,21 +145,8 @@ def _run_preprocess(input_path: str, out_dir: Path, seed: int,
     return kept
 
 
-def _filter_config_from(ns, config: dict) -> preprocess.FilterConfig:
-    kwargs = {}
-    for key in ("desc_min_chars", "desc_max_chars", "duplicate_sim_threshold",
-                "show_desc_sim_threshold", "desc_min_tokens",
-                "english_min_stopword_ratio", "profanity_list_path"):
-        value = _resolve(ns, config, key, None)
-        if value is not None:
-            kwargs[key] = value
-    return preprocess.FilterConfig(**kwargs)
-
-
 def cmd_preprocess(ns) -> int:
-    config = _load_config_mapping(ns)
-    seed = _resolve(ns, config, "seed", 0)
-    _run_preprocess(ns.input, Path(ns.output), seed, _filter_config_from(ns, config))
+    _run_preprocess(ns.input, Path(ns.output), _settings(ns))
     return 0
 
 
@@ -125,7 +154,8 @@ def cmd_preprocess(ns) -> int:
 
 
 def _select_one(episode: corpus.Episode, strategy: str,
-                settings: dict) -> tuple[str, dict | None, str | None]:
+                selector: selection.SelectorConfig, num_topics: int, seed: int,
+                diagnostics: bool) -> tuple[str, dict | None, str | None]:
     """Worker: build the document and run one selection strategy.
 
     Takes a picklable Episode and returns a plain record, so it can cross
@@ -133,45 +163,43 @@ def _select_one(episode: corpus.Episode, strategy: str,
     """
     try:
         doc = corpus.build_document(episode)
-        selector = selection.SelectorConfig(
-            window_size=settings.get("window_size"),
-            novelty_top_k=settings["top_k"],
-            token_budget=settings["budget"],
-        )
         if strategy == "window":
             result = selection.select_window(doc, selector)
         elif strategy == "novelty":
             result = selection.select_novelty(doc, selector)
         elif strategy == "topic":
-            topic_config = topics.TopicConfig(
-                num_topics=settings["topics"],
-                seed=_derive_seed(settings["seed"], episode.id),
-            )
-            model = topics.fit_lda(doc, topic_config)
+            model = topics.fit_lda(doc, topics.TopicConfig(
+                num_topics=num_topics, seed=_derive_seed(seed, episode.id)))
             result = topics.select_by_topics(doc, model, selector)
-        elif strategy == "none":
-            result = selection.select_head(doc, settings["budget"])
         else:
-            raise ConfigError(f"unknown strategy: {strategy!r}")
-        return episode.id, result.to_record(settings["diagnostics"]), None
+            result = selection.select_head(doc, selector.token_budget)
+        return episode.id, result.to_record(diagnostics), None
     except (EmptyDocumentError, InsufficientContentError) as exc:
         return episode.id, None, str(exc)
 
 
-def _run_select(input_path: str, output_path: Path, strategy: str,
-                settings: dict, jobs: int) -> int:
+def _run_select(input_path: str, output_path: Path, settings: dict,
+                diagnostics: bool) -> int:
+    selector = selection.SelectorConfig(
+        window_size=settings["window_size"],
+        novelty_top_k=settings["top_k"],
+        token_budget=settings["budget"],
+    )
+    select_one = functools.partial(
+        _select_one, strategy=settings["strategy"], selector=selector,
+        num_topics=settings["topics"], seed=settings["seed"], diagnostics=diagnostics)
+    jobs = settings["jobs"] or os.cpu_count() or 1
     episodes = list(corpus.load_episodes(input_path))
     skipped = 0
     results: list[dict] = []
     if jobs > 1 and len(episodes) > 1:
         with futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(
-                _select_one, episodes,
-                [strategy] * len(episodes), [settings] * len(episodes),
+                select_one, episodes,
                 chunksize=max(1, len(episodes) // (jobs * 4) or 1),
             ))
     else:
-        outcomes = [_select_one(episode, strategy, settings) for episode in episodes]
+        outcomes = [select_one(episode) for episode in episodes]
     for episode_id, payload, error in outcomes:
         if error is not None:
             logger.warning("skipping %s: %s", episode_id, error)
@@ -181,47 +209,28 @@ def _run_select(input_path: str, output_path: Path, strategy: str,
     with atomic_write(output_path) as handle:
         for payload in results:
             handle.write(json.dumps(payload, ensure_ascii=False) + "\n")
-    logger.info("select(%s): %d selected, %d skipped", strategy, len(results), skipped)
+    logger.info("select(%s): %d selected, %d skipped",
+                settings["strategy"], len(results), skipped)
     return 0
 
 
-def _select_settings(ns, config: dict) -> tuple[str, dict, int]:
-    strategy = _resolve(ns, config, "strategy", "window")
-    if strategy not in STRATEGIES:
-        raise ConfigError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
-    settings = {
-        "window_size": _resolve(ns, config, "window_size", None),
-        "top_k": _resolve(ns, config, "top_k", selection.DEFAULT_TOP_K),
-        "topics": _resolve(ns, config, "topics", topics.DEFAULT_NUM_TOPICS),
-        "budget": _resolve(ns, config, "budget", selection.DEFAULT_TOKEN_BUDGET),
-        "seed": _resolve(ns, config, "seed", 0),
-        "diagnostics": bool(getattr(ns, "diagnostics", False)),
-    }
-    jobs = _resolve(ns, config, "jobs", None)
-    return strategy, settings, int(jobs) if jobs else (os.cpu_count() or 1)
-
-
 def cmd_select(ns) -> int:
-    config = _load_config_mapping(ns)
-    strategy, settings, jobs = _select_settings(ns, config)
-    return _run_select(ns.input, Path(ns.output), strategy, settings, jobs)
+    return _run_select(ns.input, Path(ns.output), _settings(ns), ns.diagnostics)
 
 
 # --- summarize ----------------------------------------------------------------
 
 
-def _make_backend(name: str, endpoint: str | None):
-    if name == "null":
+def _make_backend(settings: dict):
+    if settings["backend"] == "null":
         return abstractive.NullBackend()
-    if name == "remote":
-        if not endpoint:
-            raise ConfigError("--endpoint is required for the remote backend")
-        return abstractive.RemoteBackend(endpoint)
-    raise ConfigError(f"unknown backend {name!r}; choose from {BACKENDS}")
+    if not settings["endpoint"]:
+        raise ConfigError("--endpoint is required for the remote backend")
+    return abstractive.RemoteBackend(settings["endpoint"])
 
 
 def _run_summarize(selections_path: str, episodes_path: str, output_path: Path,
-                   backend, budget: int, jobs: int) -> int:
+                   backend, budget: int, jobs: int | None) -> int:
     documents: dict[str, corpus.Document] = {}
     for episode in corpus.load_episodes(episodes_path):
         try:
@@ -268,8 +277,7 @@ def _run_summarize(selections_path: str, episodes_path: str, output_path: Path,
 
     summaries: list[abstractive.Summary | None] = [None] * len(inputs)
     failures = 0
-    max_workers = max(1, jobs)
-    with futures.ThreadPoolExecutor(max_workers=max_workers) as pool:
+    with futures.ThreadPoolExecutor(max_workers=jobs or 4) as pool:
         jobs_map = {pool.submit(run_one, item): position
                     for position, item in enumerate(inputs)}
         for future in futures.as_completed(jobs_map):
@@ -290,17 +298,9 @@ def _run_summarize(selections_path: str, episodes_path: str, output_path: Path,
 
 
 def cmd_summarize(ns) -> int:
-    config = _load_config_mapping(ns)
-    backend = _make_backend(
-        _resolve(ns, config, "backend", "null"),
-        _resolve(ns, config, "endpoint", None),
-    )
-    budget = _resolve(ns, config, "budget", selection.DEFAULT_TOKEN_BUDGET)
-    if not isinstance(budget, int) or budget < 1:
-        raise ConfigError(f"budget must be an integer >= 1, got {budget!r}")
-    jobs = _resolve(ns, config, "jobs", None) or 4
-    return _run_summarize(ns.input, ns.episodes, Path(ns.output),
-                          backend, budget, int(jobs))
+    settings = _settings(ns)
+    return _run_summarize(ns.input, ns.episodes, Path(ns.output), _make_backend(settings),
+                          settings["budget"], settings["jobs"])
 
 
 # --- evaluate -----------------------------------------------------------------
@@ -363,63 +363,49 @@ def _run_evaluate(summaries_path: str, references_path: str, output_path: Path,
 
 
 def cmd_evaluate(ns) -> int:
-    config = _load_config_mapping(ns)
-    fmt = _resolve(ns, config, "format", "text")
+    settings = _settings(ns)
     return _run_evaluate(ns.input, ns.references, Path(ns.output),
-                         ns.method_id or "run", fmt, bool(ns.raw_references))
+                         ns.method_id or "run", settings["format"], ns.raw_references)
 
 
 # --- pipeline -----------------------------------------------------------------
 
 
-_REPORT_EXT = {"text": "txt", "csv": "csv", "json": "json"}
-
-
 def cmd_pipeline(ns) -> int:
-    config = _load_config_mapping(ns)
+    # Resolve every setting and build the backend before the first write,
+    # so a bad setting leaves nothing behind.
+    settings = _settings(ns)
+    backend = _make_backend(settings)
     out_dir = Path(ns.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    seed = _resolve(ns, config, "seed", 0)
-    strategy, settings, jobs = _select_settings(ns, config)
-    budget = settings["budget"]
-    fmt = _resolve(ns, config, "format", "text")
-    if fmt not in _REPORT_EXT:
-        raise ConfigError(f"unknown report format {fmt!r}")
-    backend = _make_backend(
-        _resolve(ns, config, "backend", "null"),
-        _resolve(ns, config, "endpoint", None),
-    )
-    resume = bool(ns.resume)
 
     kept_path = out_dir / "kept.jsonl"
     preprocess_outputs = [kept_path, out_dir / "filter_report.json", out_dir / "split.jsonl"]
-    if resume and all(p.exists() for p in preprocess_outputs):
+    if ns.resume and all(p.exists() for p in preprocess_outputs):
         logger.info("pipeline: preprocess outputs exist, skipping")
     else:
-        _run_preprocess(ns.input, out_dir, seed, _filter_config_from(ns, config))
+        _run_preprocess(ns.input, out_dir, settings)
 
     selections_path = out_dir / "selections.jsonl"
-    if resume and selections_path.exists():
+    if ns.resume and selections_path.exists():
         logger.info("pipeline: selections exist, skipping")
     else:
-        _run_select(str(kept_path), selections_path, strategy, settings, jobs)
+        _run_select(str(kept_path), selections_path, settings, ns.diagnostics)
 
     summaries_path = out_dir / "summaries.jsonl"
-    if resume and summaries_path.exists():
+    if ns.resume and summaries_path.exists():
         logger.info("pipeline: summaries exist, skipping")
     else:
-        backend_jobs = int(_resolve(ns, config, "jobs", None) or 4)
         status = _run_summarize(str(selections_path), str(kept_path), summaries_path,
-                                backend, budget, backend_jobs)
+                                backend, settings["budget"], settings["jobs"])
         if status != 0:
             return status
 
-    report_path = out_dir / f"report.{_REPORT_EXT[fmt]}"
-    if resume and report_path.exists():
+    report_path = out_dir / f"report.{_REPORT_EXT[settings['format']]}"
+    if ns.resume and report_path.exists():
         logger.info("pipeline: report exists, skipping")
     else:
         _run_evaluate(str(summaries_path), str(kept_path), report_path,
-                      strategy, fmt, raw_references=False)
+                      settings["strategy"], settings["format"], raw_references=False)
     return 0
 
 
@@ -499,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(p, "report path")
     p.add_argument("--references", required=True,
                    help="episodes JSONL providing reference descriptions")
-    p.add_argument("--format", choices=("text", "csv", "json"), default=None,
+    p.add_argument("--format", choices=REPORT_FORMATS, default=None,
                    help="report format (default: text)")
     p.add_argument("--method-id", dest="method_id", default=None,
                    help="row label in the report (default: run)")
@@ -512,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(p, "output directory for all stage artifacts")
     _add_strategy_flags(p)
     _add_backend_flags(p)
-    p.add_argument("--format", choices=("text", "csv", "json"), default=None,
+    p.add_argument("--format", choices=REPORT_FORMATS, default=None,
                    help="report format (default: text)")
     p.add_argument("--resume", action="store_true",
                    help="skip stages whose outputs already exist")

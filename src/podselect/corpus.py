@@ -128,8 +128,9 @@ def _parse_record(record: dict, line_number: int) -> Episode:
 def load_episodes(path, errors: list[RecordParseError] | None = None) -> Iterator[Episode]:
     """Lazily read episodes from a JSONL file.
 
-    Malformed records are never silently dropped: each one is logged with
-    its line number and, when ``errors`` is given, appended to it.
+    Malformed records, and records repeating an earlier id (the first one
+    wins), are never silently dropped: each one is logged with its line
+    number and, when ``errors`` is given, appended to it.
     """
 
     def report(err: RecordParseError):
@@ -137,6 +138,7 @@ def load_episodes(path, errors: list[RecordParseError] | None = None) -> Iterato
         if errors is not None:
             errors.append(err)
 
+    seen: set[str] = set()
     with open(path, "r", encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, 1):
             if not line.strip():
@@ -147,9 +149,14 @@ def load_episodes(path, errors: list[RecordParseError] | None = None) -> Iterato
                 report(RecordParseError(line_number, f"invalid JSON ({exc.msg})"))
                 continue
             try:
-                yield _parse_record(record, line_number)
+                episode = _parse_record(record, line_number)
+                if episode.id in seen:
+                    raise RecordParseError(line_number, f"duplicate id {episode.id!r}")
             except RecordParseError as err:
                 report(err)
+                continue
+            seen.add(episode.id)
+            yield episode
 
 
 # --- sentence segmentation ---------------------------------------------------

@@ -42,6 +42,14 @@ ALL_RULES = (
     RULE_TOO_FEW_TOKENS,
 )
 
+# rule thresholds
+DESC_MIN_CHARS = 20
+DESC_MAX_CHARS = 750
+DUPLICATE_SIM_THRESHOLD = 0.9
+SHOW_DESC_SIM_THRESHOLD = 0.9
+ENGLISH_MIN_STOPWORD_RATIO = 0.2
+DESC_MIN_TOKENS = 10
+
 SPONSOR_PHRASES = (
     "sponsored by",
     "sponsorship",
@@ -98,7 +106,7 @@ def contains_profanity(text: str, wordlist: frozenset[str]) -> bool:
     return any(token.text in wordlist for token in tokenize(text))
 
 
-def detect_english(text: str, min_ratio: float = 0.2) -> tuple[bool, float]:
+def detect_english(text: str) -> tuple[bool, float]:
     """Stopword-ratio language check.
 
     Returns (is_english, ratio) where ratio is the fraction of tokens found
@@ -110,7 +118,7 @@ def detect_english(text: str, min_ratio: float = 0.2) -> tuple[bool, float]:
         raise ValueError("cannot detect language of text with no tokens")
     hits = sum(1 for t in tokens if t.text in ENGLISH_STOPWORDS)
     ratio = hits / len(tokens)
-    return ratio >= min_ratio, ratio
+    return ratio >= ENGLISH_MIN_STOPWORD_RATIO, ratio
 
 
 def _shingles(tokens: list[str], size: int = 3) -> frozenset[tuple[str, ...]]:
@@ -138,24 +146,8 @@ def description_similarity(a: str, b: str) -> float:
 
 @dataclass(frozen=True)
 class FilterConfig:
-    desc_min_chars: int = 20
-    desc_max_chars: int = 750
-    duplicate_sim_threshold: float = 0.9
-    show_desc_sim_threshold: float = 0.9
-    desc_min_tokens: int = 10
-    english_min_stopword_ratio: float = 0.2
+    # None uses the bundled placeholder list
     profanity_list_path: str | None = None
-
-    def __post_init__(self):
-        if self.desc_min_chars >= self.desc_max_chars:
-            raise ConfigError("desc_min_chars must be below desc_max_chars")
-        for name in ("duplicate_sim_threshold", "show_desc_sim_threshold",
-                     "english_min_stopword_ratio"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ConfigError(f"{name} must be within [0, 1], got {value}")
-        if self.desc_min_tokens < 0:
-            raise ConfigError("desc_min_tokens must be non-negative")
 
 
 @dataclass
@@ -163,13 +155,12 @@ class FilterReport:
     input_count: int = 0
     kept_count: int = 0
     rejected_by_rule: dict[str, int] = field(default_factory=dict)
-    # episode id -> ordered list of triggered rules. With first-match
-    # short-circuiting each list holds exactly one rule.
-    reasons: dict[str, list[str]] = field(default_factory=dict)
+    # episode id -> the first rule it tripped
+    reasons: dict[str, str] = field(default_factory=dict)
 
     def add_rejection(self, episode_id: str, rule: str):
         self.rejected_by_rule[rule] = self.rejected_by_rule.get(rule, 0) + 1
-        self.reasons.setdefault(episode_id, []).append(rule)
+        self.reasons.setdefault(episode_id, rule)
 
     def to_json(self) -> str:
         payload = {
@@ -180,7 +171,7 @@ class FilterReport:
                 for rule in ALL_RULES
                 if rule in self.rejected_by_rule
             },
-            "reasons": {eid: rules[0] for eid, rules in self.reasons.items()},
+            "reasons": self.reasons,
         }
         return json.dumps(payload, ensure_ascii=False, indent=2)
 
@@ -188,14 +179,13 @@ class FilterReport:
 class _DuplicateIndex:
     """Shingle-set index with size blocking.
 
-    Jaccard(A, B) >= t forces t <= |A| / |B| <= 1 / t, so candidates are
-    narrowed to kept sets whose size falls inside that band before any
-    pairwise comparison. Keeps the dedup pass well under O(n^2) on
-    realistic corpora.
+    Jaccard(A, B) >= t forces t <= |A| / |B| <= 1 / t, with t the
+    DUPLICATE_SIM_THRESHOLD, so candidates are narrowed to kept sets whose
+    size falls inside that band before any pairwise comparison. Keeps the
+    dedup pass well under O(n^2) on realistic corpora.
     """
 
-    def __init__(self, threshold: float):
-        self.threshold = threshold
+    def __init__(self):
         self._sizes: list[int] = []          # sorted shingle-set sizes
         self._by_size: list[frozenset] = []  # sets, aligned with _sizes
 
@@ -203,12 +193,12 @@ class _DuplicateIndex:
         if not shingles or not self._sizes:
             return False
         size = len(shingles)
-        low = math.ceil(size * self.threshold)
-        high = math.floor(size / self.threshold)
+        low = math.ceil(size * DUPLICATE_SIM_THRESHOLD)
+        high = math.floor(size / DUPLICATE_SIM_THRESHOLD)
         start = bisect.bisect_left(self._sizes, low)
         end = bisect.bisect_right(self._sizes, high)
         for i in range(start, end):
-            if _jaccard(shingles, self._by_size[i]) >= self.threshold:
+            if _jaccard(shingles, self._by_size[i]) >= DUPLICATE_SIM_THRESHOLD:
                 return True
         return False
 
@@ -237,15 +227,15 @@ def filter_corpus(
     survivors: list[Episode] = []
     for episode in episodes:
         length = len(episode.description)
-        if length < config.desc_min_chars:
+        if length < DESC_MIN_CHARS:
             report.add_rejection(episode.id, RULE_DESC_TOO_SHORT)
-        elif length > config.desc_max_chars:
+        elif length > DESC_MAX_CHARS:
             report.add_rejection(episode.id, RULE_DESC_TOO_LONG)
         else:
             survivors.append(episode)
 
     # rule 2: near-duplicate descriptions, first occurrence wins
-    index = _DuplicateIndex(config.duplicate_sim_threshold)
+    index = _DuplicateIndex()
     deduped: list[Episode] = []
     for episode in survivors:
         shingles = _shingles([t.text for t in tokenize(episode.description)])
@@ -259,7 +249,7 @@ def filter_corpus(
     kept: list[Episode] = []
     for episode in deduped:
         if description_similarity(episode.description, episode.show_description) \
-                >= config.show_desc_sim_threshold:
+                >= SHOW_DESC_SIM_THRESHOLD:
             report.add_rejection(episode.id, RULE_SHOW_SIMILAR)
             continue
         if contains_profanity(episode.description, wordlist) \
@@ -267,15 +257,14 @@ def filter_corpus(
             report.add_rejection(episode.id, RULE_PROFANITY)
             continue
         try:
-            is_english, _ = detect_english(episode.description,
-                                           config.english_min_stopword_ratio)
+            is_english, _ = detect_english(episode.description)
         except ValueError:
             is_english = False  # no tokens at all, cannot be confirmed English
         if not is_english:
             report.add_rejection(episode.id, RULE_NON_ENGLISH)
             continue
         cleaned = clean_description(episode.description)
-        if len(tokenize(cleaned)) < config.desc_min_tokens:
+        if len(tokenize(cleaned)) < DESC_MIN_TOKENS:
             report.add_rejection(episode.id, RULE_TOO_FEW_TOKENS)
             continue
         kept.append(episode)

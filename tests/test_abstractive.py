@@ -200,6 +200,28 @@ class TestRemoteBackend:
         assert len(server.requests) == 3
         assert sleeps == [0.5, 1.0]
 
+    def test_client_error_fails_without_retry(self, stub_server):
+        server, endpoint = stub_server
+        server.script.append((400, {"error": "bad request"}))
+        sleeps = []
+        backend = RemoteBackend(endpoint, sleep=sleeps.append)
+        with pytest.raises(BackendError) as excinfo:
+            backend.generate("ep-x", "t")
+        assert excinfo.value.attempts == 1
+        assert "HTTP 400" in str(excinfo.value)
+        assert len(server.requests) == 1
+        assert sleeps == []
+
+    def test_too_many_requests_retried_then_succeed(self, stub_server):
+        server, endpoint = stub_server
+        server.script.append((429, {"error": "slow down"}))
+        server.script.append((200, {"id": "e", "summary": "done"}))
+        sleeps = []
+        backend = RemoteBackend(endpoint, sleep=sleeps.append)
+        assert backend.generate("e", "t") == "done"
+        assert len(server.requests) == 2
+        assert sleeps == [0.5]
+
     def test_malformed_body_is_protocol_error_without_retry(self, stub_server):
         server, endpoint = stub_server
         server.script.append((200, b"this is not json"))

@@ -142,6 +142,23 @@ class TestPreprocessCommand:
         assert "line 2: invalid JSON" in proc.stderr
         assert [r["id"] for r in read_jsonl(out / "kept.jsonl")] == [r["id"] for r in records]
 
+    def test_repeated_id_reported_and_first_kept(self, fixtures_dir, tmp_path):
+        records = read_jsonl(fixtures_dir / "mini_corpus.jsonl")
+        repeat = dict(records[0], description="A different description of the same "
+                                              "episode, long enough to pass the filter.")
+        source = tmp_path / "eps.jsonl"
+        write_jsonl(source, [*records, repeat])
+        out = tmp_path / "stage"
+        proc = subprocess.run(
+            [sys.executable, "-m", "podselect", "preprocess", "--input", str(source),
+             "--output", str(out)],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0
+        assert f"line {len(records) + 1}: duplicate id 'mini-01'" in proc.stderr
+        kept = read_jsonl(out / "kept.jsonl")
+        assert [r["id"] for r in kept] == [r["id"] for r in records]
+        assert kept[0]["description"] == records[0]["description"]
+
 
 class TestSelectCommand:
     def test_window_selection_matches_library(self, tmp_path):
@@ -273,6 +290,32 @@ class TestConfigPrecedence:
         assert main(["select", "--input", str(source),
                      "--output", str(tmp_path / "sel.jsonl"),
                      "--config", str(config)]) == 2
+
+    @pytest.mark.parametrize("config, named", [
+        ({"budget": "5"}, "budget must be an integer >= 1, got '5'"),
+        ({"budget": True}, "budget must be an integer >= 1, got True"),
+        ({"topics": "3", "strategy": "topic"}, "topics must be an integer >= 1, got '3'"),
+        ({"endpoint": 5, "backend": "remote"}, "endpoint must be a string, got 5"),
+        ({"desc_min_chars": 10}, "unknown config key 'desc_min_chars'"),
+        ({"windowsize": 3}, "unknown config key 'windowsize'"),
+        ({"profanity_list_path": "absent-words.txt"}, "cannot read profanity list"),
+    ], ids=["budget-string", "budget-bool", "topics-string", "endpoint-number",
+            "filter-threshold-key", "misspelled-key", "missing-profanity-list"])
+    def test_bad_config_exits_two_and_writes_nothing(self, fixtures_dir, tmp_path,
+                                                     config, named):
+        config_path = tmp_path / "conf.json"
+        config_path.write_text(json.dumps(config))
+        out = tmp_path / "run"
+        proc = subprocess.run(
+            [sys.executable, "-m", "podselect", "pipeline",
+             "--input", str(fixtures_dir / "mini_corpus.jsonl"), "--output", str(out),
+             "--config", str(config_path), "--jobs", "1"],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert named in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+        assert not out.exists()
 
     def test_bad_strategy_in_config_exits_two(self, tmp_path):
         source = tmp_path / "eps.jsonl"
@@ -442,6 +485,18 @@ class TestEvaluateCommand:
         assert f"summary line 2: {reason}" in proc.stderr
         assert not out.exists()
 
+    def test_bad_format_in_config_exits_two(self, tmp_path):
+        source = tmp_path / "eps.jsonl"
+        tiny_corpus(source, count=1)
+        summaries = tmp_path / "summ.jsonl"
+        write_jsonl(summaries, [{"id": "tiny-00", "summary": "text", "backend": "null"}])
+        config = tmp_path / "conf.json"
+        config.write_text(json.dumps({"format": "xml"}))
+        out = tmp_path / "report.txt"
+        assert main(["evaluate", "--input", str(summaries), "--references", str(source),
+                     "--output", str(out), "--config", str(config)]) == 2
+        assert not out.exists()
+
     def test_missing_reference_exits_one(self, tmp_path):
         source = tmp_path / "eps.jsonl"
         tiny_corpus(source, count=1)
@@ -505,6 +560,11 @@ class TestPipelineCommand:
         assert payload[0]["method"] == "novelty"
         for key in ("rouge_l_p", "rouge_l_r", "rouge_l_f"):
             assert 0.0 <= payload[0][key] <= 100.0
+
+    def test_bad_setting_writes_nothing(self, fixtures_dir, tmp_path):
+        out = tmp_path / "run"
+        assert self.run_pipeline(fixtures_dir, out, "--budget", "0") == 2
+        assert not out.exists()
 
     def test_backend_failure_aborts_before_report(self, tmp_path, stub_server):
         server, endpoint = stub_server

@@ -80,6 +80,19 @@ class TestLoadEpisodes:
         assert list(load_episodes(path, errors=errors)) == []
         assert len(errors) == 1
 
+    def test_repeated_id_reported_and_first_kept(self, tmp_path):
+        path = tmp_path / "eps.jsonl"
+        write_lines(path, [
+            json.dumps({"id": "ep1", "transcript": "first"}),
+            json.dumps({"id": "ep2", "transcript": "other"}),
+            json.dumps({"id": "ep1", "transcript": "second"}),
+        ])
+        errors = []
+        episodes = list(load_episodes(path, errors=errors))
+        assert [(e.id, e.transcript_text) for e in episodes] == [("ep1", "first"),
+                                                                 ("ep2", "other")]
+        assert [str(e) for e in errors] == ["line 3: duplicate id 'ep1'"]
+
 class TestSegmentation:
     def test_hand_segmented_fixture(self, fixtures_dir):
         cases = json.loads((fixtures_dir / "segmentation_cases.json").read_text("utf-8"))

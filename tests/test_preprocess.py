@@ -90,7 +90,7 @@ class TestDetectEnglish:
 
     def test_threshold_is_inclusive(self):
         # exactly one stopword in five tokens, threshold 0.2
-        is_english, ratio = detect_english("the zebra quagga okapi bongo", 0.2)
+        is_english, ratio = detect_english("the zebra quagga okapi bongo")
         assert ratio == pytest.approx(0.2, abs=1e-12)
         assert is_english
 
@@ -170,7 +170,7 @@ class TestFilterCorpus:
         assert len(episodes[0].description) == 800
         kept, report = filter_corpus(episodes)
         assert kept == []
-        assert report.reasons["long"] == ["desc_too_long"]
+        assert report.reasons["long"] == "desc_too_long"
 
     def test_exactly_twenty_chars_kept_by_length_rule(self):
         description = "a b c d e f g h i jo"
@@ -183,7 +183,7 @@ class TestFilterCorpus:
         # violates length and profanity; only the first rule is recorded
         episodes = [Episode(id="e", transcript_text="t", description="badword here")]
         kept, report = filter_corpus(episodes)
-        assert report.reasons["e"] == ["desc_too_short"]
+        assert report.reasons["e"] == "desc_too_short"
         assert "profanity" not in report.rejected_by_rule
 
     def test_profanity_in_show_description_rejects(self):
@@ -193,7 +193,19 @@ class TestFilterCorpus:
             show_description="the swearword network",
         )]
         kept, report = filter_corpus(episodes)
-        assert report.reasons["e"] == ["profanity"]
+        assert report.reasons["e"] == "profanity"
+
+    def test_profanity_list_path_replaces_bundled_list(self, tmp_path):
+        path = tmp_path / "words.txt"
+        path.write_text("weather\n", encoding="utf-8")
+        episodes = [Episode(
+            id="e", transcript_text="t",
+            description="a perfectly ordinary chat about the weather and the news today",
+        )]
+        assert [e.id for e in filter_corpus(episodes)[0]] == ["e"]
+        kept, report = filter_corpus(episodes, FilterConfig(profanity_list_path=str(path)))
+        assert kept == []
+        assert report.reasons == {"e": "profanity"}
 
     def test_duplicate_keeps_first_occurrence(self):
         description = "the very same text about the very same show and its hosts"
@@ -203,7 +215,7 @@ class TestFilterCorpus:
         ]
         kept, report = filter_corpus(episodes)
         assert [e.id for e in kept] == ["first"]
-        assert report.reasons["second"] == ["duplicate_description"]
+        assert report.reasons["second"] == "duplicate_description"
 
     def test_near_duplicate_below_threshold_kept(self):
         base = "the hosts walk through the week of news with their usual calm and a few good jokes along the way"
@@ -223,21 +235,6 @@ class TestFilterCorpus:
         kept_again, report = filter_corpus(kept)
         assert [e.id for e in kept_again] == [e.id for e in kept]
         assert report.rejected_by_rule == {}
-
-    def test_tightening_token_rule_is_monotone(self, fixtures_dir):
-        episodes = load_fixture_episodes(fixtures_dir)
-        previous = None
-        for minimum in (0, 5, 10, 15, 30):
-            kept, _ = filter_corpus(episodes, FilterConfig(desc_min_tokens=minimum))
-            if previous is not None:
-                assert len(kept) <= previous
-            previous = len(kept)
-
-    def test_invalid_config_rejected(self):
-        with pytest.raises(ConfigError):
-            FilterConfig(desc_min_chars=800, desc_max_chars=750)
-        with pytest.raises(ConfigError):
-            FilterConfig(duplicate_sim_threshold=1.5)
 
 
 class TestSplitDataset:
