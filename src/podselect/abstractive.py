@@ -15,7 +15,7 @@ from typing import Protocol
 
 import requests
 
-from .corpus import Document
+from .corpus import Document, tokenize
 from .errors import BackendError, ProtocolError
 from .selection import DEFAULT_TOKEN_BUDGET, SelectionResult
 
@@ -52,6 +52,10 @@ def enforce_budget(selection: SelectionResult, doc: Document,
     cut mid-sentence, at exactly max_tokens tokens, and the result is
     flagged. Applying the cap to text that already fits changes nothing, so
     the operation is idempotent.
+
+    The cut re-tokenizes that one sentence for its byte spans, so each
+    sentence's tokens must equal token_texts(sentence.raw_text), as
+    build_document guarantees.
     """
     if max_tokens < 1:
         raise ValueError(f"max_tokens must be >= 1, got {max_tokens}")
@@ -74,9 +78,8 @@ def enforce_budget(selection: SelectionResult, doc: Document,
     if not kept and selection.sentence_indices:
         # single oversized sentence: hard cut after max_tokens tokens
         sentence = doc.sentences[selection.sentence_indices[0]]
-        last_token = sentence.tokens[max_tokens - 1]
-        raw_bytes = sentence.raw_text.encode("utf-8")
-        text = raw_bytes[:last_token.byte_span[1]].decode("utf-8")
+        cut = tokenize(sentence.raw_text)[max_tokens - 1].byte_span[1]
+        text = sentence.raw_text.encode("utf-8")[:cut].decode("utf-8")
         return BackendInput(
             episode_id=selection.episode_id,
             text=text,

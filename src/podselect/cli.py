@@ -127,17 +127,22 @@ def _run_preprocess(input_path: str, out_dir: Path, settings: dict) -> list[corp
     kept, report = preprocess.filter_corpus(
         episodes, preprocess.FilterConfig(settings["profanity_list_path"]))
 
+    # split before the first write, so a corpus too small to split leaves nothing
+    split_payload = ""
+    if kept:
+        try:
+            split_payload = preprocess.split_dataset(
+                [e.id for e in kept], seed=settings["seed"]).to_jsonl()
+        except InsufficientContentError as exc:
+            raise InsufficientContentError(
+                f"preprocess: {report.kept_count} of {report.input_count} episodes "
+                f"kept; {exc}") from exc
+
     out_dir.mkdir(parents=True, exist_ok=True)
     with atomic_write(out_dir / "kept.jsonl") as handle:
         corpus.write_episodes(kept, handle)
     with atomic_write(out_dir / "filter_report.json") as handle:
         handle.write(report.to_json() + "\n")
-
-    if kept:
-        assignment = preprocess.split_dataset([e.id for e in kept], seed=settings["seed"])
-        split_payload = assignment.to_jsonl()
-    else:
-        split_payload = ""
     with atomic_write(out_dir / "split.jsonl") as handle:
         handle.write(split_payload)
 
@@ -230,7 +235,7 @@ def _make_backend(settings: dict):
 
 
 def _run_summarize(selections_path: str, episodes_path: str, output_path: Path,
-                   backend, budget: int, jobs: int | None) -> int:
+                   backend, budget: int, jobs: int | None) -> None:
     documents: dict[str, corpus.Document] = {}
     for episode in corpus.load_episodes(episodes_path):
         try:
@@ -293,14 +298,19 @@ def _run_summarize(selections_path: str, episodes_path: str, output_path: Path,
         for summary in summaries:
             if summary is not None:
                 handle.write(json.dumps(summary.to_record(), ensure_ascii=False) + "\n")
-    logger.info("summarize: %d written, %d failed", len(inputs) - failures, failures)
-    return 1 if failures else 0
+        if failures:  # raised before the rename, so --resume runs this stage again
+            raise PodselectError(
+                f"summarize: {failures} of {len(inputs)} episodes failed; "
+                f"{len(inputs) - failures} summaries left in "
+                f"{output_path.name}{PARTIAL_SUFFIX}")
+    logger.info("summarize: %d written", len(inputs))
 
 
 def cmd_summarize(ns) -> int:
     settings = _settings(ns)
-    return _run_summarize(ns.input, ns.episodes, Path(ns.output), _make_backend(settings),
-                          settings["budget"], settings["jobs"])
+    _run_summarize(ns.input, ns.episodes, Path(ns.output), _make_backend(settings),
+                   settings["budget"], settings["jobs"])
+    return 0
 
 
 # --- evaluate -----------------------------------------------------------------
@@ -395,10 +405,8 @@ def cmd_pipeline(ns) -> int:
     if ns.resume and summaries_path.exists():
         logger.info("pipeline: summaries exist, skipping")
     else:
-        status = _run_summarize(str(selections_path), str(kept_path), summaries_path,
-                                backend, settings["budget"], settings["jobs"])
-        if status != 0:
-            return status
+        _run_summarize(str(selections_path), str(kept_path), summaries_path,
+                       backend, settings["budget"], settings["jobs"])
 
     report_path = out_dir / f"report.{_REPORT_EXT[settings['format']]}"
     if ns.resume and report_path.exists():

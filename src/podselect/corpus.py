@@ -2,8 +2,8 @@
 
 Everything downstream (filtering, selection, scoring) consumes the types
 defined here, so the contracts are kept deliberately small: immutable
-records, lossless segmentation spans, and tokens that always point back
-at the bytes they came from.
+records, lossless segmentation spans, and tokens as plain strings;
+tokenize also gives the byte span each token was cut from.
 """
 
 from __future__ import annotations
@@ -74,13 +74,8 @@ class Token:
 @dataclass(frozen=True)
 class Sentence:
     index: int
-    tokens: tuple[Token, ...]
+    tokens: tuple[str, ...]
     raw_text: str
-    # byte offsets of raw_text within the source transcript
-    span: tuple[int, int] = (0, 0)
-
-    def token_texts(self) -> list[str]:
-        return [t.text for t in self.tokens]
 
 
 @dataclass(frozen=True)
@@ -90,12 +85,6 @@ class Document:
     episode_id: str
     sentences: tuple[Sentence, ...]
     total_tokens: int
-
-    def token_texts(self) -> list[str]:
-        out: list[str] = []
-        for sentence in self.sentences:
-            out.extend(t.text for t in sentence.tokens)
-        return out
 
 
 def _parse_record(record: dict, line_number: int) -> Episode:
@@ -260,6 +249,17 @@ def _to_byte_span(table: list[int] | None, start: int, end: int) -> tuple[int, i
     return (table[start], table[end])
 
 
+def token_texts(text: str) -> list[str]:
+    """The texts of tokenize(text), without the spans.
+
+    The same rule: str.split() cuts at the str.isspace characters that end
+    tokenize's units, and strip() removes what its lstrip and rstrip do.
+    """
+    strip_chars = _edge_chars(text)
+    return [core.lower() for core in (unit.strip(strip_chars) for unit in text.split())
+            if core]
+
+
 def tokenize(text: str) -> list[Token]:
     """Whitespace tokenization with edge punctuation stripping and lowercasing.
 
@@ -291,22 +291,11 @@ def build_document(episode: Episode) -> Document:
     reindexed contiguously from zero. Raises EmptyDocumentError when no
     sentence yields tokens.
     """
-    text = episode.transcript_text
-    table = _byte_offset_table(text)
     sentences: list[Sentence] = []
-    for start, end in segment_spans(text):
-        raw = text[start:end]
-        tokens = tokenize(raw)
-        if not tokens:
-            continue
-        sentences.append(
-            Sentence(
-                index=len(sentences),
-                tokens=tuple(tokens),
-                raw_text=raw,
-                span=_to_byte_span(table, start, end),
-            )
-        )
+    for raw in segment_sentences(episode.transcript_text):
+        tokens = token_texts(raw)
+        if tokens:
+            sentences.append(Sentence(index=len(sentences), tokens=tuple(tokens), raw_text=raw))
     if not sentences:
         raise EmptyDocumentError(f"episode {episode.id!r}: transcript has no usable sentences")
     total = sum(len(s.tokens) for s in sentences)

@@ -29,7 +29,8 @@ class EmptyDocumentError(PodselectError):
 
 
 class InsufficientContentError(PodselectError):
-    """Document is too small for the requested number of topics."""
+    """Too little data for the step: a document with fewer sentences than
+    topics (select skips it), or under 3 kept episodes to split (exit 1)."""
 
 
 class MissingReferenceError(PodselectError):

@@ -10,7 +10,7 @@ from decimal import ROUND_HALF_EVEN, Decimal
 from typing import Iterable, Mapping
 
 from .abstractive import Summary
-from .corpus import tokenize
+from .corpus import token_texts
 from .errors import MissingReferenceError
 from .rouge import rouge_l
 
@@ -47,9 +47,8 @@ def evaluate_run(summaries: Iterable[Summary], references: Mapping[str, str],
 
     p_total = r_total = f_total = 0.0
     for summary in summaries:
-        candidate = [t.text for t in tokenize(summary.text)]
-        reference = [t.text for t in tokenize(references[summary.episode_id])]
-        score = rouge_l(candidate, reference)
+        score = rouge_l(token_texts(summary.text),
+                        token_texts(references[summary.episode_id]))
         p_total += score.precision
         r_total += score.recall
         f_total += score.f1

@@ -18,8 +18,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .corpus import ENGLISH_STOPWORDS, Episode, segment_sentences, tokenize, _load_wordlist
-from .errors import ConfigError
+from .corpus import ENGLISH_STOPWORDS, Episode, segment_sentences, token_texts, _load_wordlist
+from .errors import ConfigError, InsufficientContentError
 
 logger = logging.getLogger(__name__)
 
@@ -103,7 +103,7 @@ def load_profanity_list(path=None) -> frozenset[str]:
 
 def contains_profanity(text: str, wordlist: frozenset[str]) -> bool:
     """Whole-token, case-insensitive blocklist match. No substring matching."""
-    return any(token.text in wordlist for token in tokenize(text))
+    return any(token in wordlist for token in token_texts(text))
 
 
 def detect_english(text: str) -> tuple[bool, float]:
@@ -113,10 +113,10 @@ def detect_english(text: str) -> tuple[bool, float]:
     in the bundled English stopword list. Raises ValueError when the text
     has no tokens, since the ratio is undefined there.
     """
-    tokens = tokenize(text)
+    tokens = token_texts(text)
     if not tokens:
         raise ValueError("cannot detect language of text with no tokens")
-    hits = sum(1 for t in tokens if t.text in ENGLISH_STOPWORDS)
+    hits = sum(1 for token in tokens if token in ENGLISH_STOPWORDS)
     ratio = hits / len(tokens)
     return ratio >= ENGLISH_MIN_STOPWORD_RATIO, ratio
 
@@ -139,9 +139,7 @@ def _jaccard(a: frozenset, b: frozenset) -> float:
 
 def description_similarity(a: str, b: str) -> float:
     """Jaccard similarity over 3-token shingles of the normalized tokens."""
-    sa = _shingles([t.text for t in tokenize(a)])
-    sb = _shingles([t.text for t in tokenize(b)])
-    return _jaccard(sa, sb)
+    return _jaccard(_shingles(token_texts(a)), _shingles(token_texts(b)))
 
 
 @dataclass(frozen=True)
@@ -238,7 +236,7 @@ def filter_corpus(
     index = _DuplicateIndex()
     deduped: list[Episode] = []
     for episode in survivors:
-        shingles = _shingles([t.text for t in tokenize(episode.description)])
+        shingles = _shingles(token_texts(episode.description))
         if index.is_duplicate(shingles):
             report.add_rejection(episode.id, RULE_DUPLICATE)
             continue
@@ -264,7 +262,7 @@ def filter_corpus(
             report.add_rejection(episode.id, RULE_NON_ENGLISH)
             continue
         cleaned = clean_description(episode.description)
-        if len(tokenize(cleaned)) < DESC_MIN_TOKENS:
+        if len(token_texts(cleaned)) < DESC_MIN_TOKENS:
             report.add_rejection(episode.id, RULE_TOO_FEW_TOKENS)
             continue
         kept.append(episode)
@@ -296,12 +294,15 @@ def split_dataset(episode_ids: Sequence[str], seed: int = 0) -> SplitAssignment:
     """Seeded shuffle then slice into 80/10/10 train/validation/test buckets.
 
     Validation and test each get floor(n / 10) episodes; train gets the rest.
+    Fewer than 3 episodes cannot fill the buckets, which is a fault of the
+    data: InsufficientContentError.
     """
     ids = list(episode_ids)
     if len(set(ids)) != len(ids):
         raise ConfigError("duplicate episode ids in split input")
     if len(ids) < 3:
-        raise ConfigError("need at least 3 episodes to populate all split buckets")
+        raise InsufficientContentError(
+            f"need at least 3 episodes to populate all split buckets, got {len(ids)}")
     rng = random.Random(seed)
     rng.shuffle(ids)
     n_held_out = len(ids) // 10

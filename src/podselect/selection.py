@@ -191,11 +191,3 @@ def select_head(doc: Document, token_budget: int = DEFAULT_TOKEN_BUDGET) -> Sele
         selected_token_count=total,
         diagnostics={},
     )
-
-
-def window_tokens(doc: Document, start: int, end: int) -> list[str]:
-    """Concatenated token texts for sentences [start, end)."""
-    out: list[str] = []
-    for sentence in doc.sentences[start:end]:
-        out.extend(sentence.token_texts())
-    return out

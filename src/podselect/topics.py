@@ -87,7 +87,7 @@ def fit_lda(doc: Document, config: TopicConfig = TopicConfig()) -> TopicModel:
     token_doc: list[int] = []
     for d, sentence in enumerate(doc.sentences):
         for token in sentence.tokens:
-            word_id = vocabulary.setdefault(token.text, len(vocabulary))
+            word_id = vocabulary.setdefault(token, len(vocabulary))
             token_word.append(word_id)
             token_doc.append(d)
 
@@ -195,7 +195,7 @@ def sentence_topic_relevance(sentence: Sentence, model: TopicModel,
     floor = model.oov_probability[topic_id]
     total = 0.0
     for token in sentence.tokens:
-        word_id = model.vocabulary.get(token.text)
+        word_id = model.vocabulary.get(token)
         total += math.log(row[word_id] if word_id is not None else floor)
     return TopicRelevance(
         sentence_index=sentence.index,

@@ -7,41 +7,20 @@ import pytest
 # make tests/oracles.py importable regardless of invocation directory
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from podselect.corpus import Document, Sentence, Token
+from podselect.corpus import Document, Sentence
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
-def make_sentence(index: int, words: list[str], offset: int = 0) -> Sentence:
-    """Build a Sentence whose raw text is the words joined by single spaces.
-
-    Token and sentence spans are byte offsets, matching the tokenizer.
-    """
-    tokens = []
-    position = 0
-    parts = []
-    for i, word in enumerate(words):
-        if i:
-            parts.append(" ")
-            position += 1
-        width = len(word.encode("utf-8"))
-        tokens.append(Token(text=word, byte_span=(position, position + width)))
-        parts.append(word)
-        position += width
-    raw = "".join(parts)
-    return Sentence(index=index, tokens=tuple(tokens), raw_text=raw,
-                    span=(offset, offset + position))
+def make_sentence(index: int, words: list[str]) -> Sentence:
+    """Build a Sentence whose raw text is the words joined by single spaces."""
+    return Sentence(index=index, tokens=tuple(words), raw_text=" ".join(words))
 
 
 def make_doc(sentence_words: list[list[str]], episode_id: str = "ep-test") -> Document:
-    sentences = []
-    offset = 0
-    for index, words in enumerate(sentence_words):
-        sentence = make_sentence(index, words, offset)
-        offset = sentence.span[1] + 1
-        sentences.append(sentence)
+    sentences = tuple(make_sentence(index, words) for index, words in enumerate(sentence_words))
     total = sum(len(s.tokens) for s in sentences)
-    return Document(episode_id=episode_id, sentences=tuple(sentences), total_tokens=total)
+    return Document(episode_id=episode_id, sentences=sentences, total_tokens=total)
 
 
 def random_sentences(rng: random.Random, sentence_count: int, vocab: list[str],

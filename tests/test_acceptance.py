@@ -21,7 +21,7 @@ from podselect.corpus import load_episodes
 from podselect.rouge import rouge_l, rouge_n
 from podselect.selection import (SelectionResult, SelectorConfig,
                                  score_single_sentences, score_windows,
-                                 select_novelty, select_window, window_tokens)
+                                 select_novelty, select_window)
 from podselect.topics import TopicConfig, fit_lda
 from podselect.abstractive import Summary
 from conftest import make_doc, random_sentences
@@ -80,7 +80,7 @@ def test_criterion_2_select_window_equals_exhaustive_argmax():
         window_size = rng.randint(1, sentence_count + 2)
         result = select_window(doc, SelectorConfig(window_size=window_size))
         start, end = oracle_window_argmax(
-            [s.token_texts() for s in doc.sentences], window_size)
+            [s.tokens for s in doc.sentences], window_size)
         assert result.sentence_indices == tuple(range(start, end))
 
 
@@ -90,14 +90,14 @@ def test_criterion_3_thousand_random_slides_stay_exact():
     for _ in range(1000):
         doc = make_doc(random_sentences(rng, rng.randint(1, 20), VOCAB,
                                         min_len=1, max_len=7))
-        flat = doc.token_texts()
+        flat = [t for s in doc.sentences for t in s.tokens]
         count = len(doc.sentences)
         window_size = rng.randint(1, count + 2)
         rows = score_windows(doc, window_size)
         assert len(rows) == max(1, count - window_size + 1)
         row = rows[rng.randrange(len(rows))]
         assert row.end == min(row.start + window_size, count)
-        window = window_tokens(doc, row.start, row.end)
+        window = [t for s in doc.sentences[row.start:row.end] for t in s.tokens]
         assert row.score == oracle_rouge_avg(window, flat)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -122,6 +123,22 @@ class TestPreprocessCommand:
         assert (out / "split.jsonl").read_text() == ""
         report = json.loads((out / "filter_report.json").read_text())
         assert report["kept"] == 0
+
+    def test_corpus_too_small_to_split_exits_one_and_writes_nothing(self, fixtures_dir,
+                                                                    tmp_path):
+        source = tmp_path / "eps.jsonl"
+        lines = (fixtures_dir / "mini_corpus.jsonl").read_text("utf-8").splitlines()
+        source.write_text("\n".join(lines[:2]) + "\n", "utf-8")
+        out = tmp_path / "stage"
+        proc = subprocess.run(
+            [sys.executable, "-m", "podselect", "preprocess", "--input", str(source),
+             "--output", str(out)],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+        assert "2 of 2 episodes kept; need at least 3 episodes" in proc.stderr
+        assert not out.exists()
 
     def test_missing_input_exits_one(self, tmp_path):
         code = main(["preprocess", "--input", str(tmp_path / "absent.jsonl"),
@@ -373,7 +390,8 @@ class TestSummarizeCommand:
                      "--episodes", str(source), "--output", str(out),
                      "--backend", "remote", "--endpoint", endpoint, "--jobs", "1"])
         assert code == 1
-        assert read_jsonl(out) == []
+        assert not out.exists()
+        assert (tmp_path / "summ.jsonl.partial").read_text("utf-8") == ""
 
     @pytest.mark.parametrize("bad_line, reason", [
         ('{"id": "tiny-01", "indices": [0', "invalid JSON"),
@@ -573,13 +591,54 @@ class TestPipelineCommand:
         for _ in range(9):  # three episodes, three attempts each
             server.script.append((500, {"error": "down"}))
         out = tmp_path / "run"
-        code = main(["pipeline", "--input", str(source), "--output", str(out),
-                     "--strategy", "window", "--window-size", "2",
-                     "--backend", "remote", "--endpoint", endpoint,
-                     "--jobs", "1"])
-        assert code == 1
+        assert self.run_remote(source, out, endpoint) == 1
         assert (out / "selections.jsonl").exists()
         assert not (out / "report.txt").exists()
+
+    def run_remote(self, source, out, endpoint, *extra):
+        return main(["pipeline", "--input", str(source), "--output", str(out),
+                     "--strategy", "window", "--window-size", "2",
+                     "--backend", "remote", "--endpoint", endpoint, "--jobs", "1",
+                     *extra])
+
+    def resume_against_healthy_backend(self, server, records, source, out, endpoint):
+        server.script.clear()
+        for _ in records:
+            server.script.append((200, {"id": "x", "summary": "served summary"}))
+        assert self.run_remote(source, out, endpoint, "--resume") == 0
+        assert [r["id"] for r in read_jsonl(out / "summaries.jsonl")] == \
+            [r["id"] for r in records]
+        assert not (out / "summaries.jsonl.partial").exists()
+        assert (out / "report.txt").exists()
+
+    def test_resume_after_full_backend_failure(self, tmp_path, stub_server):
+        server, endpoint = stub_server
+        source = tmp_path / "eps.jsonl"
+        records = tiny_corpus(source, count=3)
+        for _ in records:  # a 400 is not retried
+            server.script.append((400, {"error": "rejected"}))
+        out = tmp_path / "run"
+        assert self.run_remote(source, out, endpoint) == 1
+        assert not (out / "summaries.jsonl").exists()
+        assert (out / "summaries.jsonl.partial").read_text("utf-8") == ""
+        assert not (out / "report.txt").exists()
+        self.resume_against_healthy_backend(server, records, source, out, endpoint)
+
+    def test_resume_after_partial_backend_failure(self, tmp_path, stub_server):
+        server, endpoint = stub_server
+        source = tmp_path / "eps.jsonl"
+        records = tiny_corpus(source, count=3)
+        for _ in range(3):  # every attempt for the first episode
+            server.script.append((503, {"error": "down"}))
+        for _ in records[1:]:
+            server.script.append((200, {"id": "x", "summary": "served summary"}))
+        out = tmp_path / "run"
+        assert self.run_remote(source, out, endpoint) == 1
+        assert not (out / "summaries.jsonl").exists()
+        partial = read_jsonl(out / "summaries.jsonl.partial")
+        assert [r["id"] for r in partial] == [r["id"] for r in records[1:]]
+        assert not (out / "report.txt").exists()
+        self.resume_against_healthy_backend(server, records, source, out, endpoint)
 
 
 class TestHelpAndEntryPoint:
@@ -604,3 +663,69 @@ class TestHelpAndEntryPoint:
         assert proc.returncode == 0
         assert "preprocess" in proc.stdout
         assert "pipeline" in proc.stdout
+
+
+# sha256 of every artifact of fixed-seed runs on mini_corpus.jsonl. A refactor
+# must leave these unchanged; a change that moves a digest says why it changes
+# the outputs, and updates the digest in the same commit.
+PREPROCESS_DIGESTS = {
+    "kept.jsonl": "1afa2831183163c90cc6ebe55d7aab2106a17772f11aae5086ad7aec8cd47678",
+    "filter_report.json": "0968c4407fa61a577e2c8093fd15990d1e61054a2527921880a3d63b11fed514",
+    "split.jsonl": "851e38ede6b04a681b54f6c52062748c1b4b8803def7205c4d5d479f36adcfa6",
+}
+NULL_SUMMARIES_ALL_SENTENCES = (
+    "81f63a52efafae28ac0f59341b7cf76ce2f925dc82b27ba1bc6c92ac3dfab5ab")
+GOLDEN_PIPELINE_DIGESTS = {
+    "window": ([], {
+        "selections.jsonl": "945c157d7baf7ff1508119f9a3a8ce118fbb95388d6ff607a025aafdb1f7d329",
+        "summaries.jsonl": NULL_SUMMARIES_ALL_SENTENCES,
+        "report.json": "6129312e0dc9ab5cece24e7795ce1a92cce56582a989dd2415c153bffd48cd6f",
+    }),
+    "novelty": ([], {
+        "selections.jsonl": "2ac2fb38ba08ab3403854aa75af3a27111f62c7c33685f585c9f956b373c5579",
+        "summaries.jsonl": "64b00683516f873edfab14b08a45bf8f9f9055743e9fe6526b22d3facc58110a",
+        "report.json": "1fdcf496811bcc78db5a21d2603556428fac13dcc8737a1776c632383644da26",
+    }),
+    "topic": ([], {
+        "selections.jsonl": "5741d42112657aa52ab7614a97fa6632e072047aa2b37b31a1fc44ed6ea1d614",
+        "summaries.jsonl": NULL_SUMMARIES_ALL_SENTENCES,
+        "report.json": "7216deeb5adf64602d7ac06a28dabe00b531af5820e1054371367e4a61e87df1",
+    }),
+    "none": ([], {
+        "selections.jsonl": "e25dfb12b633763876dbd62946d9674c33797edb144a3040ce872161f3769765",
+        "summaries.jsonl": NULL_SUMMARIES_ALL_SENTENCES,
+        "report.json": "44967f731e2ea574bc174e7295581081a2d1ec3c4fab1a8955b454440c0354a1",
+    }),
+    # mini-06 opens with a 9-token sentence, so this run cuts it mid-sentence
+    "none-budget-8": (["--budget", "8"], {
+        "selections.jsonl": "58d81046bfdd9fabb07a406df7a5840968ba53327cd5a784b919d9d94de1e8b9",
+        "summaries.jsonl": "ca9d13a86e2bd7fc81e6e0ccfbcc742bde7347cb6f5435074318b272d5115f6d",
+        "report.json": "2c32973772e83e52a92e3774c2f2b84d3a15c068639abc629552c772c651e88e",
+    }),
+}
+GOLDEN_WINDOW_DIAGNOSTICS_DIGEST = (
+    "7335badc8519fa65ccc46aaf8fb267f71a2927fd2220002db33110f55ff99adb")
+
+
+def sha256_of(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestGoldenDigests:
+    @pytest.mark.parametrize("case", list(GOLDEN_PIPELINE_DIGESTS))
+    def test_pipeline_artifacts_unchanged(self, fixtures_dir, tmp_path, case):
+        extra, digests = GOLDEN_PIPELINE_DIGESTS[case]
+        strategy = case.split("-")[0]
+        out = tmp_path / "run"
+        assert main(["pipeline", "--input", str(fixtures_dir / "mini_corpus.jsonl"),
+                     "--output", str(out), "--strategy", strategy, "--jobs", "1",
+                     "--seed", "7", "--format", "json", *extra]) == 0
+        expected = {**PREPROCESS_DIGESTS, **digests}
+        assert {p.name: sha256_of(p) for p in out.iterdir()} == expected
+
+    def test_window_diagnostics_unchanged(self, fixtures_dir, tmp_path):
+        out = tmp_path / "sel.jsonl"
+        assert main(["select", "--input", str(fixtures_dir / "mini_corpus.jsonl"),
+                     "--output", str(out), "--strategy", "window", "--diagnostics",
+                     "--jobs", "1"]) == 0
+        assert sha256_of(out) == GOLDEN_WINDOW_DIAGNOSTICS_DIGEST

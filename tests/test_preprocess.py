@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from podselect.corpus import Episode, load_episodes
-from podselect.errors import ConfigError
+from podselect.errors import ConfigError, InsufficientContentError
 from podselect.preprocess import (FilterConfig, clean_description,
                                   contains_profanity, description_similarity,
                                   detect_english, filter_corpus,
@@ -269,8 +269,10 @@ class TestSplitDataset:
             assert counts["test"] == n // 10
 
     def test_too_few_episodes_rejected(self):
-        with pytest.raises(ConfigError):
-            split_dataset(["a", "b"])
+        for ids in (["a"], ["a", "b"]):
+            with pytest.raises(InsufficientContentError,
+                               match=f"at least 3 episodes.*got {len(ids)}"):
+                split_dataset(ids)
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ConfigError):

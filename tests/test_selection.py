@@ -5,7 +5,7 @@ import pytest
 from podselect.errors import ConfigError
 from podselect.selection import (SelectorConfig, score_single_sentences,
                                  score_windows, select_head, select_novelty,
-                                 select_window, window_tokens)
+                                 select_window)
 from conftest import make_doc, random_sentences
 from oracles import (oracle_rouge_avg, oracle_rouge_n, oracle_window_argmax,
                      oracle_window_scores)
@@ -35,7 +35,7 @@ class TestScoreWindows:
         for _ in range(30):
             doc = random_doc(rng)
             w = rng.randint(1, len(doc.sentences) + 2)
-            sentence_tokens = [s.token_texts() for s in doc.sentences]
+            sentence_tokens = [s.tokens for s in doc.sentences]
             got = score_windows(doc, w)
             expected = oracle_window_scores(sentence_tokens, w)
             assert [(r.start, r.end, r.score) for r in got] == expected
@@ -53,10 +53,10 @@ class TestScoreWindows:
         for _ in range(30):
             doc = random_doc(rng)
             w = rng.randint(1, len(doc.sentences) + 1)
-            flat = doc.token_texts()
+            flat = [t for s in doc.sentences for t in s.tokens]
             best = None
             for row in score_windows(doc, w):
-                cand = window_tokens(doc, row.start, row.end)
+                cand = [t for s in doc.sentences[row.start:row.end] for t in s.tokens]
                 partial = (oracle_rouge_n(cand, flat, 1)[2]
                            + oracle_rouge_n(cand, flat, 2)[2]) / 2
                 if best is None or partial > best[0]:
@@ -92,7 +92,7 @@ class TestSelectWindow:
             doc = random_doc(rng)
             w = rng.randint(1, len(doc.sentences) + 1)
             result = select_window(doc, SelectorConfig(window_size=w))
-            start, end = oracle_window_argmax([s.token_texts() for s in doc.sentences], w)
+            start, end = oracle_window_argmax([s.tokens for s in doc.sentences], w)
             assert result.sentence_indices == tuple(range(start, end))
 
     def test_picks_window_with_most_tokens(self):
@@ -140,9 +140,9 @@ class TestScoreSingleSentences:
         rng = random.Random(37)
         for _ in range(30):
             doc = random_doc(rng)
-            flat = doc.token_texts()
+            flat = [t for s in doc.sentences for t in s.tokens]
             for index, score in score_single_sentences(doc):
-                tokens = doc.sentences[index].token_texts()
+                tokens = doc.sentences[index].tokens
                 assert score == oracle_rouge_avg(tokens, flat)
 
 
