@@ -8,18 +8,23 @@ model server.
 
 from __future__ import annotations
 
+import functools
+import json
 import logging
 import time
 from dataclasses import dataclass
+from http.client import HTTPConnection, HTTPException, HTTPSConnection, InvalidURL
 from typing import Protocol
-
-import requests
+from urllib.parse import urlsplit
 
 from .corpus import Document, tokenize
-from .errors import BackendError, ProtocolError
+from .errors import BackendError, ConfigError, ProtocolError
 from .selection import DEFAULT_TOKEN_BUDGET, SelectionResult
 
 logger = logging.getLogger(__name__)
+
+ATTEMPTS = 3
+BACKOFF_SECONDS = 0.5  # the wait before the second attempt; each later wait doubles
 
 
 @dataclass(frozen=True)
@@ -115,46 +120,54 @@ class NullBackend:
 class RemoteBackend:
     """HTTP client for a remote summarization service.
 
-    POSTs ``{"id", "text", "max_length"?}`` to ``<endpoint>/summarize`` and
-    expects ``{"id", "summary"}`` back. Transient failures (5xx, 408, 429,
-    timeouts, connection errors) are retried with exponential backoff; other
-    4xx responses, and malformed bodies (a protocol error), fail at once.
+    POSTs ``{"id", "text", "max_length"?}`` to ``<endpoint>/summarize``, on a
+    new connection per attempt, and expects ``{"id", "summary"}`` back. Other
+    4xx responses than 408 and 429, and malformed bodies (a protocol error),
+    fail at once; any other failure is retried with exponential backoff.
     """
 
     backend_id = "remote"
 
-    def __init__(self, endpoint: str, timeout: float = 30.0, retries: int = 3,
-                 backoff_seconds: float = 0.5, session=None, sleep=time.sleep):
-        if retries < 1:
-            raise ValueError(f"retries must be >= 1, got {retries}")
+    def __init__(self, endpoint: str, timeout: float = 30.0, sleep=time.sleep):
         self.url = endpoint.rstrip("/") + "/summarize"
-        self.timeout = timeout
-        self.retries = retries
-        self.backoff_seconds = backoff_seconds
-        self._session = session or requests.Session()
+        parts = urlsplit(self.url)
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ConfigError(f"endpoint {endpoint!r} is not an http(s):// URL with a host")
+        connection_type = HTTPSConnection if parts.scheme == "https" else HTTPConnection
+        try:  # a port that is not a number, or a host http.client refuses
+            self._connect = functools.partial(connection_type, parts.hostname, parts.port,
+                                              timeout=timeout)
+            self._connect()  # only checks: a connection opens on its first request
+        except (ValueError, InvalidURL) as exc:
+            raise ConfigError(f"endpoint {endpoint!r}: {exc}") from exc
+        self._target = parts.path + (f"?{parts.query}" if parts.query else "")
         self._sleep = sleep
 
     def generate(self, episode_id: str, text: str, max_length: int | None = None) -> str:
         payload: dict = {"id": episode_id, "text": text}
         if max_length is not None:
             payload["max_length"] = max_length
-        last_failure = "no attempts made"
-        for attempt in range(self.retries):
+        body = json.dumps(payload).encode("utf-8")
+        for attempt in range(ATTEMPTS):
             if attempt > 0:
-                self._sleep(self.backoff_seconds * (2 ** (attempt - 1)))
+                self._sleep(BACKOFF_SECONDS * (2 ** (attempt - 1)))
+            connection = self._connect()
             try:
-                response = self._session.post(self.url, json=payload, timeout=self.timeout)
-            except (requests.Timeout, requests.ConnectionError) as exc:
-                last_failure = f"{type(exc).__name__}: {exc}"
-                logger.warning("backend attempt %d/%d failed for %s: %s",
-                               attempt + 1, self.retries, episode_id, last_failure)
-                continue
-            if 200 <= response.status_code < 300:
-                return self._parse(response, episode_id)
-            last_failure = f"HTTP {response.status_code}"
+                connection.request("POST", self._target, body,
+                                   {"Content-Type": "application/json"})
+                response = connection.getresponse()
+                status, data = response.status, response.read()
+            except (OSError, HTTPException) as exc:
+                status, last_failure = None, f"{type(exc).__name__}: {exc}"
+            else:
+                if 200 <= status < 300:
+                    return self._parse(data, episode_id)
+                last_failure = f"HTTP {status}"
+            finally:
+                connection.close()
             logger.warning("backend attempt %d/%d failed for %s: %s",
-                           attempt + 1, self.retries, episode_id, last_failure)
-            if 400 <= response.status_code < 500 and response.status_code not in (408, 429):
+                           attempt + 1, ATTEMPTS, episode_id, last_failure)
+            if status is not None and 400 <= status < 500 and status not in (408, 429):
                 break  # no other client error can succeed when sent again
         raise BackendError(
             f"backend failed for {episode_id!r} after {attempt + 1} attempts "
@@ -163,9 +176,9 @@ class RemoteBackend:
         )
 
     @staticmethod
-    def _parse(response, episode_id: str) -> str:
+    def _parse(body: bytes, episode_id: str) -> str:
         try:
-            data = response.json()
+            data = json.loads(body)
         except ValueError as exc:
             raise ProtocolError(
                 f"backend returned non-JSON body for {episode_id!r}: {exc}"

@@ -76,7 +76,7 @@ def _load_config_mapping(ns) -> dict:
             data = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError: JSON is UTF-8
         raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path!r} must hold a JSON object")
@@ -111,6 +111,40 @@ def _settings(ns) -> dict:
             raise ConfigError(f"{key} must be {what}, got {value!r}")
         resolved[key] = value
     return resolved
+
+
+def _read_records(path: str, what: str, parse) -> list:
+    """parse(record, line_number) for each JSON object line of a JSONL file, Nones left out.
+
+    Raises PodselectError("{what} line N: <reason>") for a line that is not UTF-8 or a
+    JSON object, that parse rejects (KeyError, TypeError, ValueError) or that repeats an id.
+    """
+    items = []
+    seen: set[str] = set()
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+        for line_number, line in enumerate(handle, 1):
+            if not line.strip():
+                continue
+            try:
+                line.encode("utf-8")
+                record = json.loads(line)
+                if not isinstance(record, dict):
+                    raise ValueError("not a JSON object")
+                item = parse(record, line_number)
+                if record["id"] in seen:
+                    raise ValueError(f"duplicate id {record['id']!r}")
+                seen.add(record["id"])
+            except UnicodeEncodeError:
+                raise PodselectError(f"{what} line {line_number}: not valid UTF-8") from None
+            except json.JSONDecodeError as exc:
+                raise PodselectError(f"{what} line {line_number}: invalid JSON: {exc}") from exc
+            except KeyError as exc:
+                raise PodselectError(f"{what} line {line_number}: missing key {exc}") from exc
+            except (TypeError, ValueError) as exc:
+                raise PodselectError(f"{what} line {line_number}: {exc}") from exc
+            if item is not None:
+                items.append(item)
+    return items
 
 
 def _derive_seed(base_seed: int, episode_id: str) -> int:
@@ -243,39 +277,20 @@ def _run_summarize(selections_path: str, episodes_path: str, output_path: Path,
         except EmptyDocumentError as exc:
             logger.warning("skipping %s: %s", episode.id, exc)
 
-    inputs: list[abstractive.BackendInput] = []
-    seen: set[str] = set()
-    with open(selections_path, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, 1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                if not isinstance(record, dict):
-                    raise ValueError("not a JSON object")
-                episode_id = record["id"]
-                if episode_id in seen:
-                    raise ValueError(f"duplicate id {episode_id!r}")
-                seen.add(episode_id)
-                doc = documents.get(episode_id)
-                if doc is None:
-                    logger.warning("selection line %d: no episode %r", line_number, episode_id)
-                    continue
-                result = selection.SelectionResult(
-                    episode_id=episode_id,
-                    strategy=record.get("strategy", "window"),
-                    sentence_indices=tuple(record["indices"]),
-                    selected_token_count=record.get("tokens", 0),
-                )
-                inputs.append(abstractive.enforce_budget(result, doc, budget))
-            except json.JSONDecodeError as exc:
-                raise PodselectError(
-                    f"selection line {line_number}: invalid JSON: {exc}") from exc
-            except KeyError as exc:
-                raise PodselectError(
-                    f"selection line {line_number}: missing key {exc}") from exc
-            except (TypeError, ValueError) as exc:
-                raise PodselectError(f"selection line {line_number}: {exc}") from exc
+    def capped_input(record: dict, line_number: int) -> abstractive.BackendInput | None:
+        doc = documents.get(record["id"])
+        if doc is None:
+            logger.warning("selection line %d: no episode %r", line_number, record["id"])
+            return None
+        result = selection.SelectionResult(
+            episode_id=record["id"],
+            strategy=record.get("strategy", "window"),
+            sentence_indices=tuple(record["indices"]),
+            selected_token_count=record.get("tokens", 0),
+        )
+        return abstractive.enforce_budget(result, doc, budget)
+
+    inputs = _read_records(selections_path, "selection", capped_input)
 
     def run_one(backend_input):
         return abstractive.summarize(backend_input, backend, max_length=budget)
@@ -316,37 +331,12 @@ def cmd_summarize(ns) -> int:
 # --- evaluate -----------------------------------------------------------------
 
 
-def _load_summaries(path: str) -> list[abstractive.Summary]:
-    out: list[abstractive.Summary] = []
-    seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, 1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                if not isinstance(record, dict):
-                    raise ValueError("not a JSON object")
-                episode_id, text = record["id"], record.get("summary", "")
-                if not isinstance(episode_id, str) or not isinstance(text, str):
-                    raise ValueError("'id' and 'summary' must be strings")
-                if episode_id in seen:
-                    raise ValueError(f"duplicate id {episode_id!r}")
-                seen.add(episode_id)
-                out.append(abstractive.Summary(
-                    episode_id=episode_id,
-                    text=text,
-                    backend_id=record.get("backend", "unknown"),
-                ))
-            except json.JSONDecodeError as exc:
-                raise PodselectError(
-                    f"summary line {line_number}: invalid JSON: {exc}") from exc
-            except KeyError as exc:
-                raise PodselectError(
-                    f"summary line {line_number}: missing key {exc}") from exc
-            except ValueError as exc:
-                raise PodselectError(f"summary line {line_number}: {exc}") from exc
-    return out
+def _summary(record: dict, line_number: int) -> abstractive.Summary:
+    episode_id, text = record["id"], record.get("summary", "")
+    if not isinstance(episode_id, str) or not isinstance(text, str):
+        raise ValueError("'id' and 'summary' must be strings")
+    return abstractive.Summary(episode_id=episode_id, text=text,
+                               backend_id=record.get("backend", "unknown"))
 
 
 def _load_references(path: str, raw: bool) -> dict[str, str]:
@@ -359,7 +349,7 @@ def _load_references(path: str, raw: bool) -> dict[str, str]:
 
 def _run_evaluate(summaries_path: str, references_path: str, output_path: Path,
                   method_id: str, fmt: str, raw_references: bool) -> int:
-    summaries = _load_summaries(summaries_path)
+    summaries = _read_records(summaries_path, "summary", _summary)
     if not summaries:
         raise PodselectError(f"no summaries to evaluate in {summaries_path!r}")
     references = _load_references(references_path, raw_references)
@@ -430,7 +420,7 @@ def _add_shared_flags(parser):
                         help="random seed for anything stochastic (default: 0)")
     parser.add_argument("--jobs", type=int, default=None,
                         help="worker count; selection defaults to the CPU count, "
-                             "backend requests default to 4 concurrent")
+                             "backend calls default to 4 concurrent")
     parser.add_argument("--config", default=None,
                         help="JSON config file; PODSELECT_CONFIG is the fallback")
 
@@ -529,10 +519,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         logger.error("%s", exc)
         return 2
-    except PodselectError as exc:
-        logger.error("%s", exc)
-        return 1
-    except OSError as exc:
+    except (PodselectError, OSError) as exc:
         logger.error("%s", exc)
         return 1
 

@@ -104,7 +104,7 @@ def _parse_record(record: dict, line_number: int) -> Episode:
             raise RecordParseError(line_number, "duration_seconds is not a number")
         if duration < 0:
             raise RecordParseError(line_number, "duration_seconds is negative")
-    return Episode(
+    episode = Episode(
         id=episode_id,
         show_id=str(record.get("show_id") or ""),
         transcript_text=transcript,
@@ -112,6 +112,14 @@ def _parse_record(record: dict, line_number: int) -> Episode:
         show_description=str(record.get("show_description") or ""),
         duration_seconds=duration,
     )
+    # raw bytes kept by surrogateescape, or JSON \ud800 escapes: both fail to write
+    try:
+        for text in (episode.id, episode.show_id, episode.transcript_text,
+                     episode.description, episode.show_description):
+            text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise RecordParseError(line_number, "not valid UTF-8") from None
+    return episode
 
 
 def load_episodes(path, errors: list[RecordParseError] | None = None) -> Iterator[Episode]:
@@ -128,7 +136,8 @@ def load_episodes(path, errors: list[RecordParseError] | None = None) -> Iterato
             errors.append(err)
 
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as handle:
+    # surrogateescape: _parse_record rejects a bad line alone, not its whole chunk
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         for line_number, line in enumerate(handle, 1):
             if not line.strip():
                 continue

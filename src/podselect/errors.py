@@ -44,7 +44,7 @@ class MissingReferenceError(PodselectError):
 
 
 class BackendError(PodselectError):
-    """The summarization backend failed after its configured retries."""
+    """The summarization backend failed: its attempts ran out, or retrying cannot help."""
 
     def __init__(self, message: str, attempts: int | None = None):
         super().__init__(message)

@@ -18,13 +18,12 @@ from .errors import ConfigError, InsufficientContentError
 from .selection import SelectionResult, SelectorConfig
 
 DEFAULT_NUM_TOPICS = 5
+BETA = 0.01  # word-topic prior; the topic prior is 50 / num_topics (Griffiths & Steyvers)
 
 
 @dataclass(frozen=True)
 class TopicConfig:
     num_topics: int = DEFAULT_NUM_TOPICS
-    alpha: float | None = None  # None means 50 / num_topics
-    beta: float = 0.01
     gibbs_iterations: int = 500
     burn_in: int = 300
     seed: int = 0
@@ -32,18 +31,10 @@ class TopicConfig:
     def __post_init__(self):
         if self.num_topics < 1:
             raise ConfigError(f"num_topics must be >= 1, got {self.num_topics}")
-        if self.alpha is not None and self.alpha <= 0:
-            raise ConfigError(f"alpha must be positive, got {self.alpha}")
-        if self.beta <= 0:
-            raise ConfigError(f"beta must be positive, got {self.beta}")
         if self.gibbs_iterations < 1:
             raise ConfigError("gibbs_iterations must be >= 1")
         if not 0 <= self.burn_in < self.gibbs_iterations:
             raise ConfigError("burn_in must satisfy 0 <= burn_in < gibbs_iterations")
-
-    @property
-    def effective_alpha(self) -> float:
-        return self.alpha if self.alpha is not None else 50.0 / self.num_topics
 
 
 @dataclass(frozen=True)
@@ -94,8 +85,8 @@ def fit_lda(doc: Document, config: TopicConfig = TopicConfig()) -> TopicModel:
     V = len(vocabulary)
     S = len(doc.sentences)
     T = len(token_word)
-    alpha = config.effective_alpha
-    beta = config.beta
+    alpha = 50.0 / num_topics
+    beta = BETA
     v_beta = V * beta
     K = num_topics
 

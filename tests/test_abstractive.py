@@ -1,6 +1,9 @@
 import json
 import random
+import subprocess
+import sys
 import threading
+import time
 from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -132,6 +135,11 @@ class ScriptedHandler(BaseHTTPRequestHandler):
         body = json.loads(self.rfile.read(length)) if length else None
         self.server.requests.append((self.path, body))
         status, payload = self.server.script.popleft()
+        if status == "hang":  # answer nothing until the client has given up
+            time.sleep(payload)
+            return
+        if status == "close":  # close the connection without a response
+            return
         raw = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
@@ -239,19 +247,37 @@ class TestRemoteBackend:
         assert len(server.requests) == 1
 
     def test_connection_refused_retries_then_raises(self):
-        backend = RemoteBackend("http://127.0.0.1:1", retries=2,
-                                sleep=lambda s: None, timeout=1)
+        sleeps = []
+        backend = RemoteBackend("http://127.0.0.1:1", sleep=sleeps.append, timeout=1)
         with pytest.raises(BackendError) as excinfo:
             backend.generate("e", "t")
-        assert excinfo.value.attempts == 2
+        assert excinfo.value.attempts == 3
+        assert sleeps == [0.5, 1.0]
+
+    def test_read_timeout_retries_then_raises(self, stub_server):
+        server, endpoint = stub_server
+        for _ in range(3):
+            server.script.append(("hang", 0.5))
+        backend = RemoteBackend(endpoint, sleep=lambda s: None, timeout=0.2)
+        with pytest.raises(BackendError) as excinfo:
+            backend.generate("e", "t")
+        assert excinfo.value.attempts == 3
+        assert "TimeoutError" in str(excinfo.value)
+        assert len(server.requests) == 3
+
+    def test_connection_closed_without_response_is_retried(self, stub_server):
+        server, endpoint = stub_server
+        server.script.append(("close", None))
+        server.script.append((200, {"id": "e", "summary": "done"}))
+        sleeps = []
+        backend = RemoteBackend(endpoint, sleep=sleeps.append)
+        assert backend.generate("e", "t") == "done"
+        assert len(server.requests) == 2
+        assert sleeps == [0.5]
 
     def test_endpoint_trailing_slash_normalized(self):
         backend = RemoteBackend("http://host:9/", sleep=lambda s: None)
         assert backend.url == "http://host:9/summarize"
-
-    def test_invalid_retries_rejected(self):
-        with pytest.raises(ValueError):
-            RemoteBackend("http://host:9", retries=0)
 
     def test_summarize_uses_backend_id(self, stub_server):
         server, endpoint = stub_server
@@ -260,3 +286,18 @@ class TestRemoteBackend:
         result = summarize(capped, RemoteBackend(endpoint, sleep=lambda s: None))
         assert result.backend_id == "remote"
         assert result.text == "out"
+
+    def test_cli_imports_only_the_standard_library(self):
+        # compared against a bare interpreter's modules, because site .pth files
+        # may preload third-party ones (certifi, _distutils_hack) before any import
+        probe = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import podselect.cli\n"
+            "podselect.cli.build_parser()\n"
+            "added = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+            "print(sorted(added - set(sys.stdlib_module_names) - {'podselect'}))\n"
+        )
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "[]"

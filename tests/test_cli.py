@@ -159,6 +159,30 @@ class TestPreprocessCommand:
         assert "line 2: invalid JSON" in proc.stderr
         assert [r["id"] for r in read_jsonl(out / "kept.jsonl")] == [r["id"] for r in records]
 
+    def test_lines_not_utf8_reported_and_skipped(self, tmp_path):
+        source = tmp_path / "eps.jsonl"
+        records = tiny_corpus(source, count=3)
+        raw_byte = json.dumps(dict(records[0], id="raw-byte")).encode().replace(
+            b"alpha", b"alph\xff", 1)
+        # a record the filter keeps, so an unchecked escape would reach write_episodes
+        escape = json.dumps(dict(records[1], id="escape",
+                                 description=records[1]["description"].replace("1", "7"),
+                                 transcript=records[1]["transcript"] + " \ud800."))
+        lines = source.read_bytes().splitlines()
+        source.write_bytes(b"\n".join([lines[0], raw_byte, lines[1], escape.encode(),
+                                       lines[2]]) + b"\n")
+        out = tmp_path / "stage"
+        proc = subprocess.run(
+            [sys.executable, "-m", "podselect", "preprocess", "--input", str(source),
+             "--output", str(out)],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0
+        assert "Traceback" not in proc.stderr
+        assert "line 2: not valid UTF-8" in proc.stderr
+        assert "line 4: not valid UTF-8" in proc.stderr
+        assert [r["id"] for r in read_jsonl(out / "kept.jsonl")] == [r["id"] for r in records]
+        assert not list(out.glob("*.partial"))
+
     def test_repeated_id_reported_and_first_kept(self, fixtures_dir, tmp_path):
         records = read_jsonl(fixtures_dir / "mini_corpus.jsonl")
         repeat = dict(records[0], description="A different description of the same "
@@ -316,12 +340,24 @@ class TestConfigPrecedence:
         ({"desc_min_chars": 10}, "unknown config key 'desc_min_chars'"),
         ({"windowsize": 3}, "unknown config key 'windowsize'"),
         ({"profanity_list_path": "absent-words.txt"}, "cannot read profanity list"),
+        ({"backend": "remote", "endpoint": "localhost:8080"},
+         "endpoint 'localhost:8080' is not an http(s):// URL with a host"),
+        ({"backend": "remote", "endpoint": "ftp://h/x"},
+         "endpoint 'ftp://h/x' is not an http(s):// URL with a host"),
+        ({"backend": "remote", "endpoint": "http://"},
+         "endpoint 'http://' is not an http(s):// URL with a host"),
+        ({"backend": "remote", "endpoint": "http://h:abc"}, "endpoint 'http://h:abc': "),
+        ({"backend": "remote", "endpoint": "http://a b:80"}, "endpoint 'http://a b:80': "),
+        (b'{"seed": 1, "strategy": "w\xffndow"}', "is not valid JSON"),
     ], ids=["budget-string", "budget-bool", "topics-string", "endpoint-number",
-            "filter-threshold-key", "misspelled-key", "missing-profanity-list"])
+            "filter-threshold-key", "misspelled-key", "missing-profanity-list",
+            "endpoint-no-scheme", "endpoint-ftp", "endpoint-no-host",
+            "endpoint-bad-port", "endpoint-space-in-host", "config-not-utf8"])
     def test_bad_config_exits_two_and_writes_nothing(self, fixtures_dir, tmp_path,
                                                      config, named):
         config_path = tmp_path / "conf.json"
-        config_path.write_text(json.dumps(config))
+        config_path.write_bytes(config if isinstance(config, bytes)
+                                else json.dumps(config).encode())
         out = tmp_path / "run"
         proc = subprocess.run(
             [sys.executable, "-m", "podselect", "pipeline",
@@ -400,12 +436,14 @@ class TestSummarizeCommand:
         ('{"id": "tiny-01", "indices": [0, 99], "tokens": 6}',
          "selection for 'tiny-01' references sentence 99"),
         ('{"id": "tiny-00", "indices": [0], "tokens": 3}', "duplicate id 'tiny-00'"),
+        (b'{"id": "tiny-01", "indices": [0], "note": "\xff"}', "not valid UTF-8"),
     ], ids=["not-json", "not-an-object", "missing-indices", "index-out-of-range",
-            "duplicate-id"])
+            "duplicate-id", "not-utf8"])
     def test_malformed_selection_line_exits_one(self, tmp_path, bad_line, reason):
         source, selections = self.prepare(tmp_path)
-        first_line = selections.read_text("utf-8").splitlines()[0]
-        selections.write_text(first_line + "\n" + bad_line + "\n", "utf-8")
+        first_line = selections.read_bytes().splitlines()[0]
+        bad = bad_line if isinstance(bad_line, bytes) else bad_line.encode()
+        selections.write_bytes(first_line + b"\n" + bad + b"\n")
         out = tmp_path / "summ.jsonl"
         proc = subprocess.run(
             [sys.executable, "-m", "podselect", "summarize", "--input", str(selections),
@@ -485,14 +523,16 @@ class TestEvaluateCommand:
         ('{"summary": "text", "backend": "null"}', "missing key 'id'"),
         ('{"id": "tiny-00", "summary": 5}', "'id' and 'summary' must be strings"),
         ('{"id": "tiny-00", "summary": "text", "backend": "null"}', "duplicate id 'tiny-00'"),
+        (b'{"id": "tiny-01", "summary": "caf\xe9"}', "not valid UTF-8"),
     ], ids=["not-json", "not-an-object", "missing-id", "summary-not-a-string",
-            "duplicate-id"])
+            "duplicate-id", "not-utf8"])
     def test_malformed_summary_line_exits_one(self, tmp_path, bad_line, reason):
         source = tmp_path / "eps.jsonl"
         tiny_corpus(source, count=1)
         summaries = tmp_path / "summ.jsonl"
-        summaries.write_text('{"id": "tiny-00", "summary": "text", "backend": "null"}\n'
-                             + bad_line + "\n", "utf-8")
+        bad = bad_line if isinstance(bad_line, bytes) else bad_line.encode()
+        summaries.write_bytes(b'{"id": "tiny-00", "summary": "text", "backend": "null"}\n'
+                              + bad + b"\n")
         out = tmp_path / "report.txt"
         proc = subprocess.run(
             [sys.executable, "-m", "podselect", "evaluate", "--input", str(summaries),

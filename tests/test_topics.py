@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -30,18 +31,9 @@ def fast_config(**overrides):
 
 
 class TestTopicConfig:
-    def test_alpha_defaults_to_fifty_over_k(self):
-        assert TopicConfig(num_topics=5).effective_alpha == 10.0
-        assert TopicConfig(num_topics=2).effective_alpha == 25.0
-        assert TopicConfig(num_topics=2, alpha=0.5).effective_alpha == 0.5
-
     def test_validation(self):
         with pytest.raises(ConfigError):
             TopicConfig(num_topics=0)
-        with pytest.raises(ConfigError):
-            TopicConfig(alpha=0.0)
-        with pytest.raises(ConfigError):
-            TopicConfig(beta=0.0)
         with pytest.raises(ConfigError):
             TopicConfig(gibbs_iterations=100, burn_in=100)
         with pytest.raises(ConfigError):
@@ -63,6 +55,17 @@ class TestFitLda:
         assert row[a] == pytest.approx(1.01 / 3.02, abs=1e-12)
         assert row[b] == pytest.approx(2.01 / 3.02, abs=1e-12)
         assert model.oov_probability[0] == pytest.approx(0.01 / 3.02, abs=1e-12)
+
+    def test_short_fit_matches_recorded_digest(self):
+        # Three topics over two planted vocabularies leave the topic weights
+        # uneven, so they move with alpha (50 / num_topics) and the word rows
+        # with beta; with two topics both weights are 0.5 whatever alpha is.
+        # Recorded while alpha and beta were TopicConfig fields at these values.
+        model = fit_lda(planted_doc(), fast_config(num_topics=3, gibbs_iterations=20,
+                                                   burn_in=10))
+        fitted = repr((model.topic_word, model.doc_topic_weight, model.assignments))
+        assert hashlib.sha256(fitted.encode()).hexdigest() == (
+            "7266eba0a3cb8e22945c5eaac0aadd0bde2f51f8cacf5d714a3862185090babf")
 
     def test_distributions_normalize(self):
         model = fit_lda(planted_doc(), fast_config())
