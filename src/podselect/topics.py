@@ -132,11 +132,8 @@ def fit_lda(doc: Document, config: TopicConfig = TopicConfig()) -> TopicModel:
             n_k[k] += 1
         if iteration >= config.burn_in:
             samples += 1
-            for w in range(V):
-                aw = acc_wk[w]
-                nw = n_wk[w]
-                for j in topic_range:
-                    aw[j] += nw[j]
+            for w, k in zip(token_word, z):
+                acc_wk[w][k] += 1
             for j in topic_range:
                 acc_k[j] += n_k[j]
 

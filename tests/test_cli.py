@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import subprocess
 import sys
 import threading
@@ -9,10 +10,14 @@ from http.server import ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from podselect import corpus, selection
-from podselect.cli import atomic_write, main
+from podselect import corpus, selection, topics
+from podselect.cli import _derive_seed, _select_one, atomic_write, main
+from podselect.errors import InsufficientContentError
 from podselect.preprocess import clean_description
+from conftest import random_sentences
 from test_abstractive import ScriptedHandler
 
 
@@ -281,6 +286,58 @@ class TestSelectCommand:
         assert [r["id"] for r in read_jsonl(out)] == ["good"]
 
 
+def topic_episode(rng, sentence_count, episode_id="ep-topic"):
+    words = [f"word{i:02d}" for i in range(30)]
+    sentences = random_sentences(rng, sentence_count, words, min_len=1, max_len=7)
+    return corpus.Episode(id=episode_id,
+                          transcript_text=" ".join(" ".join(s) + "." for s in sentences))
+
+
+class TestTopicFitSkip:
+    """The topic strategy skips the LDA fit when the whole transcript fits the budget."""
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(0, 2 ** 31),
+           st.integers(0, 25), st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_under_budget_record_equals_fit_and_pick(self, doc_seed, num_topics, seed,
+                                                     slack, diagnostics):
+        rng = random.Random(doc_seed)
+        episode = topic_episode(rng, rng.randint(num_topics, 12), f"ep-{doc_seed}")
+        doc = corpus.build_document(episode)
+        selector = selection.SelectorConfig(token_budget=doc.total_tokens + slack)
+        model = topics.fit_lda(doc, topics.TopicConfig(
+            num_topics=num_topics, seed=_derive_seed(seed, episode.id)))
+        expected = topics.select_by_topics(doc, model, selector).to_record(diagnostics)
+        assert _select_one(episode, "topic", selector, num_topics, seed, diagnostics) == (
+            episode.id, expected, None)
+
+    def test_fit_runs_only_at_a_binding_budget(self, monkeypatch):
+        def no_fit(doc, config):
+            raise RuntimeError("fit_lda called")
+
+        monkeypatch.setattr(topics, "fit_lda", no_fit)
+        episode = topic_episode(random.Random(3), 8)
+        doc = corpus.build_document(episode)
+        fits = selection.SelectorConfig(token_budget=doc.total_tokens)
+        assert _select_one(episode, "topic", fits, 3, 0, False) == (episode.id, {
+            "id": episode.id, "strategy": "topic",
+            "indices": list(range(len(doc.sentences))), "tokens": doc.total_tokens,
+        }, None)
+        binding = selection.SelectorConfig(token_budget=doc.total_tokens - 1)
+        with pytest.raises(RuntimeError, match="fit_lda called"):
+            _select_one(episode, "topic", binding, 3, 0, False)
+
+    def test_too_few_sentences_skipped_under_budget(self):
+        episode = topic_episode(random.Random(5), 2)
+        doc = corpus.build_document(episode)
+        assert len(doc.sentences) == 2 and doc.total_tokens < 1024
+        with pytest.raises(InsufficientContentError) as raised:
+            topics.fit_lda(doc, topics.TopicConfig(num_topics=5))
+        assert str(raised.value) == "episode 'ep-topic': 2 sentences cannot support 5 topics"
+        assert _select_one(episode, "topic", selection.SelectorConfig(), 5, 0, False) == (
+            episode.id, None, str(raised.value))
+
+
 class TestConfigPrecedence:
     def test_cli_beats_config_file(self, tmp_path):
         source = tmp_path / "eps.jsonl"
@@ -453,6 +510,36 @@ class TestSummarizeCommand:
         assert "Traceback" not in proc.stderr
         assert f"selection line 2: {reason}" in proc.stderr
         assert not out.exists()
+
+    def test_builds_only_the_selected_documents(self, tmp_path, monkeypatch):
+        source = tmp_path / "eps.jsonl"
+        tiny_corpus(source, count=4)
+        selections = tmp_path / "sel.jsonl"
+        write_jsonl(selections, [{"id": "tiny-02", "strategy": "window",
+                                  "indices": [0, 1], "tokens": 6}])
+        built = []
+        build = corpus.build_document
+        monkeypatch.setattr(corpus, "build_document",
+                            lambda episode: built.append(episode.id) or build(episode))
+        out = tmp_path / "summ.jsonl"
+        assert main(["summarize", "--input", str(selections), "--episodes", str(source),
+                     "--output", str(out), "--jobs", "1"]) == 0
+        assert built == ["tiny-02"]
+        assert [r["id"] for r in read_jsonl(out)] == ["tiny-02"]
+
+    def test_selected_empty_transcript_left_out(self, tmp_path, caplog):
+        source, selections = self.prepare(tmp_path)
+        with open(source, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps({"id": "hollow", "transcript": "!!! ..."}) + "\n")
+        with open(selections, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps({"id": "hollow", "indices": [0], "tokens": 1}) + "\n")
+        out = tmp_path / "summ.jsonl"
+        assert main(["summarize", "--input", str(selections), "--episodes", str(source),
+                     "--output", str(out), "--jobs", "1"]) == 0
+        assert [r["id"] for r in read_jsonl(out)] == ["tiny-00", "tiny-01"]
+        assert ("skipping hollow: episode 'hollow': transcript has no usable sentences"
+                in caplog.text)
+        assert "selection line 3: no episode 'hollow'" in caplog.text
 
     def test_zero_budget_exits_two(self, tmp_path):
         source, selections = self.prepare(tmp_path, count=1)
@@ -735,6 +822,13 @@ GOLDEN_PIPELINE_DIGESTS = {
         "selections.jsonl": "e25dfb12b633763876dbd62946d9674c33797edb144a3040ce872161f3769765",
         "summaries.jsonl": NULL_SUMMARIES_ALL_SENTENCES,
         "report.json": "44967f731e2ea574bc174e7295581081a2d1ec3c4fab1a8955b454440c0354a1",
+    }),
+    # mini transcripts hold 210-267 tokens: some fit this budget whole (mini-02
+    # at exactly 250), the rest go through the topic fit
+    "topic-budget-250": (["--budget", "250"], {
+        "selections.jsonl": "36bbdcce7d43c8f127df770d845128552b896fc056bcac14ea1209202167f72b",
+        "summaries.jsonl": "7df7da7e356fc0d0f98c9e401f81f54c99ff9c4d175a88f301e410dd7f6bd23c",
+        "report.json": "5dc23eca17260d38fe908af5b4b052898d0fcb9cb7385ec2e7de8c01fed37188",
     }),
     # mini-06 opens with a 9-token sentence, so this run cuts it mid-sentence
     "none-budget-8": (["--budget", "8"], {
