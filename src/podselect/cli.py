@@ -207,17 +207,8 @@ def _select_one(episode: corpus.Episode, strategy: str,
         elif strategy == "novelty":
             result = selection.select_novelty(doc, selector)
         elif strategy == "topic":
-            if len(doc.sentences) >= num_topics and doc.total_tokens <= selector.token_budget:
-                # Every sentence fits, so the round-robin of select_by_topics
-                # takes them all whatever the topics are: skip the fit.
-                result = selection.SelectionResult(
-                    episode_id=doc.episode_id, strategy="topic",
-                    sentence_indices=tuple(range(len(doc.sentences))),
-                    selected_token_count=doc.total_tokens)
-            else:
-                model = topics.fit_lda(doc, topics.TopicConfig(
-                    num_topics=num_topics, seed=_derive_seed(seed, episode.id)))
-                result = topics.select_by_topics(doc, model, selector)
+            result = topics.fit_and_select(doc, topics.TopicConfig(
+                num_topics=num_topics, seed=_derive_seed(seed, episode.id)), selector)
         else:
             result = selection.select_head(doc, selector.token_budget)
         return episode.id, result.to_record(diagnostics), None
@@ -278,7 +269,6 @@ def _make_backend(settings: dict):
 
 def _run_summarize(selections_path: str, episodes_path: str, output_path: Path,
                    backend, budget: int, jobs: int | None) -> None:
-    # each document is built only when a selection names it, and dropped once capped
     episodes = {episode.id: episode for episode in corpus.load_episodes(episodes_path)}
 
     def capped_input(record: dict, line_number: int) -> abstractive.BackendInput | None:

@@ -51,6 +51,16 @@ class TopicModel:
         return len(self.topic_word)
 
 
+def _require_content(doc: Document, num_topics: int) -> None:
+    if len(doc.sentences) < num_topics:
+        raise InsufficientContentError(
+            f"episode {doc.episode_id!r}: {len(doc.sentences)} sentences cannot "
+            f"support {num_topics} topics"
+        )
+    if doc.total_tokens < 1:
+        raise InsufficientContentError(f"episode {doc.episode_id!r}: no tokens")
+
+
 def fit_lda(doc: Document, config: TopicConfig = TopicConfig()) -> TopicModel:
     """Fit topics over a document's sentences by collapsed Gibbs sampling.
 
@@ -64,14 +74,8 @@ def fit_lda(doc: Document, config: TopicConfig = TopicConfig()) -> TopicModel:
     distributions are estimated from counts averaged over the post-burn-in
     iterations. Deterministic for a fixed config.seed.
     """
+    _require_content(doc, config.num_topics)
     num_topics = config.num_topics
-    if len(doc.sentences) < num_topics:
-        raise InsufficientContentError(
-            f"episode {doc.episode_id!r}: {len(doc.sentences)} sentences cannot "
-            f"support {num_topics} topics"
-        )
-    if doc.total_tokens < 1:
-        raise InsufficientContentError(f"episode {doc.episode_id!r}: no tokens")
 
     vocabulary: dict[str, int] = {}
     token_word: list[int] = []
@@ -248,3 +252,25 @@ def select_by_topics(doc: Document, model: TopicModel,
         selected_token_count=total,
         diagnostics=diagnostics,
     )
+
+
+def fit_and_select(doc: Document, config: TopicConfig = TopicConfig(),
+                   selector: SelectorConfig = SelectorConfig()) -> SelectionResult:
+    """select_by_topics over fit_lda, without the fit when it cannot matter.
+
+    When the whole document fits selector.token_budget, the round-robin of
+    select_by_topics takes every sentence whatever the topics are (every
+    sentence of a built Document has tokens), so every sentence is selected
+    without fitting. A document too small for config.num_topics raises the
+    same InsufficientContentError as fit_lda either way. The result differs
+    from the fitted one only in its diagnostics.
+    """
+    _require_content(doc, config.num_topics)
+    if doc.total_tokens <= selector.token_budget:
+        return SelectionResult(
+            episode_id=doc.episode_id,
+            strategy="topic",
+            sentence_indices=tuple(range(len(doc.sentences))),
+            selected_token_count=doc.total_tokens,
+        )
+    return select_by_topics(doc, fit_lda(doc, config), selector)

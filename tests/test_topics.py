@@ -6,7 +6,7 @@ import pytest
 
 from podselect.errors import ConfigError, InsufficientContentError
 from podselect.selection import SelectorConfig
-from podselect.topics import (TopicConfig, TopicModel, fit_lda,
+from podselect.topics import (TopicConfig, TopicModel, fit_and_select, fit_lda,
                               select_by_topics, sentence_topic_relevance)
 from conftest import make_doc
 
@@ -104,9 +104,23 @@ class TestFitLda:
         assert agree / len(model.assignments) >= 0.9
 
     def test_too_few_sentences_raises(self):
+        # fit_and_select raises it too, even though the document fits the budget
         doc = make_doc([["a", "b"], ["c", "d"]])
-        with pytest.raises(InsufficientContentError):
-            fit_lda(doc, TopicConfig(num_topics=5))
+        for fit in (fit_lda, fit_and_select):
+            with pytest.raises(InsufficientContentError,
+                               match="2 sentences cannot support 5 topics$"):
+                fit(doc, TopicConfig(num_topics=5))
+
+
+class TestFitAndSelect:
+    def test_binding_budget_fits(self):
+        doc = planted_doc(sentences_total=10, tokens_each=10)
+        config = fast_config(num_topics=3)
+        selector = SelectorConfig(token_budget=doc.total_tokens - 1)
+        fitted = select_by_topics(doc, fit_lda(doc, config), selector)
+        result = fit_and_select(doc, config, selector)
+        assert result == fitted and result.diagnostics == fitted.diagnostics
+        assert len(result.sentence_indices) < 10
 
 
 def hand_model():
