@@ -194,11 +194,14 @@ def cmd_preprocess(ns) -> int:
 
 def _select_one(episode: corpus.Episode, strategy: str,
                 selector: selection.SelectorConfig, num_topics: int, seed: int,
-                diagnostics: bool) -> tuple[str, dict | None, str | None]:
-    """Worker: build the document and run one selection strategy.
+                diagnostics: bool
+                ) -> tuple[str, dict | None, abstractive.BackendInput | None, str | None]:
+    """Worker: build the document, run one selection strategy and cap the pick.
 
-    Takes a picklable Episode and returns a plain record, so it can cross
-    a process boundary.
+    Takes a picklable Episode and returns (id, record, capped input, error),
+    plain values that can cross a process boundary. The capped input is
+    enforce_budget at the selector's token budget, so pipeline's summarize
+    stage needs no second build of the document.
     """
     try:
         doc = corpus.build_document(episode)
@@ -211,13 +214,15 @@ def _select_one(episode: corpus.Episode, strategy: str,
                 num_topics=num_topics, seed=_derive_seed(seed, episode.id)), selector)
         else:
             result = selection.select_head(doc, selector.token_budget)
-        return episode.id, result.to_record(diagnostics), None
+        capped = abstractive.enforce_budget(result, doc, selector.token_budget)
+        return episode.id, result.to_record(diagnostics), capped, None
     except (EmptyDocumentError, InsufficientContentError) as exc:
-        return episode.id, None, str(exc)
+        return episode.id, None, None, str(exc)
 
 
 def _run_select(input_path: str, output_path: Path, settings: dict,
-                diagnostics: bool) -> int:
+                diagnostics: bool) -> list[abstractive.BackendInput]:
+    """Write the selections file; return the capped inputs in its line order."""
     selector = selection.SelectorConfig(
         window_size=settings["window_size"],
         novelty_top_k=settings["top_k"],
@@ -226,11 +231,13 @@ def _run_select(input_path: str, output_path: Path, settings: dict,
     select_one = functools.partial(
         _select_one, strategy=settings["strategy"], selector=selector,
         num_topics=settings["topics"], seed=settings["seed"], diagnostics=diagnostics)
-    jobs = settings["jobs"] or os.cpu_count() or 1
     episodes = list(corpus.load_episodes(input_path))
+    # a pool starts all of its workers at once (under fork, when it opens): one per episode at most
+    jobs = min(settings["jobs"] or os.cpu_count() or 1, len(episodes))
     skipped = 0
     results: list[dict] = []
-    if jobs > 1 and len(episodes) > 1:
+    inputs: list[abstractive.BackendInput] = []
+    if jobs > 1:
         with futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(
                 select_one, episodes,
@@ -238,22 +245,24 @@ def _run_select(input_path: str, output_path: Path, settings: dict,
             ))
     else:
         outcomes = [select_one(episode) for episode in episodes]
-    for episode_id, payload, error in outcomes:
+    for episode_id, payload, capped, error in outcomes:
         if error is not None:
             logger.warning("skipping %s: %s", episode_id, error)
             skipped += 1
             continue
         results.append(payload)
+        inputs.append(capped)
     with atomic_write(output_path) as handle:
         for payload in results:
             handle.write(json.dumps(payload, ensure_ascii=False) + "\n")
     logger.info("select(%s): %d selected, %d skipped",
                 settings["strategy"], len(results), skipped)
-    return 0
+    return inputs
 
 
 def cmd_select(ns) -> int:
-    return _run_select(ns.input, Path(ns.output), _settings(ns), ns.diagnostics)
+    _run_select(ns.input, Path(ns.output), _settings(ns), ns.diagnostics)
+    return 0
 
 
 # --- summarize ----------------------------------------------------------------
@@ -267,8 +276,12 @@ def _make_backend(settings: dict):
     return abstractive.RemoteBackend(settings["endpoint"])
 
 
-def _run_summarize(selections_path: str, episodes_path: str, output_path: Path,
-                   backend, budget: int, jobs: int | None) -> None:
+def _read_capped_inputs(selections_path: str, episodes_path: str,
+                        budget: int) -> list[abstractive.BackendInput]:
+    """Rebuild the capped backend inputs from a selections file and its episodes.
+
+    Builds only the documents a selection line names, one at a time.
+    """
     episodes = {episode.id: episode for episode in corpus.load_episodes(episodes_path)}
 
     def capped_input(record: dict, line_number: int) -> abstractive.BackendInput | None:
@@ -290,8 +303,11 @@ def _run_summarize(selections_path: str, episodes_path: str, output_path: Path,
         )
         return abstractive.enforce_budget(result, doc, budget)
 
-    inputs = _read_records(selections_path, "selection", capped_input)
+    return _read_records(selections_path, "selection", capped_input)
 
+
+def _run_summarize(inputs: list[abstractive.BackendInput], output_path: Path,
+                   backend, budget: int, jobs: int | None) -> None:
     def run_one(backend_input):
         return abstractive.summarize(backend_input, backend, max_length=budget)
 
@@ -323,8 +339,9 @@ def _run_summarize(selections_path: str, episodes_path: str, output_path: Path,
 
 def cmd_summarize(ns) -> int:
     settings = _settings(ns)
-    _run_summarize(ns.input, ns.episodes, Path(ns.output), _make_backend(settings),
-                   settings["budget"], settings["jobs"])
+    backend = _make_backend(settings)
+    inputs = _read_capped_inputs(ns.input, ns.episodes, settings["budget"])
+    _run_summarize(inputs, Path(ns.output), backend, settings["budget"], settings["jobs"])
     return 0
 
 
@@ -386,17 +403,20 @@ def cmd_pipeline(ns) -> int:
         _run_preprocess(ns.input, out_dir, settings)
 
     selections_path = out_dir / "selections.jsonl"
+    inputs = None
     if ns.resume and selections_path.exists():
         logger.info("pipeline: selections exist, skipping")
     else:
-        _run_select(str(kept_path), selections_path, settings, ns.diagnostics)
+        inputs = _run_select(str(kept_path), selections_path, settings, ns.diagnostics)
 
     summaries_path = out_dir / "summaries.jsonl"
     if ns.resume and summaries_path.exists():
         logger.info("pipeline: summaries exist, skipping")
     else:
-        _run_summarize(str(selections_path), str(kept_path), summaries_path,
-                       backend, settings["budget"], settings["jobs"])
+        if inputs is None:  # select ran in an earlier process: rebuild from its file
+            inputs = _read_capped_inputs(str(selections_path), str(kept_path),
+                                         settings["budget"])
+        _run_summarize(inputs, summaries_path, backend, settings["budget"], settings["jobs"])
 
     report_path = out_dir / f"report.{_REPORT_EXT[settings['format']]}"
     if ns.resume and report_path.exists():

@@ -1,11 +1,13 @@
 import hashlib
 import json
+import os
 import random
 import subprocess
 import sys
 import threading
 import time
 from collections import deque
+from concurrent import futures
 from http.server import ThreadingHTTPServer
 from pathlib import Path
 
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from podselect import corpus, selection, topics
+from podselect import abstractive, corpus, selection, topics
 from podselect.cli import _derive_seed, _select_one, atomic_write, main
 from podselect.errors import InsufficientContentError
 from podselect.preprocess import clean_description
@@ -38,6 +40,16 @@ def stub_server():
     finally:
         server.shutdown()
         server.server_close()
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Episode ids in the order corpus.build_document is called on them."""
+    ids = []
+    build = corpus.build_document
+    monkeypatch.setattr(corpus, "build_document",
+                        lambda episode: ids.append(episode.id) or build(episode))
+    return ids
 
 
 def write_jsonl(path, records):
@@ -237,6 +249,39 @@ class TestSelectCommand:
                          "--top-k", "2", "--jobs", jobs]) == 0
         assert serial.read_bytes() == parallel.read_bytes()
 
+    @pytest.mark.parametrize("jobs, cpus", [(["--jobs", "4"], 2), ([], 64)],
+                             ids=["jobs-4", "cpu-count-64"])
+    def test_pool_holds_at_most_one_worker_per_episode(self, tmp_path, monkeypatch,
+                                                       jobs, cpus):
+        sizes = []
+
+        class RecordingPool:
+            """Stands in for ProcessPoolExecutor: records its size, starts no process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        source = tmp_path / "eps.jsonl"
+        tiny_corpus(source, count=3)
+        serial = tmp_path / "serial.jsonl"
+        assert main(["select", "--input", str(source), "--output", str(serial),
+                     "--jobs", "1"]) == 0
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        out = tmp_path / "sel.jsonl"
+        assert main(["select", "--input", str(source), "--output", str(out), *jobs]) == 0
+        assert sizes == [3]
+        assert out.read_bytes() == serial.read_bytes()
+
     def test_topic_strategy_deterministic_for_seed(self, tmp_path):
         source = tmp_path / "eps.jsonl"
         tiny_corpus(source, count=3, sentences=8)
@@ -307,9 +352,10 @@ class TestTopicFitSkip:
         selector = selection.SelectorConfig(token_budget=doc.total_tokens + slack)
         model = topics.fit_lda(doc, topics.TopicConfig(
             num_topics=num_topics, seed=_derive_seed(seed, episode.id)))
-        expected = topics.select_by_topics(doc, model, selector).to_record(diagnostics)
+        picked = topics.select_by_topics(doc, model, selector)
+        capped = abstractive.enforce_budget(picked, doc, selector.token_budget)
         assert _select_one(episode, "topic", selector, num_topics, seed, diagnostics) == (
-            episode.id, expected, None)
+            episode.id, picked.to_record(diagnostics), capped, None)
 
     def test_fit_runs_only_at_a_binding_budget(self, monkeypatch):
         def no_fit(doc, config):
@@ -319,10 +365,14 @@ class TestTopicFitSkip:
         episode = topic_episode(random.Random(3), 8)
         doc = corpus.build_document(episode)
         fits = selection.SelectorConfig(token_budget=doc.total_tokens)
+        everything = selection.SelectionResult(
+            episode_id=episode.id, strategy="topic",
+            sentence_indices=tuple(range(len(doc.sentences))),
+            selected_token_count=doc.total_tokens)
         assert _select_one(episode, "topic", fits, 3, 0, False) == (episode.id, {
             "id": episode.id, "strategy": "topic",
             "indices": list(range(len(doc.sentences))), "tokens": doc.total_tokens,
-        }, None)
+        }, abstractive.enforce_budget(everything, doc, doc.total_tokens), None)
         binding = selection.SelectorConfig(token_budget=doc.total_tokens - 1)
         with pytest.raises(RuntimeError, match="fit_lda called"):
             _select_one(episode, "topic", binding, 3, 0, False)
@@ -335,7 +385,7 @@ class TestTopicFitSkip:
             topics.fit_lda(doc, topics.TopicConfig(num_topics=5))
         assert str(raised.value) == "episode 'ep-topic': 2 sentences cannot support 5 topics"
         assert _select_one(episode, "topic", selection.SelectorConfig(), 5, 0, False) == (
-            episode.id, None, str(raised.value))
+            episode.id, None, None, str(raised.value))
 
 
 class TestConfigPrecedence:
@@ -511,16 +561,12 @@ class TestSummarizeCommand:
         assert f"selection line 2: {reason}" in proc.stderr
         assert not out.exists()
 
-    def test_builds_only_the_selected_documents(self, tmp_path, monkeypatch):
+    def test_builds_only_the_selected_documents(self, tmp_path, built):
         source = tmp_path / "eps.jsonl"
         tiny_corpus(source, count=4)
         selections = tmp_path / "sel.jsonl"
         write_jsonl(selections, [{"id": "tiny-02", "strategy": "window",
                                   "indices": [0, 1], "tokens": 6}])
-        built = []
-        build = corpus.build_document
-        monkeypatch.setattr(corpus, "build_document",
-                            lambda episode: built.append(episode.id) or build(episode))
         out = tmp_path / "summ.jsonl"
         assert main(["summarize", "--input", str(selections), "--episodes", str(source),
                      "--output", str(out), "--jobs", "1"]) == 0
@@ -698,6 +744,14 @@ class TestPipelineCommand:
         for name in PIPELINE_ARTIFACTS:
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
+    def test_builds_each_kept_document_once(self, fixtures_dir, tmp_path, built):
+        out = tmp_path / "run"
+        assert main(["pipeline", "--input", str(fixtures_dir / "mini_corpus.jsonl"),
+                     "--output", str(out), "--jobs", "1"]) == 0
+        kept = [record["id"] for record in read_jsonl(out / "kept.jsonl")]
+        assert len(read_jsonl(out / "summaries.jsonl")) == len(kept) == 10
+        assert sorted(built) == sorted(kept)
+
     def test_json_report_format(self, fixtures_dir, tmp_path):
         out = tmp_path / "run"
         assert self.run_pipeline(fixtures_dir, out, "--format", "json") == 0
@@ -845,16 +899,54 @@ def sha256_of(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def pipeline_args(fixtures_dir, out, case, jobs):
+    """The golden run of `case` with `jobs` workers, and the digests it must give."""
+    extra, digests = GOLDEN_PIPELINE_DIGESTS[case]
+    args = ["pipeline", "--input", str(fixtures_dir / "mini_corpus.jsonl"),
+            "--output", str(out), "--strategy", case.split("-")[0], "--jobs", jobs,
+            "--seed", "7", "--format", "json", *extra]
+    return args, {**PREPROCESS_DIGESTS, **digests}
+
+
 class TestGoldenDigests:
     @pytest.mark.parametrize("case", list(GOLDEN_PIPELINE_DIGESTS))
     def test_pipeline_artifacts_unchanged(self, fixtures_dir, tmp_path, case):
-        extra, digests = GOLDEN_PIPELINE_DIGESTS[case]
-        strategy = case.split("-")[0]
         out = tmp_path / "run"
-        assert main(["pipeline", "--input", str(fixtures_dir / "mini_corpus.jsonl"),
-                     "--output", str(out), "--strategy", strategy, "--jobs", "1",
-                     "--seed", "7", "--format", "json", *extra]) == 0
-        expected = {**PREPROCESS_DIGESTS, **digests}
+        args, expected = pipeline_args(fixtures_dir, out, case, "1")
+        assert main(args) == 0
+        assert {p.name: sha256_of(p) for p in out.iterdir()} == expected
+
+    @pytest.mark.parametrize("case", list(GOLDEN_PIPELINE_DIGESTS))
+    def test_parallel_pipeline_artifacts_unchanged(self, fixtures_dir, tmp_path, case):
+        out = tmp_path / "run"
+        args, expected = pipeline_args(fixtures_dir, out, case, "2")
+        assert main(args) == 0
+        assert {p.name: sha256_of(p) for p in out.iterdir()} == expected
+
+    def test_resume_rebuilds_summaries_from_kept(self, fixtures_dir, tmp_path, built):
+        out = tmp_path / "run"
+        args, expected = pipeline_args(fixtures_dir, out, "none-budget-8", "1")
+        assert main(args) == 0
+        (out / "summaries.jsonl").unlink()
+        (out / "report.json").unlink()
+        built.clear()
+        assert main([*args, "--resume"]) == 0
+        assert sorted(built) == sorted(r["id"] for r in read_jsonl(out / "kept.jsonl"))
+        assert {p.name: sha256_of(p) for p in out.iterdir()} == expected
+
+    def test_spawned_workers_write_the_golden_artifacts(self, fixtures_dir, tmp_path):
+        """Workers and their returns pickle, as the spawn and forkserver methods need."""
+        out = tmp_path / "run"
+        args, expected = pipeline_args(fixtures_dir, out, "topic-budget-250", "2")
+        script = ("import multiprocessing, sys\n"
+                  "from podselect.cli import main\n"
+                  "if __name__ == '__main__':\n"
+                  "    multiprocessing.set_start_method('spawn')\n"
+                  "    sys.exit(main(sys.argv[1:]))\n")
+        proc = subprocess.run([sys.executable, "-c", script, *args],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
         assert {p.name: sha256_of(p) for p in out.iterdir()} == expected
 
     def test_window_diagnostics_unchanged(self, fixtures_dir, tmp_path):
