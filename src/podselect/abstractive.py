@@ -3,14 +3,17 @@
 Backends are intentionally thin: anything with a ``backend_id`` and a
 ``generate(episode_id, text, max_length)`` method plugs in. The repo ships
 two, an identity backend for offline runs and an HTTP client for a remote
-model server.
+model server. A backend call is one attempt; summarize_all owns the retry
+policy and the threads that send the attempts.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
 import json
 import logging
+import threading
 import time
 from dataclasses import dataclass
 from http.client import HTTPConnection, HTTPException, HTTPSConnection, InvalidURL
@@ -42,7 +45,7 @@ class Summary:
     episode_id: str
     text: str
     backend_id: str
-    latency_ms: float | None = None
+    latency_ms: float | None = None  # the successful attempt's request alone
 
     def to_record(self) -> dict:
         return {"id": self.episode_id, "summary": self.text, "backend": self.backend_id}
@@ -121,14 +124,15 @@ class RemoteBackend:
     """HTTP client for a remote summarization service.
 
     POSTs ``{"id", "text", "max_length"?}`` to ``<endpoint>/summarize``, on a
-    new connection per attempt, and expects ``{"id", "summary"}`` back. Other
-    4xx responses than 408 and 429, and malformed bodies (a protocol error),
-    fail at once; any other failure is retried with exponential backoff.
+    new connection per call, and expects ``{"id", "summary"}`` back. Each call
+    is one attempt: a non-2xx response raises BackendError with its status, a
+    connection or timeout failure raises one without, and a malformed body
+    raises ProtocolError. summarize_all decides which of them to retry.
     """
 
     backend_id = "remote"
 
-    def __init__(self, endpoint: str, timeout: float = 30.0, sleep=time.sleep):
+    def __init__(self, endpoint: str, timeout: float = 30.0):
         self.url = endpoint.rstrip("/") + "/summarize"
         parts = urlsplit(self.url)
         if parts.scheme not in ("http", "https") or not parts.hostname:
@@ -141,39 +145,24 @@ class RemoteBackend:
         except (ValueError, InvalidURL) as exc:
             raise ConfigError(f"endpoint {endpoint!r}: {exc}") from exc
         self._target = parts.path + (f"?{parts.query}" if parts.query else "")
-        self._sleep = sleep
 
     def generate(self, episode_id: str, text: str, max_length: int | None = None) -> str:
         payload: dict = {"id": episode_id, "text": text}
         if max_length is not None:
             payload["max_length"] = max_length
-        body = json.dumps(payload).encode("utf-8")
-        for attempt in range(ATTEMPTS):
-            if attempt > 0:
-                self._sleep(BACKOFF_SECONDS * (2 ** (attempt - 1)))
-            connection = self._connect()
-            try:
-                connection.request("POST", self._target, body,
-                                   {"Content-Type": "application/json"})
-                response = connection.getresponse()
-                status, data = response.status, response.read()
-            except (OSError, HTTPException) as exc:
-                status, last_failure = None, f"{type(exc).__name__}: {exc}"
-            else:
-                if 200 <= status < 300:
-                    return self._parse(data, episode_id)
-                last_failure = f"HTTP {status}"
-            finally:
-                connection.close()
-            logger.warning("backend attempt %d/%d failed for %s: %s",
-                           attempt + 1, ATTEMPTS, episode_id, last_failure)
-            if status is not None and 400 <= status < 500 and status not in (408, 429):
-                break  # no other client error can succeed when sent again
-        raise BackendError(
-            f"backend failed for {episode_id!r} after {attempt + 1} attempts "
-            f"({last_failure})",
-            attempts=attempt + 1,
-        )
+        connection = self._connect()
+        try:
+            connection.request("POST", self._target, json.dumps(payload).encode("utf-8"),
+                               {"Content-Type": "application/json"})
+            response = connection.getresponse()
+            status, data = response.status, response.read()
+        except (OSError, HTTPException) as exc:
+            raise BackendError(f"{type(exc).__name__}: {exc}") from exc
+        finally:
+            connection.close()
+        if not 200 <= status < 300:
+            raise BackendError(f"HTTP {status}", status=status)
+        return self._parse(data, episode_id)
 
     @staticmethod
     def _parse(body: bytes, episode_id: str) -> str:
@@ -190,15 +179,107 @@ class RemoteBackend:
         return data["summary"]
 
 
+def _retry_delay(error: BackendError, attempt: int) -> float | None:
+    """Seconds to wait before retrying an episode whose attempt number `attempt`
+    failed with `error`, or None when it gets no further attempt.
+
+    A protocol error and a 4xx other than 408 and 429 are not retried: the
+    same request would be refused again.
+    """
+    if attempt >= ATTEMPTS or isinstance(error, ProtocolError):
+        return None
+    if error.status is not None and 400 <= error.status < 500 and error.status not in (408, 429):
+        return None
+    return BACKOFF_SECONDS * 2 ** (attempt - 1)
+
+
+def summarize_all(inputs: list[BackendInput], backend: Backend, max_length: int | None,
+                  jobs: int) -> list[Summary | BackendError]:
+    """Run capped selections through a backend, at most `jobs` requests at a time.
+
+    Returns, in input order, each input's Summary or the BackendError that
+    ended its attempts. The workers are min(jobs, len(inputs)) threads, the
+    calling thread among them, taking attempts from one queue ordered by due
+    time. A failed attempt that _retry_delay allows goes back into the queue,
+    due its backoff after the failure, and the worker that sent it takes the
+    next due attempt at once: a backoff holds no request slot. An exception
+    other than BackendError stops every worker and is raised here.
+    """
+    outcomes: list[Summary | BackendError | None] = [None] * len(inputs)
+    now = time.monotonic()
+    due = [(now, position, 1) for position in range(len(inputs))]  # a heap of (due, position, attempt)
+    unfinished = len(inputs)
+    failure: BaseException | None = None
+    changed = threading.Condition()
+
+    def take() -> tuple[int, int] | None:
+        """The next (position, attempt) once it is due; None when no attempt is left."""
+        with changed:
+            while unfinished and failure is None:
+                if not due:  # every unfinished episode is in flight
+                    changed.wait()
+                elif (wait := due[0][0] - time.monotonic()) > 0:
+                    changed.wait(wait)
+                else:
+                    return heapq.heappop(due)[1:]
+            return None
+
+    def attempt_one(position: int, attempt: int) -> None:
+        nonlocal unfinished
+        item = inputs[position]
+        started = time.perf_counter()
+        try:
+            text = backend.generate(item.episode_id, item.text, max_length)
+        except BackendError as exc:
+            failed_at = time.monotonic()
+            logger.warning("backend attempt %d/%d failed for %s: %s",
+                           attempt, ATTEMPTS, item.episode_id, exc)
+            delay = _retry_delay(exc, attempt)
+            if delay is not None:
+                with changed:
+                    heapq.heappush(due, (failed_at + delay, position, attempt + 1))
+                    changed.notify_all()
+                return
+            outcome = BackendError(
+                f"backend failed for {item.episode_id!r} after {attempt} attempts ({exc})",
+                attempts=attempt, status=exc.status)
+        else:
+            outcome = Summary(episode_id=item.episode_id, text=text,
+                              backend_id=backend.backend_id,
+                              latency_ms=(time.perf_counter() - started) * 1000.0)
+        with changed:
+            outcomes[position] = outcome
+            unfinished -= 1
+            changed.notify_all()
+
+    def work() -> None:
+        nonlocal failure
+        try:
+            while (next_attempt := take()) is not None:
+                attempt_one(*next_attempt)
+        except BaseException as exc:  # raised below, once every worker has stopped
+            with changed:
+                failure = failure or exc
+                changed.notify_all()
+
+    helpers = [threading.Thread(target=work) for _ in range(min(jobs, len(inputs)) - 1)]
+    for helper in helpers:
+        helper.start()
+    work()
+    for helper in helpers:
+        helper.join()
+    if failure is not None:
+        raise failure
+    return outcomes
+
+
 def summarize(backend_input: BackendInput, backend: Backend,
               max_length: int | None = None) -> Summary:
-    """Run one capped selection through a backend, timing the call."""
-    started = time.perf_counter()
-    text = backend.generate(backend_input.episode_id, backend_input.text, max_length)
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
-    return Summary(
-        episode_id=backend_input.episode_id,
-        text=text,
-        backend_id=backend.backend_id,
-        latency_ms=elapsed_ms,
-    )
+    """Run one capped selection through a backend: summarize_all over one input.
+
+    Raises the BackendError that ended its attempts.
+    """
+    (outcome,) = summarize_all([backend_input], backend, max_length, jobs=1)
+    if isinstance(outcome, BackendError):
+        raise outcome
+    return outcome

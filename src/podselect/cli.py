@@ -308,27 +308,15 @@ def _read_capped_inputs(selections_path: str, episodes_path: str,
 
 def _run_summarize(inputs: list[abstractive.BackendInput], output_path: Path,
                    backend, budget: int, jobs: int | None) -> None:
-    def run_one(backend_input):
-        return abstractive.summarize(backend_input, backend, max_length=budget)
-
-    summaries: list[abstractive.Summary | None] = [None] * len(inputs)
+    outcomes = abstractive.summarize_all(inputs, backend, budget, jobs or 4)
     failures = 0
-    with futures.ThreadPoolExecutor(max_workers=jobs or 4) as pool:
-        jobs_map = {pool.submit(run_one, item): position
-                    for position, item in enumerate(inputs)}
-        for future in futures.as_completed(jobs_map):
-            position = jobs_map[future]
-            try:
-                summaries[position] = future.result()
-            except BackendError as exc:
-                failures += 1
-                logger.error("backend failure for %s: %s",
-                             inputs[position].episode_id, exc)
-
     with atomic_write(output_path) as handle:
-        for summary in summaries:
-            if summary is not None:
-                handle.write(json.dumps(summary.to_record(), ensure_ascii=False) + "\n")
+        for backend_input, outcome in zip(inputs, outcomes):
+            if isinstance(outcome, BackendError):
+                failures += 1
+                logger.error("backend failure for %s: %s", backend_input.episode_id, outcome)
+            else:
+                handle.write(json.dumps(outcome.to_record(), ensure_ascii=False) + "\n")
         if failures:  # raised before the rename, so --resume runs this stage again
             raise PodselectError(
                 f"summarize: {failures} of {len(inputs)} episodes failed; "
@@ -440,7 +428,8 @@ def _add_shared_flags(parser):
                         help="random seed for anything stochastic (default: 0)")
     parser.add_argument("--jobs", type=int, default=None,
                         help="worker count; selection defaults to the CPU count, "
-                             "backend calls default to 4 concurrent")
+                             "backend calls default to 4 concurrent requests, and "
+                             "a retry waits out its backoff without holding one")
     parser.add_argument("--config", default=None,
                         help="JSON config file; PODSELECT_CONFIG is the fallback")
 

@@ -44,11 +44,17 @@ class MissingReferenceError(PodselectError):
 
 
 class BackendError(PodselectError):
-    """The summarization backend failed: its attempts ran out, or retrying cannot help."""
+    """The summarization backend failed: one attempt, or the last of an episode's attempts.
 
-    def __init__(self, message: str, attempts: int | None = None):
+    `status` is the HTTP status of a refused attempt (None when no response
+    came back); `attempts` is set on the error that ends an episode's attempts.
+    """
+
+    def __init__(self, message: str, attempts: int | None = None,
+                 status: int | None = None):
         super().__init__(message)
         self.attempts = attempts
+        self.status = status
 
 
 class ProtocolError(BackendError):

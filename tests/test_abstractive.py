@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from podselect.abstractive import (BackendInput, NullBackend, RemoteBackend,
-                                   Summary, enforce_budget, summarize)
+from podselect import abstractive
+from podselect.abstractive import (ATTEMPTS, BackendInput, NullBackend, RemoteBackend,
+                                   Summary, enforce_budget, summarize, summarize_all)
 from podselect.errors import BackendError, ProtocolError
 from podselect.selection import SelectionResult
 from conftest import make_doc, random_sentences
@@ -128,13 +129,15 @@ class TestNullBackend:
 
 
 class ScriptedHandler(BaseHTTPRequestHandler):
-    """Serves canned responses from the owning server's script queue."""
+    """Serves canned responses: the next one planted in the owning server's
+    `faults` for the request's episode id, else the next of its `script` queue."""
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         body = json.loads(self.rfile.read(length)) if length else None
         self.server.requests.append((self.path, body))
-        status, payload = self.server.script.popleft()
+        planted = self.server.faults.get(body and body.get("id"))
+        status, payload = (planted or self.server.script).popleft()
         if status == "hang":  # answer nothing until the client has given up
             time.sleep(payload)
             return
@@ -155,6 +158,7 @@ class ScriptedHandler(BaseHTTPRequestHandler):
 def stub_server():
     server = ThreadingHTTPServer(("127.0.0.1", 0), ScriptedHandler)
     server.script = deque()
+    server.faults = {}
     server.requests = []
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -165,11 +169,32 @@ def stub_server():
         server.server_close()
 
 
+@pytest.fixture
+def delays(monkeypatch):
+    """The backoffs the retry policy chose, in order; the scheduler waits none of them."""
+    chosen = []
+    policy = abstractive._retry_delay
+
+    def record(error, attempt):
+        delay = policy(error, attempt)
+        if delay is None:
+            return None
+        chosen.append(delay)
+        return 0.0
+
+    monkeypatch.setattr(abstractive, "_retry_delay", record)
+    return chosen
+
+
+def capped(episode_id="e", text="t"):
+    return BackendInput(episode_id=episode_id, text=text, token_count=len(text.split()))
+
+
 class TestRemoteBackend:
     def test_success_round_trip(self, stub_server):
         server, endpoint = stub_server
         server.script.append((200, {"id": "ep-1", "summary": "a short summary"}))
-        backend = RemoteBackend(endpoint, sleep=lambda s: None)
+        backend = RemoteBackend(endpoint)
         assert backend.generate("ep-1", "long text") == "a short summary"
         path, body = server.requests[0]
         assert path == "/summarize"
@@ -179,111 +204,119 @@ class TestRemoteBackend:
         server, endpoint = stub_server
         server.script.append((200, {"id": "e", "summary": "s"}))
         server.script.append((200, {"id": "e", "summary": "s"}))
-        backend = RemoteBackend(endpoint, sleep=lambda s: None)
+        backend = RemoteBackend(endpoint)
         backend.generate("e", "t")
         backend.generate("e", "t", max_length=64)
         assert "max_length" not in server.requests[0][1]
         assert server.requests[1][1]["max_length"] == 64
 
-    def test_server_errors_retried_then_succeed(self, stub_server):
+    @pytest.mark.parametrize("response, status", [
+        ((503, {"error": "busy"}), 503),
+        ((404, {"error": "gone"}), 404),
+        (("close", None), None),
+    ], ids=["503", "404", "no-response"])
+    def test_generate_makes_one_attempt(self, stub_server, response, status):
+        server, endpoint = stub_server
+        server.script.append(response)
+        server.script.append((200, {"id": "e", "summary": "never asked for"}))
+        with pytest.raises(BackendError) as excinfo:
+            RemoteBackend(endpoint).generate("e", "t")
+        assert excinfo.value.status == status
+        assert len(server.requests) == 1
+
+    def test_server_errors_retried_then_succeed(self, stub_server, delays):
         server, endpoint = stub_server
         server.script.append((500, {"error": "busy"}))
         server.script.append((503, {"error": "busy"}))
         server.script.append((200, {"id": "e", "summary": "done"}))
-        sleeps = []
-        backend = RemoteBackend(endpoint, sleep=sleeps.append)
-        assert backend.generate("e", "t") == "done"
+        assert summarize(capped(), RemoteBackend(endpoint)).text == "done"
         assert len(server.requests) == 3
-        assert sleeps == [0.5, 1.0]  # doubles before each retry
+        assert delays == [0.5, 1.0]  # doubles before each retry
 
-    def test_exhausted_retries_raise_backend_error(self, stub_server):
+    def test_exhausted_retries_raise_backend_error(self, stub_server, delays):
         server, endpoint = stub_server
         for _ in range(3):
             server.script.append((500, {"error": "down"}))
-        sleeps = []
-        backend = RemoteBackend(endpoint, sleep=sleeps.append)
         with pytest.raises(BackendError) as excinfo:
-            backend.generate("ep-x", "t")
+            summarize(capped("ep-x"), RemoteBackend(endpoint))
         assert excinfo.value.attempts == 3
+        assert str(excinfo.value) == "backend failed for 'ep-x' after 3 attempts (HTTP 500)"
         assert len(server.requests) == 3
-        assert sleeps == [0.5, 1.0]
+        assert delays == [0.5, 1.0]
 
-    def test_client_error_fails_without_retry(self, stub_server):
+    def test_client_error_fails_without_retry(self, stub_server, delays):
         server, endpoint = stub_server
         server.script.append((400, {"error": "bad request"}))
-        sleeps = []
-        backend = RemoteBackend(endpoint, sleep=sleeps.append)
         with pytest.raises(BackendError) as excinfo:
-            backend.generate("ep-x", "t")
+            summarize(capped("ep-x"), RemoteBackend(endpoint))
         assert excinfo.value.attempts == 1
         assert "HTTP 400" in str(excinfo.value)
         assert len(server.requests) == 1
-        assert sleeps == []
+        assert delays == []
 
-    def test_too_many_requests_retried_then_succeed(self, stub_server):
+    def test_too_many_requests_retried_then_succeed(self, stub_server, delays):
         server, endpoint = stub_server
         server.script.append((429, {"error": "slow down"}))
         server.script.append((200, {"id": "e", "summary": "done"}))
-        sleeps = []
-        backend = RemoteBackend(endpoint, sleep=sleeps.append)
-        assert backend.generate("e", "t") == "done"
+        assert summarize(capped(), RemoteBackend(endpoint)).text == "done"
         assert len(server.requests) == 2
-        assert sleeps == [0.5]
+        assert delays == [0.5]
 
-    def test_malformed_body_is_protocol_error_without_retry(self, stub_server):
+    def test_malformed_body_is_protocol_error_without_retry(self, stub_server, delays):
         server, endpoint = stub_server
         server.script.append((200, b"this is not json"))
-        backend = RemoteBackend(endpoint, sleep=lambda s: None)
+        server.script.append((200, b"this is not json"))
+        backend = RemoteBackend(endpoint)
         with pytest.raises(ProtocolError):
             backend.generate("e", "t")
-        assert len(server.requests) == 1
+        with pytest.raises(BackendError) as excinfo:
+            summarize(capped(), backend)
+        assert excinfo.value.attempts == 1
+        assert len(server.requests) == 2
+        assert delays == []
 
     def test_missing_summary_field_is_protocol_error(self, stub_server):
         server, endpoint = stub_server
         server.script.append((200, {"id": "e", "result": "wrong key"}))
-        backend = RemoteBackend(endpoint, sleep=lambda s: None)
+        backend = RemoteBackend(endpoint)
         with pytest.raises(ProtocolError):
             backend.generate("e", "t")
         assert len(server.requests) == 1
 
-    def test_connection_refused_retries_then_raises(self):
-        sleeps = []
-        backend = RemoteBackend("http://127.0.0.1:1", sleep=sleeps.append, timeout=1)
+    def test_connection_refused_retries_then_raises(self, delays):
+        backend = RemoteBackend("http://127.0.0.1:1", timeout=1)
         with pytest.raises(BackendError) as excinfo:
-            backend.generate("e", "t")
+            summarize(capped(), backend)
         assert excinfo.value.attempts == 3
-        assert sleeps == [0.5, 1.0]
+        assert delays == [0.5, 1.0]
 
-    def test_read_timeout_retries_then_raises(self, stub_server):
+    def test_read_timeout_retries_then_raises(self, stub_server, delays):
         server, endpoint = stub_server
         for _ in range(3):
             server.script.append(("hang", 0.5))
-        backend = RemoteBackend(endpoint, sleep=lambda s: None, timeout=0.2)
+        backend = RemoteBackend(endpoint, timeout=0.2)
         with pytest.raises(BackendError) as excinfo:
-            backend.generate("e", "t")
+            summarize(capped(), backend)
         assert excinfo.value.attempts == 3
         assert "TimeoutError" in str(excinfo.value)
         assert len(server.requests) == 3
 
-    def test_connection_closed_without_response_is_retried(self, stub_server):
+    def test_connection_closed_without_response_is_retried(self, stub_server, delays):
         server, endpoint = stub_server
         server.script.append(("close", None))
         server.script.append((200, {"id": "e", "summary": "done"}))
-        sleeps = []
-        backend = RemoteBackend(endpoint, sleep=sleeps.append)
-        assert backend.generate("e", "t") == "done"
+        assert summarize(capped(), RemoteBackend(endpoint)).text == "done"
         assert len(server.requests) == 2
-        assert sleeps == [0.5]
+        assert delays == [0.5]
 
     def test_endpoint_trailing_slash_normalized(self):
-        backend = RemoteBackend("http://host:9/", sleep=lambda s: None)
+        backend = RemoteBackend("http://host:9/")
         assert backend.url == "http://host:9/summarize"
 
     def test_summarize_uses_backend_id(self, stub_server):
         server, endpoint = stub_server
         server.script.append((200, {"id": "e", "summary": "out"}))
-        capped = BackendInput(episode_id="e", text="in", token_count=1)
-        result = summarize(capped, RemoteBackend(endpoint, sleep=lambda s: None))
+        result = summarize(capped(text="in"), RemoteBackend(endpoint))
         assert result.backend_id == "remote"
         assert result.text == "out"
 
@@ -301,3 +334,200 @@ class TestRemoteBackend:
         out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                              text=True, check=True).stdout
         assert out.strip() == "[]"
+
+
+class FakeBackend:
+    """In-process backend: raises the errors planted for an episode's first
+    attempts, then answers; records every call, its thread and the requests in
+    flight around it."""
+
+    backend_id = "fake"
+
+    def __init__(self, faults=None, delays=None, delay=0.002):
+        self.faults = {episode_id: list(errors) for episode_id, errors in (faults or {}).items()}
+        self.delays = delays or {}
+        self.delay = delay
+        self.calls = []  # (episode_id, started, ended, raised), in the order they ended
+        self.threads = set()
+        self.in_flight = self.most_in_flight = 0
+        self.most_threads = threading.active_count()
+        self._lock = threading.Lock()
+
+    def generate(self, episode_id, text, max_length=None):
+        started = time.monotonic()
+        with self._lock:
+            self.in_flight += 1
+            self.most_in_flight = max(self.most_in_flight, self.in_flight)
+            self.threads.add(threading.get_ident())
+            self.most_threads = max(self.most_threads, threading.active_count())
+            planted = self.faults.get(episode_id)
+            error = planted.pop(0) if planted else None
+        time.sleep(self.delays.get(episode_id, self.delay))
+        with self._lock:
+            self.in_flight -= 1
+            self.calls.append((episode_id, started, time.monotonic(), error is not None))
+        if error is not None:
+            raise error
+        return text.upper()
+
+    def attempts(self):
+        counts = {}
+        for episode_id, *_ in self.calls:
+            counts[episode_id] = counts.get(episode_id, 0) + 1
+        return counts
+
+
+def episodes(count):
+    return [capped(f"ep-{i:04d}", f"text {i}") for i in range(count)]
+
+
+def unavailable():
+    return BackendError("HTTP 503", status=503)
+
+
+def bounded(call, timeout=10.0):
+    """call() on a daemon thread: its ('value' | 'error', result), failing if it outlives timeout."""
+    box = {}
+
+    def target():
+        try:
+            box["value"] = call()
+        except BaseException as exc:  # handed to the test, which asserts on it
+            box["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), f"still running after {timeout} s"
+    (outcome,) = box.items()
+    return outcome
+
+
+class TestSummarizeAll:
+    """The scheduler over an in-process backend: no HTTP."""
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_requests_in_flight_never_exceed_jobs(self, monkeypatch, jobs):
+        monkeypatch.setattr(abstractive, "BACKOFF_SECONDS", 0.02)
+        inputs = episodes(12)
+        backend = FakeBackend(faults={"ep-0000": [unavailable()], "ep-0005": [unavailable()]},
+                              delay=0.01)
+        outcomes = summarize_all(inputs, backend, None, jobs)
+        assert all(isinstance(o, Summary) for o in outcomes)
+        assert backend.most_in_flight <= jobs
+        assert len(backend.threads) <= jobs
+        assert len(backend.calls) == 14
+
+    def test_every_retry_waits_at_least_its_backoff(self, monkeypatch):
+        monkeypatch.setattr(abstractive, "BACKOFF_SECONDS", 0.05)
+        inputs = episodes(6)
+        faults = {"ep-0001": [unavailable(), unavailable()],
+                  "ep-0003": [BackendError("HTTP 429", status=429)],
+                  "ep-0004": [BackendError("ConnectionResetError: reset")] * 2}
+        backend = FakeBackend(faults=faults)
+        outcomes = summarize_all(inputs, backend, None, jobs=2)
+        assert all(isinstance(o, Summary) for o in outcomes)
+        for episode_id in faults:
+            calls = [c for c in backend.calls if c[0] == episode_id]
+            assert len(calls) == len(faults[episode_id]) + 1
+            for attempt, (failed, retry) in enumerate(zip(calls, calls[1:]), 1):
+                assert failed[3]
+                assert retry[1] - failed[2] >= 0.05 * 2 ** (attempt - 1)
+
+    def test_one_slot_sends_the_next_episode_while_a_retry_waits(self):
+        backend = FakeBackend(faults={"ep-0000": [unavailable()]})
+        outcomes = summarize_all(episodes(2), backend, None, jobs=1)
+        assert [o.text for o in outcomes] == ["TEXT 0", "TEXT 1"]
+        (first, _, _, failed), (second, sent, _, _), (retried, resent, _, _) = backend.calls
+        assert (first, second, retried) == ("ep-0000", "ep-0001", "ep-0000")
+        failed_at = backend.calls[0][2]
+        assert sent < failed_at + abstractive.BACKOFF_SECONDS <= resent
+
+    def test_outcomes_keep_input_order(self):
+        inputs = episodes(8)
+        # the first inputs answer last, so completion order is the reverse
+        delays = {item.episode_id: 0.04 - 0.005 * i for i, item in enumerate(inputs)}
+        backend = FakeBackend(delays=delays)
+        outcomes = summarize_all(inputs, backend, 16, jobs=4)
+        assert [o.episode_id for o in outcomes] == [item.episode_id for item in inputs]
+        assert [o.text for o in outcomes] == [item.text.upper() for item in inputs]
+        assert all(o.backend_id == "fake" for o in outcomes)
+        assert [c[0] for c in backend.calls] != [item.episode_id for item in inputs]
+
+    @pytest.mark.parametrize("error, attempts", [
+        (BackendError("HTTP 400", status=400), 1),
+        (BackendError("HTTP 404", status=404), 1),
+        (ProtocolError("backend returned non-JSON body for 'e'"), 1),
+        (BackendError("HTTP 408", status=408), ATTEMPTS),
+        (BackendError("HTTP 429", status=429), ATTEMPTS),
+        (BackendError("HTTP 500", status=500), ATTEMPTS),
+        (BackendError("TimeoutError: timed out"), ATTEMPTS),
+    ], ids=["400", "404", "protocol", "408", "429", "500", "no-response"])
+    def test_attempts_by_failure(self, monkeypatch, error, attempts):
+        monkeypatch.setattr(abstractive, "BACKOFF_SECONDS", 0.001)
+        threads_before = threading.active_count()
+        backend = FakeBackend(faults={"e": [error] * ATTEMPTS})
+        (outcome,) = summarize_all([capped()], backend, None, jobs=4)
+        assert backend.most_threads == threads_before  # one input: the caller is its worker
+        assert isinstance(outcome, BackendError)
+        assert outcome.attempts == attempts == len(backend.calls)
+        assert str(outcome) == f"backend failed for 'e' after {attempts} attempts ({error})"
+
+    def test_dead_backend_gets_attempts_per_episode_on_at_most_jobs_threads(self, monkeypatch):
+        monkeypatch.setattr(abstractive, "BACKOFF_SECONDS", 0.001)
+        inputs = episodes(1000)
+        threads_before = threading.active_count()
+        backend = FakeBackend(faults={item.episode_id: [unavailable()] * ATTEMPTS
+                                      for item in inputs}, delay=0)
+        outcomes = summarize_all(inputs, backend, None, jobs=4)
+        assert all(isinstance(o, BackendError) and o.attempts == ATTEMPTS for o in outcomes)
+        assert set(backend.attempts().values()) == {ATTEMPTS}
+        assert len(backend.threads) <= 4
+        assert backend.most_threads <= threads_before + 3  # the caller is one of the 4
+
+    @pytest.mark.parametrize("waiting", ["on-a-backoff", "on-a-request"])
+    def test_unexpected_error_stops_every_worker(self, monkeypatch, waiting):
+        # a backoff far longer than the bound: the waiting worker must be woken
+        monkeypatch.setattr(abstractive, "BACKOFF_SECONDS", 60.0)
+        if waiting == "on-a-backoff":
+            backend = FakeBackend(faults={"ep-0000": [unavailable()],
+                                          "ep-0001": [RuntimeError("bug")]},
+                                  delays={"ep-0001": 0.1})
+        else:  # the other worker is done and waits for the failing request
+            backend = FakeBackend(faults={"ep-0000": [RuntimeError("bug")]},
+                                  delays={"ep-0000": 0.1})
+        kind, result = bounded(lambda: summarize_all(episodes(2), backend, None, jobs=2))
+        assert kind == "error" and isinstance(result, RuntimeError)
+        assert str(result) == "bug"
+
+    def test_stress_exact_attempts_under_fast_switching(self, monkeypatch):
+        monkeypatch.setattr(abstractive, "BACKOFF_SECONDS", 0.001)
+        rng = random.Random(4)
+        menu = [unavailable, lambda: BackendError("HTTP 400", status=400),
+                lambda: ProtocolError("bad body"), lambda: BackendError("OSError: reset")]
+        inputs = episodes(300)
+        faults, expected = {}, {}
+        for item in inputs:
+            errors = [rng.choice(menu)() for _ in range(rng.randint(0, ATTEMPTS))]
+            faults[item.episode_id] = errors
+            tries = 0
+            for error in errors + [None]:
+                tries += 1
+                if error is None or tries == ATTEMPTS or abstractive._retry_delay(error, tries) is None:
+                    break
+            expected[item.episode_id] = tries
+        backend = FakeBackend(faults=faults, delay=0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            kind, outcomes = bounded(lambda: summarize_all(inputs, backend, None, jobs=8), 60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert kind == "value"
+        assert backend.attempts() == expected
+        assert backend.most_in_flight <= 8
+        for item, outcome in zip(inputs, outcomes):  # in input order
+            if expected[item.episode_id] > len(faults[item.episode_id]):
+                assert outcome.episode_id == item.episode_id
+            else:
+                assert f"for {item.episode_id!r} after" in str(outcome)

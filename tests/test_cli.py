@@ -8,7 +8,6 @@ import threading
 import time
 from collections import deque
 from concurrent import futures
-from http.server import ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -17,29 +16,15 @@ from hypothesis import strategies as st
 
 from podselect import abstractive, corpus, selection, topics
 from podselect.cli import _derive_seed, _select_one, atomic_write, main
-from podselect.errors import InsufficientContentError
+from podselect.errors import BackendError, InsufficientContentError
 from podselect.preprocess import clean_description
 from conftest import random_sentences
-from test_abstractive import ScriptedHandler
+from test_abstractive import FakeBackend, stub_server  # noqa: F401 (a fixture)
 
 
 @pytest.fixture(autouse=True)
 def no_ambient_config(monkeypatch):
     monkeypatch.delenv("PODSELECT_CONFIG", raising=False)
-
-
-@pytest.fixture
-def stub_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), ScriptedHandler)
-    server.script = deque()
-    server.requests = []
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield server, f"http://127.0.0.1:{server.server_address[1]}"
-    finally:
-        server.shutdown()
-        server.server_close()
 
 
 @pytest.fixture
@@ -536,6 +521,25 @@ class TestSummarizeCommand:
         assert not out.exists()
         assert (tmp_path / "summ.jsonl.partial").read_text("utf-8") == ""
 
+    def test_dead_backend_exits_one_after_every_attempt(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(abstractive, "BACKOFF_SECONDS", 0.001)
+        source, selections = self.prepare(tmp_path, count=5)
+        ids = [f"tiny-{i:02d}" for i in range(5)]
+        backend = FakeBackend(faults={episode_id: [BackendError("HTTP 503", status=503)]
+                                      * abstractive.ATTEMPTS for episode_id in ids})
+        monkeypatch.setattr(abstractive, "RemoteBackend", lambda endpoint: backend)
+        threads_before = threading.active_count()
+        out = tmp_path / "summ.jsonl"
+        code = main(["summarize", "--input", str(selections),
+                     "--episodes", str(source), "--output", str(out),
+                     "--backend", "remote", "--endpoint", "http://unused", "--jobs", "2"])
+        assert code == 1
+        assert not out.exists()
+        assert (tmp_path / "summ.jsonl.partial").read_text("utf-8") == ""
+        assert backend.attempts() == {episode_id: abstractive.ATTEMPTS for episode_id in ids}
+        assert len(backend.threads) <= 2
+        assert backend.most_threads <= threads_before + 1  # the caller is one of the 2
+
     @pytest.mark.parametrize("bad_line, reason", [
         ('{"id": "tiny-01", "indices": [0', "invalid JSON"),
         ('["tiny-01", [0, 1]]', "not a JSON object"),
@@ -809,8 +813,8 @@ class TestPipelineCommand:
         server, endpoint = stub_server
         source = tmp_path / "eps.jsonl"
         records = tiny_corpus(source, count=3)
-        for _ in range(3):  # every attempt for the first episode
-            server.script.append((503, {"error": "down"}))
+        # every attempt for the first episode, whenever the scheduler sends it
+        server.faults[records[0]["id"]] = deque([(503, {"error": "down"})] * 3)
         for _ in records[1:]:
             server.script.append((200, {"id": "x", "summary": "served summary"}))
         out = tmp_path / "run"
