@@ -16,7 +16,6 @@ import logging
 import threading
 import time
 from dataclasses import dataclass
-from http.client import HTTPConnection, HTTPException, HTTPSConnection, InvalidURL
 from typing import Protocol
 from urllib.parse import urlsplit
 
@@ -128,11 +127,16 @@ class RemoteBackend:
     is one attempt: a non-2xx response raises BackendError with its status, a
     connection or timeout failure raises one without, and a malformed body
     raises ProtocolError. summarize_all decides which of them to retry.
+
+    http.client is imported here rather than at module level: it pulls in
+    ssl, socket and email, which no other backend needs.
     """
 
     backend_id = "remote"
 
     def __init__(self, endpoint: str, timeout: float = 30.0):
+        from http.client import HTTPConnection, HTTPSConnection, InvalidURL
+
         self.url = endpoint.rstrip("/") + "/summarize"
         parts = urlsplit(self.url)
         if parts.scheme not in ("http", "https") or not parts.hostname:
@@ -147,6 +151,8 @@ class RemoteBackend:
         self._target = parts.path + (f"?{parts.query}" if parts.query else "")
 
     def generate(self, episode_id: str, text: str, max_length: int | None = None) -> str:
+        from http.client import HTTPException
+
         payload: dict = {"id": episode_id, "text": text}
         if max_length is not None:
             payload["max_length"] = max_length

@@ -20,6 +20,7 @@ import sys
 from concurrent import futures
 from contextlib import contextmanager
 from pathlib import Path
+from time import perf_counter
 
 from . import abstractive, corpus, evalharness, preprocess, selection, topics
 from .errors import (BackendError, ConfigError, EmptyDocumentError,
@@ -220,6 +221,42 @@ def _select_one(episode: corpus.Episode, strategy: str,
         return episode.id, None, None, str(exc)
 
 
+# Seconds of in-process selection after which the rest of the episodes go to
+# a process pool: about what a pool costs. On a 2-core host (Python 3.11,
+# fork; medians of 15 launches) a process's first pool took 19 ms to import
+# multiprocessing, 11 ms to start 2 workers and run a first map, and 4 ms to
+# shut down; and on 30 novelty episodes a warm pool's map took 22-31 ms for
+# 27 ms of in-process work, its pickling eating the gain. Selecting in-process
+# until the pool's price has been paid (ski rental) needs no guess about the
+# corpus: against all in-process or all pooled, whichever is faster, it costs
+# at most about this plus one episode more.
+_POOL_AFTER_S = 0.05
+
+
+def _select_all(select_one, episodes: list[corpus.Episode], jobs: int) -> list[tuple]:
+    """select_one over every episode, in input order.
+
+    Selects in-process until that has taken _POOL_AFTER_S, then hands the
+    rest to a pool of min(jobs, len(rest)) worker processes, so a small
+    corpus never pays for a pool and a large one forks after its first
+    episodes. With jobs == 1 everything runs in-process.
+    """
+    outcomes = []
+    started = perf_counter()
+    for episode in episodes:
+        if jobs > 1 and perf_counter() - started >= _POOL_AFTER_S:
+            break
+        outcomes.append(select_one(episode))
+    rest = episodes[len(outcomes):]
+    if rest:
+        # a pool starts all of its workers at once (under fork, when it opens)
+        workers = min(jobs, len(rest))
+        with futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes += pool.map(select_one, rest,
+                                 chunksize=max(1, len(rest) // (workers * 4)))
+    return outcomes
+
+
 def _run_select(input_path: str, output_path: Path, settings: dict,
                 diagnostics: bool) -> list[abstractive.BackendInput]:
     """Write the selections file; return the capped inputs in its line order."""
@@ -232,20 +269,11 @@ def _run_select(input_path: str, output_path: Path, settings: dict,
         _select_one, strategy=settings["strategy"], selector=selector,
         num_topics=settings["topics"], seed=settings["seed"], diagnostics=diagnostics)
     episodes = list(corpus.load_episodes(input_path))
-    # a pool starts all of its workers at once (under fork, when it opens): one per episode at most
-    jobs = min(settings["jobs"] or os.cpu_count() or 1, len(episodes))
+    jobs = settings["jobs"] or os.cpu_count() or 1
     skipped = 0
     results: list[dict] = []
     inputs: list[abstractive.BackendInput] = []
-    if jobs > 1:
-        with futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(
-                select_one, episodes,
-                chunksize=max(1, len(episodes) // (jobs * 4) or 1),
-            ))
-    else:
-        outcomes = [select_one(episode) for episode in episodes]
-    for episode_id, payload, capped, error in outcomes:
+    for episode_id, payload, capped, error in _select_all(select_one, episodes, jobs):
         if error is not None:
             logger.warning("skipping %s: %s", episode_id, error)
             skipped += 1
@@ -427,9 +455,12 @@ def _add_shared_flags(parser):
     parser.add_argument("--seed", type=int, default=None,
                         help="random seed for anything stochastic (default: 0)")
     parser.add_argument("--jobs", type=int, default=None,
-                        help="worker count; selection defaults to the CPU count, "
-                             "backend calls default to 4 concurrent requests, and "
-                             "a retry waits out its backoff without holding one")
+                        help="worker count; selection starts in-process and, once "
+                             "it has run longer than a pool costs to start, hands "
+                             "the rest to at most this many worker processes "
+                             "(default: the CPU count); backend calls default to 4 "
+                             "concurrent requests, and a retry waits out its "
+                             "backoff without holding one")
     parser.add_argument("--config", default=None,
                         help="JSON config file; PODSELECT_CONFIG is the fallback")
 

@@ -335,6 +335,18 @@ class TestRemoteBackend:
                              text=True, check=True).stdout
         assert out.strip() == "[]"
 
+    def test_cli_import_loads_no_http_client(self):
+        probe = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import podselect.cli\n"
+            "podselect.cli.build_parser()\n"
+            "print(sorted({'http.client', 'ssl'} & (set(sys.modules) - before)))\n"
+        )
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "[]"
+
 
 class FakeBackend:
     """In-process backend: raises the errors planted for an episode's first

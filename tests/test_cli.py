@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from podselect import abstractive, corpus, selection, topics
+from podselect import abstractive, cli, corpus, selection, topics
 from podselect.cli import _derive_seed, _select_one, atomic_write, main
 from podselect.errors import BackendError, InsufficientContentError
 from podselect.preprocess import clean_description
@@ -35,6 +35,31 @@ def built(monkeypatch):
     monkeypatch.setattr(corpus, "build_document",
                         lambda episode: ids.append(episode.id) or build(episode))
     return ids
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """(size, episode ids mapped) of each ProcessPoolExecutor built; none is started."""
+    made = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            self.record = (max_workers, [])
+            made.append(self.record)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            episodes = list(iterable)
+            self.record[1].extend(episode.id for episode in episodes)
+            return map(fn, episodes)
+
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", RecordingPool)
+    return made
 
 
 def write_jsonl(path, records):
@@ -223,11 +248,12 @@ class TestSelectCommand:
             assert row["indices"] == list(expected.sentence_indices)
             assert row["tokens"] == expected.selected_token_count
 
-    def test_parallel_output_matches_serial(self, tmp_path):
+    def test_parallel_output_matches_serial(self, tmp_path, monkeypatch):
         source = tmp_path / "eps.jsonl"
         tiny_corpus(source, count=6)
         serial = tmp_path / "serial.jsonl"
         parallel = tmp_path / "parallel.jsonl"
+        monkeypatch.setattr(cli, "_POOL_AFTER_S", 0)  # every episode goes to the pool
         for out, jobs in ((serial, "1"), (parallel, "2")):
             assert main(["select", "--input", str(source), "--output", str(out),
                          "--strategy", "novelty", "--window-size", "2",
@@ -237,35 +263,47 @@ class TestSelectCommand:
     @pytest.mark.parametrize("jobs, cpus", [(["--jobs", "4"], 2), ([], 64)],
                              ids=["jobs-4", "cpu-count-64"])
     def test_pool_holds_at_most_one_worker_per_episode(self, tmp_path, monkeypatch,
-                                                       jobs, cpus):
-        sizes = []
-
-        class RecordingPool:
-            """Stands in for ProcessPoolExecutor: records its size, starts no process."""
-
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, iterable, chunksize=1):
-                return map(fn, iterable)
-
+                                                       pools, jobs, cpus):
         source = tmp_path / "eps.jsonl"
         tiny_corpus(source, count=3)
         serial = tmp_path / "serial.jsonl"
         assert main(["select", "--input", str(source), "--output", str(serial),
                      "--jobs", "1"]) == 0
-        monkeypatch.setattr(futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli, "_POOL_AFTER_S", 0)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         out = tmp_path / "sel.jsonl"
         assert main(["select", "--input", str(source), "--output", str(out), *jobs]) == 0
-        assert sizes == [3]
+        assert [size for size, _ in pools] == [3]
         assert out.read_bytes() == serial.read_bytes()
+
+    @pytest.mark.parametrize("k", [0, 4, 5, 6])
+    def test_pool_takes_the_episodes_left_once_the_clock_crosses(
+            self, tmp_path, monkeypatch, built, pools, k):
+        """A clock ticking one second per document built crosses _POOL_AFTER_S = k
+        after k episodes; with k = 6 every episode is done before it does."""
+        source = tmp_path / "eps.jsonl"
+        records = tiny_corpus(source, count=6)
+        serial = tmp_path / "serial.jsonl"
+        assert main(["select", "--input", str(source), "--output", str(serial),
+                     "--strategy", "novelty", "--jobs", "1"]) == 0
+        built.clear()
+        monkeypatch.setattr(cli, "perf_counter", lambda: float(len(built)))
+        monkeypatch.setattr(cli, "_POOL_AFTER_S", k)
+        out = tmp_path / "sel.jsonl"
+        assert main(["select", "--input", str(source), "--output", str(out),
+                     "--strategy", "novelty", "--jobs", "3"]) == 0
+        ids = [record["id"] for record in records]
+        assert pools == ([(min(3, 6 - k), ids[k:])] if k < 6 else [])
+        assert built == ids
+        assert out.read_bytes() == serial.read_bytes()
+
+    def test_one_job_never_builds_a_pool(self, tmp_path, monkeypatch, pools):
+        source = tmp_path / "eps.jsonl"
+        tiny_corpus(source, count=3)
+        monkeypatch.setattr(cli, "_POOL_AFTER_S", 0)
+        assert main(["select", "--input", str(source), "--output",
+                     str(tmp_path / "sel.jsonl"), "--jobs", "1"]) == 0
+        assert pools == []
 
     def test_topic_strategy_deterministic_for_seed(self, tmp_path):
         source = tmp_path / "eps.jsonl"
@@ -748,6 +786,21 @@ class TestPipelineCommand:
         for name in PIPELINE_ARTIFACTS:
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
+    def test_small_null_run_loads_no_http_client_and_forks_no_pool(self, fixtures_dir,
+                                                                    tmp_path):
+        probe = ("import sys\n"
+                 "before = set(sys.modules)\n"
+                 "from podselect.cli import main\n"
+                 "code = main(sys.argv[1:])\n"
+                 "added = set(sys.modules) - before\n"
+                 "print(code, sorted({'http.client', 'multiprocessing'} & added))\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, "pipeline",
+             "--input", str(fixtures_dir / "mini_corpus.jsonl"), "--output", str(tmp_path / "run"),
+             "--strategy", "none", "--backend", "null", "--jobs", "2"],
+            capture_output=True, text=True, timeout=60)
+        assert proc.stdout.strip() == "0 []", proc.stderr
+
     def test_builds_each_kept_document_once(self, fixtures_dir, tmp_path, built):
         out = tmp_path / "run"
         assert main(["pipeline", "--input", str(fixtures_dir / "mini_corpus.jsonl"),
@@ -921,7 +974,9 @@ class TestGoldenDigests:
         assert {p.name: sha256_of(p) for p in out.iterdir()} == expected
 
     @pytest.mark.parametrize("case", list(GOLDEN_PIPELINE_DIGESTS))
-    def test_parallel_pipeline_artifacts_unchanged(self, fixtures_dir, tmp_path, case):
+    def test_parallel_pipeline_artifacts_unchanged(self, fixtures_dir, tmp_path, monkeypatch,
+                                                   case):
+        monkeypatch.setattr(cli, "_POOL_AFTER_S", 0)  # every episode goes to the pool
         out = tmp_path / "run"
         args, expected = pipeline_args(fixtures_dir, out, case, "2")
         assert main(args) == 0
@@ -943,10 +998,11 @@ class TestGoldenDigests:
         out = tmp_path / "run"
         args, expected = pipeline_args(fixtures_dir, out, "topic-budget-250", "2")
         script = ("import multiprocessing, sys\n"
-                  "from podselect.cli import main\n"
+                  "from podselect import cli\n"
                   "if __name__ == '__main__':\n"
                   "    multiprocessing.set_start_method('spawn')\n"
-                  "    sys.exit(main(sys.argv[1:]))\n")
+                  "    cli._POOL_AFTER_S = 0\n"
+                  "    sys.exit(cli.main(sys.argv[1:]))\n")
         proc = subprocess.run([sys.executable, "-c", script, *args],
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
