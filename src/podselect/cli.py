@@ -202,10 +202,12 @@ def _select_one(episode: corpus.Episode, strategy: str,
     Takes a picklable Episode and returns (id, record, capped input, error),
     plain values that can cross a process boundary. The capped input is
     enforce_budget at the selector's token budget, so pipeline's summarize
-    stage needs no second build of the document.
+    stage needs no second build of the document. The head strategy reads no
+    further than its budget, so only that prefix of the transcript is built.
     """
     try:
-        doc = corpus.build_document(episode)
+        limit = selector.token_budget if strategy == "none" else None
+        doc = corpus.build_document(episode, limit)
         if strategy == "window":
             result = selection.select_window(doc, selector)
         elif strategy == "novelty":
@@ -221,30 +223,45 @@ def _select_one(episode: corpus.Episode, strategy: str,
         return episode.id, None, None, str(exc)
 
 
-# Seconds of in-process selection after which the rest of the episodes go to
-# a process pool: about what a pool costs. On a 2-core host (Python 3.11,
+# Seconds of in-process selection before a process pool is considered for the
+# rest of the episodes: about what a pool costs. On a 2-core host (Python 3.11,
 # fork; medians of 15 launches) a process's first pool took 19 ms to import
 # multiprocessing, 11 ms to start 2 workers and run a first map, and 4 ms to
 # shut down; and on 30 novelty episodes a warm pool's map took 22-31 ms for
 # 27 ms of in-process work, its pickling eating the gain. Selecting in-process
-# until the pool's price has been paid (ski rental) needs no guess about the
+# until the pool's price has been paid (ski rental), and forking only while the
+# pool is projected to save more than that price, needs no guess about the
 # corpus: against all in-process or all pooled, whichever is faster, it costs
 # at most about this plus one episode more.
 _POOL_AFTER_S = 0.05
 
 
+def _pool_pays(elapsed: float, done: int, rest: int, jobs: int) -> bool:
+    """Whether a pool should take the rest, done episodes having taken elapsed seconds.
+
+    Not before _POOL_AFTER_S. Then only when the rest, projected from the mean
+    time per episode so far, would finish sooner on min(jobs, rest) workers by
+    more than _POOL_AFTER_S: the projection times (1 - 1 / workers).
+    """
+    if elapsed < _POOL_AFTER_S:
+        return False
+    if not done:  # only a zero _POOL_AFTER_S gets here: nothing to project from
+        return True
+    return elapsed / done * rest * (1 - 1 / min(jobs, rest)) > _POOL_AFTER_S
+
+
 def _select_all(select_one, episodes: list[corpus.Episode], jobs: int) -> list[tuple]:
     """select_one over every episode, in input order.
 
-    Selects in-process until that has taken _POOL_AFTER_S, then hands the
-    rest to a pool of min(jobs, len(rest)) worker processes, so a small
-    corpus never pays for a pool and a large one forks after its first
-    episodes. With jobs == 1 everything runs in-process.
+    Selects in-process, and before each episode asks _pool_pays whether to
+    hand the rest to a pool of min(jobs, len(rest)) worker processes. So a
+    small corpus never pays for a pool, nor does a large one whose remaining
+    work is too short to repay it. With jobs == 1 everything runs in-process.
     """
     outcomes = []
     started = perf_counter()
-    for episode in episodes:
-        if jobs > 1 and perf_counter() - started >= _POOL_AFTER_S:
+    for done, episode in enumerate(episodes):
+        if jobs > 1 and _pool_pays(perf_counter() - started, done, len(episodes) - done, jobs):
             break
         outcomes.append(select_one(episode))
     rest = episodes[len(outcomes):]
@@ -257,7 +274,7 @@ def _select_all(select_one, episodes: list[corpus.Episode], jobs: int) -> list[t
     return outcomes
 
 
-def _run_select(input_path: str, output_path: Path, settings: dict,
+def _run_select(episodes: list[corpus.Episode], output_path: Path, settings: dict,
                 diagnostics: bool) -> list[abstractive.BackendInput]:
     """Write the selections file; return the capped inputs in its line order."""
     selector = selection.SelectorConfig(
@@ -268,7 +285,6 @@ def _run_select(input_path: str, output_path: Path, settings: dict,
     select_one = functools.partial(
         _select_one, strategy=settings["strategy"], selector=selector,
         num_topics=settings["topics"], seed=settings["seed"], diagnostics=diagnostics)
-    episodes = list(corpus.load_episodes(input_path))
     jobs = settings["jobs"] or os.cpu_count() or 1
     skipped = 0
     results: list[dict] = []
@@ -289,7 +305,8 @@ def _run_select(input_path: str, output_path: Path, settings: dict,
 
 
 def cmd_select(ns) -> int:
-    _run_select(ns.input, Path(ns.output), _settings(ns), ns.diagnostics)
+    settings = _settings(ns)
+    _run_select(list(corpus.load_episodes(ns.input)), Path(ns.output), settings, ns.diagnostics)
     return 0
 
 
@@ -372,20 +389,24 @@ def _summary(record: dict, line_number: int) -> abstractive.Summary:
                                backend_id=record.get("backend", "unknown"))
 
 
-def _load_references(path: str, raw: bool) -> dict[str, str]:
+def _load_references(path: str, raw: bool,
+                     episodes: list[corpus.Episode] | None = None) -> dict[str, str]:
+    """Reference descriptions by episode id, from episodes or else from the file at path."""
     references: dict[str, str] = {}
-    for episode in corpus.load_episodes(path):
+    for episode in corpus.load_episodes(path) if episodes is None else episodes:
         description = episode.description
         references[episode.id] = description if raw else preprocess.clean_description(description)
     return references
 
 
 def _run_evaluate(summaries_path: str, references_path: str, output_path: Path,
-                  method_id: str, fmt: str, raw_references: bool) -> int:
+                  method_id: str, fmt: str, raw_references: bool,
+                  episodes: list[corpus.Episode] | None = None) -> int:
+    """Score the summaries; episodes, when given, are the references file's, in memory."""
     summaries = _read_records(summaries_path, "summary", _summary)
     if not summaries:
         raise PodselectError(f"no summaries to evaluate in {summaries_path!r}")
-    references = _load_references(references_path, raw_references)
+    references = _load_references(references_path, raw_references, episodes)
     row = evalharness.evaluate_run(summaries, references, method_id)
     rendered = evalharness.render_table([row], fmt)
     with atomic_write(output_path) as handle:
@@ -413,17 +434,19 @@ def cmd_pipeline(ns) -> int:
 
     kept_path = out_dir / "kept.jsonl"
     preprocess_outputs = [kept_path, out_dir / "filter_report.json", out_dir / "split.jsonl"]
+    kept = None  # the kept episodes, when preprocess runs in this process
     if ns.resume and all(p.exists() for p in preprocess_outputs):
         logger.info("pipeline: preprocess outputs exist, skipping")
     else:
-        _run_preprocess(ns.input, out_dir, settings)
+        kept = _run_preprocess(ns.input, out_dir, settings)
 
     selections_path = out_dir / "selections.jsonl"
     inputs = None
     if ns.resume and selections_path.exists():
         logger.info("pipeline: selections exist, skipping")
     else:
-        inputs = _run_select(str(kept_path), selections_path, settings, ns.diagnostics)
+        episodes = list(corpus.load_episodes(kept_path)) if kept is None else kept
+        inputs = _run_select(episodes, selections_path, settings, ns.diagnostics)
 
     summaries_path = out_dir / "summaries.jsonl"
     if ns.resume and summaries_path.exists():
@@ -439,7 +462,8 @@ def cmd_pipeline(ns) -> int:
         logger.info("pipeline: report exists, skipping")
     else:
         _run_evaluate(str(summaries_path), str(kept_path), report_path,
-                      settings["strategy"], settings["format"], raw_references=False)
+                      settings["strategy"], settings["format"], raw_references=False,
+                      episodes=kept)
     return 0
 
 
@@ -456,7 +480,8 @@ def _add_shared_flags(parser):
                         help="random seed for anything stochastic (default: 0)")
     parser.add_argument("--jobs", type=int, default=None,
                         help="worker count; selection starts in-process and, once "
-                             "it has run longer than a pool costs to start, hands "
+                             "it has run longer than a pool costs to start and a "
+                             "pool is projected to save more than that, hands "
                              "the rest to at most this many worker processes "
                              "(default: the CPU count); backend calls default to 4 "
                              "concurrent requests, and a retry waits out its "

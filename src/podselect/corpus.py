@@ -182,16 +182,8 @@ def _is_abbreviation_guard(text: str, dot_index: int) -> bool:
     return word.lower() in ABBREVIATIONS
 
 
-def segment_spans(text: str) -> list[tuple[int, int]]:
-    """Character spans of sentences, trimmed of surrounding whitespace.
-
-    A boundary is a run of terminal punctuation (. ! ?), optionally followed
-    by closing quotes or brackets, followed by whitespace. Lone periods are
-    kept inside the sentence when the preceding word is a known abbreviation
-    or a single letter. The gaps between returned spans are whitespace only,
-    so the original text can always be reassembled from them.
-    """
-    spans: list[tuple[int, int]] = []
+def _boundary_spans(text: str) -> Iterator[tuple[int, int]]:
+    """Untrimmed sentence spans, cut at each boundary; they tile the text."""
     n = len(text)
     seg_start = 0
     for match in _BOUNDARY_RE.finditer(text):
@@ -202,20 +194,33 @@ def segment_spans(text: str) -> list[tuple[int, int]]:
         if (run_end - run_start == 1 and text[run_start] == "."
                 and _is_abbreviation_guard(text, run_start)):
             continue
-        spans.append((seg_start, close_end))
+        yield (seg_start, close_end)
         seg_start = close_end
     if seg_start < n:
-        spans.append((seg_start, n))
+        yield (seg_start, n)
 
-    trimmed: list[tuple[int, int]] = []
-    for start, end in spans:
+
+def _iter_spans(text: str) -> Iterator[tuple[int, int]]:
+    """segment_spans(text), one span at a time, so a caller can stop early."""
+    for start, end in _boundary_spans(text):
         while start < end and text[start].isspace():
             start += 1
         while end > start and text[end - 1].isspace():
             end -= 1
         if end > start:
-            trimmed.append((start, end))
-    return trimmed
+            yield (start, end)
+
+
+def segment_spans(text: str) -> list[tuple[int, int]]:
+    """Character spans of sentences, trimmed of surrounding whitespace.
+
+    A boundary is a run of terminal punctuation (. ! ?), optionally followed
+    by closing quotes or brackets, followed by whitespace. Lone periods are
+    kept inside the sentence when the preceding word is a known abbreviation
+    or a single letter. The gaps between returned spans are whitespace only,
+    so the original text can always be reassembled from them.
+    """
+    return list(_iter_spans(text))
 
 
 def segment_sentences(text: str) -> list[str]:
@@ -293,21 +298,29 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
-def build_document(episode: Episode) -> Document:
+def build_document(episode: Episode, token_limit: int | None = None) -> Document:
     """Segment and tokenize an episode transcript.
 
     Sentences that tokenize to nothing are dropped; the survivors are
-    reindexed contiguously from zero. Raises EmptyDocumentError when no
-    sentence yields tokens.
+    reindexed contiguously from zero. With a token_limit, segmentation and
+    tokenization stop after the sentence that brings the token total to the
+    limit, so the document is the prefix that select_head at that budget
+    reads; None builds the whole transcript. Raises EmptyDocumentError when
+    no sentence yields tokens.
     """
+    text = episode.transcript_text
     sentences: list[Sentence] = []
-    for raw in segment_sentences(episode.transcript_text):
+    total = 0
+    for start, end in _iter_spans(text):
+        raw = text[start:end]
         tokens = token_texts(raw)
         if tokens:
             sentences.append(Sentence(index=len(sentences), tokens=tuple(tokens), raw_text=raw))
+            total += len(tokens)
+            if token_limit is not None and total >= token_limit:
+                break
     if not sentences:
         raise EmptyDocumentError(f"episode {episode.id!r}: transcript has no usable sentences")
-    total = sum(len(s.tokens) for s in sentences)
     return Document(episode_id=episode.id, sentences=tuple(sentences), total_tokens=total)
 
 

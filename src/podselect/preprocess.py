@@ -4,12 +4,12 @@ The filter applies six rules in a fixed order and an episode is rejected by
 the first rule it trips. Length, duplication, show-overlap, profanity, and
 language checks look at the raw description; the final token-count check
 looks at the cleaned description, since cleanup is what that rule exists
-to feed.
+to feed. Each description and show description is tokenized once, and the
+rules share those tokens.
 """
 
 from __future__ import annotations
 
-import bisect
 import json
 import logging
 import math
@@ -101,19 +101,21 @@ def load_profanity_list(path=None) -> frozenset[str]:
         raise ConfigError(f"cannot read profanity list {path!r}: {exc}") from exc
 
 
-def contains_profanity(text: str, wordlist: frozenset[str]) -> bool:
-    """Whole-token, case-insensitive blocklist match. No substring matching."""
-    return any(token in wordlist for token in token_texts(text))
+def contains_profanity(tokens: Iterable[str], wordlist: frozenset[str]) -> bool:
+    """Whole-token blocklist match over token_texts output, which is lowercased.
+
+    No substring matching: a listed word inside a longer token does not hit.
+    """
+    return not wordlist.isdisjoint(tokens)
 
 
-def detect_english(text: str) -> tuple[bool, float]:
-    """Stopword-ratio language check.
+def detect_english(tokens: Sequence[str]) -> tuple[bool, float]:
+    """Stopword-ratio language check over token_texts output.
 
     Returns (is_english, ratio) where ratio is the fraction of tokens found
-    in the bundled English stopword list. Raises ValueError when the text
-    has no tokens, since the ratio is undefined there.
+    in the bundled English stopword list. Raises ValueError when there are
+    no tokens, since the ratio is undefined there.
     """
-    tokens = token_texts(text)
     if not tokens:
         raise ValueError("cannot detect language of text with no tokens")
     hits = sum(1 for token in tokens if token in ENGLISH_STOPWORDS)
@@ -121,14 +123,15 @@ def detect_english(text: str) -> tuple[bool, float]:
     return ratio >= ENGLISH_MIN_STOPWORD_RATIO, ratio
 
 
-def _shingles(tokens: list[str], size: int = 3) -> frozenset[tuple[str, ...]]:
+def _shingles(tokens: Sequence[str]) -> frozenset[tuple[str, ...]]:
+    """The 3-token shingles of tokens."""
     if not tokens:
         return frozenset()
-    if len(tokens) < size:
+    if len(tokens) < 3:
         # short texts get one shingle covering everything, so identical
         # short inputs still compare as equal sets
         return frozenset([tuple(tokens)])
-    return frozenset(tuple(tokens[i:i + size]) for i in range(len(tokens) - size + 1))
+    return frozenset(zip(tokens, tokens[1:], tokens[2:]))
 
 
 def _jaccard(a: frozenset, b: frozenset) -> float:
@@ -137,9 +140,9 @@ def _jaccard(a: frozenset, b: frozenset) -> float:
     return len(a & b) / len(a | b)
 
 
-def description_similarity(a: str, b: str) -> float:
-    """Jaccard similarity over 3-token shingles of the normalized tokens."""
-    return _jaccard(_shingles(token_texts(a)), _shingles(token_texts(b)))
+def description_similarity(a: Sequence[str], b: Sequence[str]) -> float:
+    """Jaccard similarity over 3-token shingles of two token_texts outputs."""
+    return _jaccard(_shingles(a), _shingles(b))
 
 
 @dataclass(frozen=True)
@@ -175,38 +178,49 @@ class FilterReport:
 
 
 class _DuplicateIndex:
-    """Shingle-set index with size blocking.
+    """Exact near-duplicate search by prefix filtering (AllPairs; Bayardo,
+    Ma and Srikant 2007).
 
-    Jaccard(A, B) >= t forces t <= |A| / |B| <= 1 / t, with t the
-    DUPLICATE_SIM_THRESHOLD, so candidates are narrowed to kept sets whose
-    size falls inside that band before any pairwise comparison. This prunes
-    only pairs of very different length: descriptions of similar length all
-    fall in one band and are compared pairwise, so a corpus of such
-    descriptions still costs about n^2 / 2 Jaccard computations (200 kept
-    descriptions of 62-68 shingles each make 20,100).
+    Every shingle gets one rank: rarest first by document frequency over
+    the sets given at construction, ties broken by the shingle itself. A
+    set A whose Jaccard with B reaches t = DUPLICATE_SIM_THRESHOLD shares
+    at least ceil(t * |A|) shingles with it, and then the first
+    |A| - ceil(t * |A|) + 1 shingles of A in rank order meet the same
+    prefix of B. So only each kept set's prefix is indexed, and only the
+    kept sets that share a prefix shingle with a new set are compared to it
+    by _jaccard: the decisions are those of comparing every pair, first
+    occurrence winning. Unrelated descriptions rarely share a rare shingle,
+    so distinct descriptions cost about one comparison each rather than
+    n^2 / 2 in all (1,600 benchmark-style descriptions: 1,249 against
+    1,279,200).
     """
 
-    def __init__(self):
-        self._sizes: list[int] = []          # sorted shingle-set sizes
-        self._by_size: list[frozenset] = []  # sets, aligned with _sizes
+    def __init__(self, shingle_sets: Iterable[frozenset]):
+        frequency: dict[tuple[str, ...], int] = {}
+        for shingles in shingle_sets:
+            for shingle in shingles:
+                frequency[shingle] = frequency.get(shingle, 0) + 1
+        # rarest first, ties broken by the shingle itself
+        self._rank = {shingle: (count, shingle) for shingle, count in frequency.items()}
+        self._kept: list[frozenset] = []
+        self._postings: dict[tuple[str, ...], list[int]] = {}  # shingle -> kept positions
 
-    def is_duplicate(self, shingles: frozenset) -> bool:
-        if not shingles or not self._sizes:
-            return False
+    def add_unless_duplicate(self, shingles: frozenset) -> bool:
+        """Index shingles and return True, unless a kept set is a near duplicate."""
         size = len(shingles)
-        low = math.ceil(size * DUPLICATE_SIM_THRESHOLD)
-        high = math.floor(size / DUPLICATE_SIM_THRESHOLD)
-        start = bisect.bisect_left(self._sizes, low)
-        end = bisect.bisect_right(self._sizes, high)
-        for i in range(start, end):
-            if _jaccard(shingles, self._by_size[i]) >= DUPLICATE_SIM_THRESHOLD:
-                return True
-        return False
-
-    def add(self, shingles: frozenset):
-        position = bisect.bisect_left(self._sizes, len(shingles))
-        self._sizes.insert(position, len(shingles))
-        self._by_size.insert(position, shingles)
+        fewest_shared = math.ceil(DUPLICATE_SIM_THRESHOLD * size)
+        prefix = sorted(shingles, key=self._rank.__getitem__)[:size - fewest_shared + 1]
+        compared: set[int] = set()
+        for shingle in prefix:
+            for position in self._postings.get(shingle, ()):
+                if position not in compared:
+                    compared.add(position)
+                    if _jaccard(shingles, self._kept[position]) >= DUPLICATE_SIM_THRESHOLD:
+                        return False
+        for shingle in prefix:
+            self._postings.setdefault(shingle, []).append(len(self._kept))
+        self._kept.append(shingles)
+        return True
 
 
 def filter_corpus(
@@ -236,36 +250,41 @@ def filter_corpus(
             survivors.append(episode)
 
     # rule 2: near-duplicate descriptions, first occurrence wins
-    index = _DuplicateIndex()
-    deduped: list[Episode] = []
-    for episode in survivors:
-        shingles = _shingles(token_texts(episode.description))
-        if index.is_duplicate(shingles):
+    tokens = [token_texts(episode.description) for episode in survivors]
+    shingles = [_shingles(description_tokens) for description_tokens in tokens]
+    index = _DuplicateIndex(shingles)
+    deduped: list[tuple[Episode, list[str]]] = []
+    for episode, description_tokens, episode_shingles in zip(survivors, tokens, shingles):
+        if index.add_unless_duplicate(episode_shingles):
+            deduped.append((episode, description_tokens))
+        else:
             report.add_rejection(episode.id, RULE_DUPLICATE)
-            continue
-        index.add(shingles)
-        deduped.append(episode)
 
     # rules 3..6, evaluated per episode in order
     kept: list[Episode] = []
-    for episode in deduped:
-        if description_similarity(episode.description, episode.show_description) \
-                >= SHOW_DESC_SIM_THRESHOLD:
+    for episode, description_tokens in deduped:
+        show_tokens = token_texts(episode.show_description)
+        if description_similarity(description_tokens, show_tokens) >= SHOW_DESC_SIM_THRESHOLD:
             report.add_rejection(episode.id, RULE_SHOW_SIMILAR)
             continue
-        if contains_profanity(episode.description, wordlist) \
-                or contains_profanity(episode.show_description, wordlist):
+        if contains_profanity(description_tokens, wordlist) \
+                or contains_profanity(show_tokens, wordlist):
             report.add_rejection(episode.id, RULE_PROFANITY)
             continue
         try:
-            is_english, _ = detect_english(episode.description)
+            is_english, _ = detect_english(description_tokens)
         except ValueError:
             is_english = False  # no tokens at all, cannot be confirmed English
         if not is_english:
             report.add_rejection(episode.id, RULE_NON_ENGLISH)
             continue
         cleaned = clean_description(episode.description)
-        if len(token_texts(cleaned)) < DESC_MIN_TOKENS:
+        # tokens are cut at whitespace, so a cleanup that only collapsed it changed none
+        if cleaned == " ".join(episode.description.split()):
+            cleaned_tokens = description_tokens
+        else:
+            cleaned_tokens = token_texts(cleaned)
+        if len(cleaned_tokens) < DESC_MIN_TOKENS:
             report.add_rejection(episode.id, RULE_TOO_FEW_TOKENS)
             continue
         kept.append(episode)

@@ -172,3 +172,23 @@ def oracle_window_argmax(sentence_tokens, window_size):
         if row[2] > best[2]:
             best = row
     return best[0], best[1]
+
+
+def oracle_near_duplicates(shingle_sets, threshold):
+    """For each set in order: is it a near duplicate of an earlier kept set?
+
+    Compares every pair: a set is a duplicate when its Jaccard with some
+    earlier set that was not itself a duplicate reaches threshold, a set
+    with nothing in it matching nothing. Duplicates are never compared
+    against, so the first occurrence wins.
+    """
+    kept = []
+    verdicts = []
+    for shingles in shingle_sets:
+        duplicate = any(shingles and other
+                        and len(shingles & other) / len(shingles | other) >= threshold
+                        for other in kept)
+        verdicts.append(duplicate)
+        if not duplicate:
+            kept.append(shingles)
+    return verdicts

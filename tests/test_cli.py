@@ -33,7 +33,7 @@ def built(monkeypatch):
     ids = []
     build = corpus.build_document
     monkeypatch.setattr(corpus, "build_document",
-                        lambda episode: ids.append(episode.id) or build(episode))
+                        lambda episode, *limit: ids.append(episode.id) or build(episode, *limit))
     return ids
 
 
@@ -276,26 +276,54 @@ class TestSelectCommand:
         assert [size for size, _ in pools] == [3]
         assert out.read_bytes() == serial.read_bytes()
 
+    def select_with_clock(self, tmp_path, monkeypatch, built, count, pool_after, jobs,
+                          costs=None):
+        """--jobs `jobs` select of a novelty tiny corpus under a clock advancing costs[i]
+        seconds (default 1) as episode i is built; returns the episode ids, after
+        checking the output bytes equal --jobs 1 and every episode was built in order."""
+        tmp_path.mkdir(exist_ok=True)
+        source = tmp_path / "eps.jsonl"
+        ids = [record["id"] for record in tiny_corpus(source, count=count)]
+        serial = tmp_path / "serial.jsonl"
+        assert main(["select", "--input", str(source), "--output", str(serial),
+                     "--strategy", "novelty", "--jobs", "1"]) == 0
+        costs = costs or [1] * count
+        built.clear()
+        monkeypatch.setattr(cli, "perf_counter", lambda: float(sum(costs[:len(built)])))
+        monkeypatch.setattr(cli, "_POOL_AFTER_S", pool_after)
+        out = tmp_path / "sel.jsonl"
+        assert main(["select", "--input", str(source), "--output", str(out),
+                     "--strategy", "novelty", "--jobs", str(jobs)]) == 0
+        assert built == ids
+        assert out.read_bytes() == serial.read_bytes()
+        return ids
+
     @pytest.mark.parametrize("k", [0, 4, 5, 6])
     def test_pool_takes_the_episodes_left_once_the_clock_crosses(
             self, tmp_path, monkeypatch, built, pools, k):
         """A clock ticking one second per document built crosses _POOL_AFTER_S = k
-        after k episodes; with k = 6 every episode is done before it does."""
-        source = tmp_path / "eps.jsonl"
-        records = tiny_corpus(source, count=6)
-        serial = tmp_path / "serial.jsonl"
-        assert main(["select", "--input", str(source), "--output", str(serial),
-                     "--strategy", "novelty", "--jobs", "1"]) == 0
-        built.clear()
-        monkeypatch.setattr(cli, "perf_counter", lambda: float(len(built)))
-        monkeypatch.setattr(cli, "_POOL_AFTER_S", k)
-        out = tmp_path / "sel.jsonl"
-        assert main(["select", "--input", str(source), "--output", str(out),
-                     "--strategy", "novelty", "--jobs", "3"]) == 0
-        ids = [record["id"] for record in records]
-        assert pools == ([(min(3, 6 - k), ids[k:])] if k < 6 else [])
-        assert built == ids
-        assert out.read_bytes() == serial.read_bytes()
+        after k episodes. Two workers would then save half of the n - k seconds
+        left: the pool takes them at n = 3k + 1 (k + 1/2 > k) and never at
+        n = 3k (exactly k, and less after each further episode)."""
+        ids = self.select_with_clock(tmp_path / "over", monkeypatch, built, 3 * k + 1, k, 2)
+        assert pools == [(min(2, 2 * k + 1), ids[k:])]
+        if k:  # with k = 0 the pool takes everything, having nothing to project from
+            pools.clear()
+            self.select_with_clock(tmp_path / "edge", monkeypatch, built, 3 * k, k, 2)
+            assert pools == []
+
+    @pytest.mark.parametrize("costs, jobs, forks_at", [
+        ([1, 1, 5, 5, 5, 5], 2, 3),  # 2 s saved at 2 done; the slower mean then pays
+        ([2, 1, 1], 3, None),        # 2 left on 2 workers, not 3, save 2 s at 1 done
+        ([1, 1, 1, 1, 1, 9], 2, None),  # 1 left on 1 worker saves nothing
+    ])
+    def test_pool_projects_from_the_mean_so_far(self, tmp_path, monkeypatch, built, pools,
+                                                costs, jobs, forks_at):
+        """With _POOL_AFTER_S = 2, the pool takes the rest before the first episode
+        whose projection (mean so far x episodes left x (1 - 1/workers)) exceeds 2 s."""
+        ids = self.select_with_clock(tmp_path, monkeypatch, built, len(costs), 2, jobs, costs)
+        assert pools == ([] if forks_at is None
+                         else [(min(jobs, len(ids) - forks_at), ids[forks_at:])])
 
     def test_one_job_never_builds_a_pool(self, tmp_path, monkeypatch, pools):
         source = tmp_path / "eps.jsonl"
@@ -329,6 +357,21 @@ class TestSelectCommand:
         row = read_jsonl(out)[0]
         assert row["indices"] == [0, 1, 2]  # 3-token sentences; 9 >= 7
         assert row["tokens"] == 9
+
+    @pytest.mark.parametrize("strategy, limit", [("none", 7), ("window", None),
+                                                 ("novelty", None), ("topic", None)])
+    def test_only_the_head_strategy_builds_a_prefix(self, tmp_path, monkeypatch,
+                                                    strategy, limit):
+        limits = []
+        build = corpus.build_document
+        monkeypatch.setattr(corpus, "build_document",
+                            lambda episode, *args: limits.append(args) or build(episode, *args))
+        source = tmp_path / "eps.jsonl"
+        tiny_corpus(source, count=2, sentences=5)
+        assert main(["select", "--input", str(source), "--output", str(tmp_path / "sel.jsonl"),
+                     "--strategy", strategy, "--budget", "7", "--topics", "2",
+                     "--jobs", "1"]) == 0
+        assert limits == [(limit,)] * 2
 
     def test_diagnostics_flag_adds_window_scores(self, tmp_path):
         source = tmp_path / "eps.jsonl"
@@ -808,6 +851,23 @@ class TestPipelineCommand:
         kept = [record["id"] for record in read_jsonl(out / "kept.jsonl")]
         assert len(read_jsonl(out / "summaries.jsonl")) == len(kept) == 10
         assert sorted(built) == sorted(kept)
+
+    def test_kept_episodes_pass_in_memory_unless_resumed(self, fixtures_dir, tmp_path,
+                                                          monkeypatch):
+        reads = []
+        load = corpus.load_episodes
+        monkeypatch.setattr(corpus, "load_episodes",
+                            lambda path, *args: reads.append(Path(path).name) or load(path, *args))
+        out = tmp_path / "run"
+        assert self.run_pipeline(fixtures_dir, out) == 0
+        assert reads == ["mini_corpus.jsonl"]
+        fresh = {name: (out / name).read_bytes() for name in PIPELINE_ARTIFACTS}
+        for name in ("selections.jsonl", "summaries.jsonl", "report.txt"):
+            (out / name).unlink()
+        reads.clear()
+        assert self.run_pipeline(fixtures_dir, out, "--resume") == 0
+        assert reads == ["kept.jsonl", "kept.jsonl"]  # select, then evaluate
+        assert {name: (out / name).read_bytes() for name in PIPELINE_ARTIFACTS} == fresh
 
     def test_json_report_format(self, fixtures_dir, tmp_path):
         out = tmp_path / "run"

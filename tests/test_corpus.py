@@ -1,4 +1,5 @@
 import json
+import random
 import string
 
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import strategies as st
 from podselect.corpus import (Episode, build_document, load_episodes,
                               segment_sentences, segment_spans, token_texts,
                               tokenize)
+from podselect.abstractive import enforce_budget
 from podselect.errors import EmptyDocumentError
+from podselect.selection import select_head
 
 from oracles import oracle_segment_spans, oracle_tokenize
 
@@ -180,6 +183,12 @@ class TestTokenize:
     def test_token_texts_match_character_oracle(self, text):
         assert token_texts(text) == [value for value, _ in oracle_tokenize(text)]
 
+    @given(MIXED_TEXT | ASCII_TEXT)
+    @settings(max_examples=300)
+    def test_collapsing_whitespace_changes_no_token(self, text):
+        # filter_corpus reuses a description's tokens when cleanup only did this
+        assert token_texts(" ".join(text.split())) == token_texts(text)
+
 
 class TestBuildDocument:
     def test_tokenless_sentences_dropped_and_reindexed(self):
@@ -202,3 +211,73 @@ class TestBuildDocument:
     def test_deterministic(self):
         episode = Episode(id="e1", transcript_text="Same text. Every time!")
         assert build_document(episode) == build_document(episode)
+
+
+def head_case(rng):
+    """(transcript, budget): sentences of 1-12 tokens, token-less ones between
+    them, sometimes an oversized first sentence; the budget lands inside a
+    sentence, exactly on a sentence boundary, or beyond the whole transcript."""
+    words = ["Dr.", "alpha", "beta", "gamma", "delta", "Café", "(echo)", "x"]
+    sentences, counts = [], []
+    if rng.random() < 0.25:
+        sentences.append(" ".join(rng.choices(words[1:], k=rng.randint(30, 60))) + ".")
+        counts.append(len(token_texts(sentences[-1])))
+    for _ in range(rng.randint(0, 15)):
+        if rng.random() < 0.2:
+            sentences.append(rng.choice(["!!!", "... ?", "-- ."]))
+            continue
+        sentence = " ".join(rng.choices(words, k=rng.randint(1, 12))) + rng.choice(".!?")
+        sentences.append(sentence)
+        counts.append(len(token_texts(sentence)))
+    total = sum(counts)
+    mode = rng.choice(["inside", "boundary", "beyond"])
+    if mode == "boundary" and counts:
+        budget = sum(counts[:rng.randint(1, len(counts))])
+    elif mode == "beyond":
+        budget = total + rng.randint(1, 5)
+    else:
+        budget = rng.randint(1, max(1, total))
+    return " ".join(sentences), budget
+
+
+class TestBuildDocumentPrefix:
+    """build_document(episode, limit) stops after the sentence that brings the
+    token total to the limit, which is where select_head stops."""
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_head_pick_and_cap_equal_those_of_the_full_build(self, seed):
+        transcript, budget = head_case(random.Random(seed))
+        episode = Episode(id="e1", transcript_text=transcript)
+        try:
+            full = build_document(episode)
+        except EmptyDocumentError:
+            with pytest.raises(EmptyDocumentError):
+                build_document(episode, budget)
+            return
+        prefix = build_document(episode, budget)
+        assert prefix.sentences == full.sentences[:len(prefix.sentences)]
+        assert prefix.total_tokens == sum(len(s.tokens) for s in prefix.sentences)
+        assert prefix == full or prefix.total_tokens >= budget
+        assert prefix.total_tokens - len(prefix.sentences[-1].tokens) < budget
+        head = select_head(full, budget)
+        assert select_head(prefix, budget) == head
+        assert enforce_budget(head, prefix, budget) == enforce_budget(head, full, budget)
+
+    def test_stops_after_the_sentence_reaching_the_limit(self):
+        episode = Episode(id="e1", transcript_text="One two. !!! Three four five. Six. Seven.")
+        assert [s.tokens for s in build_document(episode, 5).sentences] == [
+            ("one", "two"), ("three", "four", "five")]
+        assert build_document(episode, 6).total_tokens == 6
+        assert build_document(episode, 99) == build_document(episode)
+        assert build_document(episode, None) == build_document(episode)
+
+    def test_oversized_first_sentence_is_the_whole_prefix(self):
+        episode = Episode(id="e1", transcript_text="Aa bb cc dd ee ff gg hh. Next one.")
+        doc = build_document(episode, 3)
+        assert [s.raw_text for s in doc.sentences] == ["Aa bb cc dd ee ff gg hh."]
+        assert doc.total_tokens == 8
+
+    def test_empty_transcript_still_raises(self):
+        with pytest.raises(EmptyDocumentError):
+            build_document(Episode(id="e1", transcript_text="... !!!"), 5)

@@ -1,17 +1,27 @@
 import json
+import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from podselect.corpus import Episode, load_episodes
+from podselect import preprocess
+from podselect.corpus import Episode, load_episodes, token_texts
 from podselect.errors import ConfigError, InsufficientContentError
-from podselect.preprocess import (FilterConfig, clean_description,
-                                  contains_profanity, description_similarity,
-                                  detect_english, filter_corpus,
+from podselect.preprocess import (DUPLICATE_SIM_THRESHOLD, FilterConfig, _DuplicateIndex,
+                                  _shingles, clean_description, contains_profanity,
+                                  description_similarity, detect_english, filter_corpus,
                                   load_profanity_list, split_dataset)
 
+from oracles import oracle_near_duplicates
+
 PLACEHOLDER_LIST = load_profanity_list()
+
+
+def similarity(a, b):
+    """description_similarity of two texts, tokenized as filter_corpus tokenizes them."""
+    return description_similarity(token_texts(a), token_texts(b))
 
 
 class TestCleanDescription:
@@ -50,16 +60,16 @@ class TestCleanDescription:
 
 class TestProfanity:
     def test_listed_word_hits(self):
-        assert contains_profanity("He said badword twice", PLACEHOLDER_LIST)
+        assert contains_profanity(token_texts("He said badword twice"), PLACEHOLDER_LIST)
 
     def test_case_and_punctuation_insensitive(self):
-        assert contains_profanity("He said BadWord!", PLACEHOLDER_LIST)
+        assert contains_profanity(token_texts("He said BadWord!"), PLACEHOLDER_LIST)
 
     def test_substring_does_not_hit(self):
-        assert not contains_profanity("the badwording continued", PLACEHOLDER_LIST)
+        assert not contains_profanity(token_texts("the badwording continued"), PLACEHOLDER_LIST)
 
     def test_clean_text_passes(self):
-        assert not contains_profanity("a perfectly polite chat", PLACEHOLDER_LIST)
+        assert not contains_profanity(token_texts("a perfectly polite chat"), PLACEHOLDER_LIST)
 
     def test_missing_wordlist_file_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -69,28 +79,29 @@ class TestProfanity:
         path = tmp_path / "words.txt"
         path.write_text("# comment\nzonk\n", encoding="utf-8")
         words = load_profanity_list(path)
-        assert contains_profanity("total zonk moment", words)
-        assert not contains_profanity("zonked out", words)
+        assert contains_profanity(token_texts("total zonk moment"), words)
+        assert not contains_profanity(token_texts("zonked out"), words)
 
 
 class TestDetectEnglish:
     def test_english_sentence(self):
-        is_english, ratio = detect_english("the quick brown fox jumps over the lazy dog")
+        tokens = token_texts("the quick brown fox jumps over the lazy dog")
+        is_english, ratio = detect_english(tokens)
         assert is_english
         assert ratio == pytest.approx(3 / 9, abs=1e-12)
 
     def test_german_sentence(self):
-        is_english, ratio = detect_english("der schnelle braune fuchs springt")
+        is_english, ratio = detect_english(token_texts("der schnelle braune fuchs springt"))
         assert not is_english
         assert ratio == 0.0
 
     def test_no_tokens_raises(self):
         with pytest.raises(ValueError):
-            detect_english("!!! ...")
+            detect_english(token_texts("!!! ..."))
 
     def test_threshold_is_inclusive(self):
         # exactly one stopword in five tokens, threshold 0.2
-        is_english, ratio = detect_english("the zebra quagga okapi bongo")
+        is_english, ratio = detect_english(token_texts("the zebra quagga okapi bongo"))
         assert ratio == pytest.approx(0.2, abs=1e-12)
         assert is_english
 
@@ -98,30 +109,30 @@ class TestDetectEnglish:
 class TestDescriptionSimilarity:
     def test_hand_counted_half(self):
         # shingles abc bcd cde vs abc bcd cdf: 2 shared of 4 distinct
-        assert description_similarity("a b c d e", "a b c d f") == pytest.approx(0.5)
+        assert similarity("a b c d e", "a b c d f") == pytest.approx(0.5)
 
     def test_identical_is_one(self):
         text = "an identical description of this episode"
-        assert description_similarity(text, text) == 1.0
+        assert similarity(text, text) == 1.0
 
     def test_identical_after_normalization_is_one(self):
-        assert description_similarity("Hello, World!", "hello world") == 1.0
+        assert similarity("Hello, World!", "hello world") == 1.0
 
     def test_short_identical_inputs(self):
-        assert description_similarity("two words", "two words") == 1.0
+        assert similarity("two words", "two words") == 1.0
 
     def test_disjoint_is_zero(self):
-        assert description_similarity("alpha beta gamma delta", "epsilon zeta eta theta") == 0.0
+        assert similarity("alpha beta gamma delta", "epsilon zeta eta theta") == 0.0
 
     def test_empty_side_is_zero(self):
-        assert description_similarity("", "some words here") == 0.0
-        assert description_similarity("", "") == 0.0
+        assert similarity("", "some words here") == 0.0
+        assert similarity("", "") == 0.0
 
     @given(st.text(alphabet="ab c", max_size=40), st.text(alphabet="ab c", max_size=40))
     @settings(max_examples=100)
     def test_symmetric_and_bounded(self, a, b):
-        forward = description_similarity(a, b)
-        assert forward == description_similarity(b, a)
+        forward = similarity(a, b)
+        assert forward == similarity(b, a)
         assert 0.0 <= forward <= 1.0
 
 
@@ -220,8 +231,8 @@ class TestFilterCorpus:
     def test_near_duplicate_below_threshold_kept(self):
         base = "the hosts walk through the week of news with their usual calm and a few good jokes along the way"
         variant = base.replace("calm", "cheer")
-        similarity = description_similarity(base, variant)
-        assert 0.5 < similarity < 0.9  # near but below: kept
+        score = similarity(base, variant)
+        assert 0.5 < score < 0.9  # near but below: kept
         episodes = [
             Episode(id="a", transcript_text="t", description=base),
             Episode(id="b", transcript_text="t", description=variant),
@@ -235,6 +246,98 @@ class TestFilterCorpus:
         kept_again, report = filter_corpus(kept)
         assert [e.id for e in kept_again] == [e.id for e in kept]
         assert report.rejected_by_rule == {}
+
+
+def duplicate_verdicts(shingle_sets):
+    index = _DuplicateIndex(shingle_sets)
+    return [not index.add_unless_duplicate(shingles) for shingles in shingle_sets]
+
+
+def shingle_set(words):
+    return frozenset((word,) for word in words)
+
+
+def edge_sets(rng):
+    """Shingle sets at the 0.9 edge: earlier sets repeated, emptied, or with a
+    few shingles dropped and a few added, from sizes where 0.9 * size is and
+    is not an integer."""
+    sets = []
+    for _ in range(rng.randint(1, 30)):
+        roll = rng.random()
+        if not sets or roll < 0.2:
+            size = rng.choice([0, 1, 2, 3, 9, 10, 11, 19, 20, 21, 29, 30, 40])
+            sets.append(frozenset(tuple(rng.choices("abcdefgh", k=3)) for _ in range(size)))
+        elif roll < 0.35:
+            sets.append(rng.choice(sets))
+        else:
+            base = sorted(rng.choice(sets))
+            dropped = set(rng.sample(base, min(len(base), rng.randint(0, 4))))
+            added = {(f"new{rng.randrange(50)}",) for _ in range(rng.randint(0, 3))}
+            sets.append(frozenset(base) - dropped | added)
+    return sets
+
+
+class TestDuplicateIndex:
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_all_pairs_oracle_at_the_edge(self, seed):
+        sets = edge_sets(random.Random(seed))
+        assert duplicate_verdicts(sets) == oracle_near_duplicates(sets, DUPLICATE_SIM_THRESHOLD)
+
+    @pytest.mark.parametrize("size", [10, 20, 30, 40, 100])
+    def test_jaccard_of_exactly_the_threshold_is_a_duplicate(self, size):
+        # 0.9 * size is an integer: dropping a tenth leaves J = 0.9 exactly
+        base = [f"w{i}" for i in range(size)]
+        exact = shingle_set(base[:size - size // 10])
+        under = shingle_set(base[:size - size // 10 - 1])
+        assert duplicate_verdicts([shingle_set(base), exact]) == [False, True]
+        assert duplicate_verdicts([shingle_set(base), under]) == [False, False]
+        # the same pairs the other way round: the longer set comes second
+        assert duplicate_verdicts([exact, shingle_set(base)]) == [False, True]
+        assert duplicate_verdicts([under, shingle_set(base)]) == [False, False]
+
+    def test_prefix_keeps_the_fewest_shared_shingles_a_duplicate_can_have(self):
+        for size in range(1, 2001):
+            fewest = math.ceil(DUPLICATE_SIM_THRESHOLD * size)
+            assert (fewest - 1) / size < DUPLICATE_SIM_THRESHOLD <= fewest / size
+
+    def test_empty_sets_and_repeats(self):
+        empty = frozenset()
+        full = shingle_set("abcdefghij")
+        assert duplicate_verdicts([empty, empty, full, full, empty, full]) == [
+            False, False, False, True, False, True]
+
+    def test_first_occurrence_wins_and_duplicates_are_not_indexed(self):
+        words = [f"w{i}" for i in range(20)]
+        first = shingle_set(words)
+        second = shingle_set(words[1:] + ["x"])       # J = 19 / 21 with first
+        third = shingle_set(words[2:] + ["x", "y"])   # 19 / 21 with second, 18 / 22 with first
+        assert duplicate_verdicts([first, second, third]) == [False, True, False]
+        assert duplicate_verdicts([second, third, first]) == [False, True, True]
+
+    def test_distinct_descriptions_cost_about_one_comparison_each(self, monkeypatch):
+        """1,600 distinct templated descriptions of 57-60 shingles, ten shows of
+        twelve theme words each: comparing every pair takes 1,279,200 calls."""
+        rng = random.Random(5)
+        filler = [f"filler{i}" for i in range(1000)]
+
+        def description(number):
+            theme = [rng.choice([f"show{number % 10}word{i}" for i in range(12)])
+                     for _ in range(7)]
+            other = [rng.choice(filler) for _ in range(3)]
+            return (f"show {number % 10} opens with its usual blurb about the hosts and "
+                    f"the weekly news in part {number} we also get into the {theme[0]} the "
+                    f"{other[0]} and the {theme[1]} question with a guest from {other[1]} "
+                    f"later we turn to the {theme[2]} and the {theme[3]} and what the "
+                    f"{theme[4]} taught us about the {theme[5]} listener mail closes it "
+                    f"with the {other[2]} and the {theme[6]}").split()
+
+        sets = [_shingles(description(number)) for number in range(1600)]
+        calls = []
+        jaccard = preprocess._jaccard
+        monkeypatch.setattr(preprocess, "_jaccard", lambda a, b: calls.append(1) or jaccard(a, b))
+        assert duplicate_verdicts(sets) == [False] * 1600
+        assert 0 < len(calls) <= 3200
 
 
 class TestSplitDataset:
