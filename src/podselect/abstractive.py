@@ -15,8 +15,7 @@ import json
 import logging
 import threading
 import time
-from dataclasses import dataclass
-from typing import Protocol
+from typing import NamedTuple, Protocol
 from urllib.parse import urlsplit
 
 from .corpus import Document, tokenize
@@ -29,8 +28,7 @@ ATTEMPTS = 3
 BACKOFF_SECONDS = 0.5  # the wait before the second attempt; each later wait doubles
 
 
-@dataclass(frozen=True)
-class BackendInput:
+class BackendInput(NamedTuple):
     """Budget-capped text ready to hand to an abstractive backend."""
 
     episode_id: str
@@ -39,8 +37,7 @@ class BackendInput:
     truncated_mid_sentence: bool = False
 
 
-@dataclass(frozen=True)
-class Summary:
+class Summary(NamedTuple):
     episode_id: str
     text: str
     backend_id: str

@@ -10,19 +10,19 @@ _SETTINGS table, before any stage runs.
 
 from __future__ import annotations
 
+# Modules only some runs need (topics, hashlib, csv, concurrent.futures,
+# http.client) are imported where they are used, so no launch pays for them.
 import argparse
 import functools
-import hashlib
 import json
 import logging
 import os
 import sys
-from concurrent import futures
 from contextlib import contextmanager
 from pathlib import Path
 from time import perf_counter
 
-from . import abstractive, corpus, evalharness, preprocess, selection, topics
+from . import abstractive, corpus, evalharness, preprocess, selection
 from .errors import (BackendError, ConfigError, EmptyDocumentError,
                      InsufficientContentError, PodselectError)
 
@@ -41,7 +41,7 @@ _SETTINGS = {
     "strategy": (str, "window", STRATEGIES),
     "window_size": (int, None, 1),
     "top_k": (int, selection.DEFAULT_TOP_K, 0),
-    "topics": (int, topics.DEFAULT_NUM_TOPICS, 1),
+    "topics": (int, selection.DEFAULT_NUM_TOPICS, 1),
     "budget": (int, selection.DEFAULT_TOKEN_BUDGET, 1),
     "seed": (int, 0, None),
     "jobs": (int, None, 1),
@@ -150,6 +150,8 @@ def _read_records(path: str, what: str, parse) -> list:
 
 def _derive_seed(base_seed: int, episode_id: str) -> int:
     """Stable per-episode seed so parallel runs stay reproducible."""
+    import hashlib
+
     digest = hashlib.sha256(episode_id.encode("utf-8")).digest()
     return (base_seed * 1_000_003 + int.from_bytes(digest[:8], "big")) % (2 ** 63)
 
@@ -157,7 +159,9 @@ def _derive_seed(base_seed: int, episode_id: str) -> int:
 # --- preprocess ---------------------------------------------------------------
 
 
-def _run_preprocess(input_path: str, out_dir: Path, settings: dict) -> list[corpus.Episode]:
+def _run_preprocess(input_path: str, out_dir: Path,
+                    settings: dict) -> tuple[list[corpus.Episode], dict[str, str]]:
+    """Write the preprocess artifacts; return the kept episodes and their cleaned descriptions."""
     episodes = list(corpus.load_episodes(input_path))
     kept, report = preprocess.filter_corpus(
         episodes, preprocess.FilterConfig(settings["profanity_list_path"]))
@@ -182,7 +186,7 @@ def _run_preprocess(input_path: str, out_dir: Path, settings: dict) -> list[corp
         handle.write(split_payload)
 
     logger.info("preprocess: %d in, %d kept", report.input_count, report.kept_count)
-    return kept
+    return kept, report.cleaned_descriptions
 
 
 def cmd_preprocess(ns) -> int:
@@ -213,6 +217,8 @@ def _select_one(episode: corpus.Episode, strategy: str,
         elif strategy == "novelty":
             result = selection.select_novelty(doc, selector)
         elif strategy == "topic":
+            from . import topics
+
             result = topics.fit_and_select(doc, topics.TopicConfig(
                 num_topics=num_topics, seed=_derive_seed(seed, episode.id)), selector)
         else:
@@ -225,9 +231,10 @@ def _select_one(episode: corpus.Episode, strategy: str,
 
 # Seconds of in-process selection before a process pool is considered for the
 # rest of the episodes: about what a pool costs. On a 2-core host (Python 3.11,
-# fork; medians of 15 launches) a process's first pool took 19 ms to import
-# multiprocessing, 11 ms to start 2 workers and run a first map, and 4 ms to
-# shut down; and on 30 novelty episodes a warm pool's map took 22-31 ms for
+# fork; medians of 15 launches, each after importing podselect.cli) a process's
+# first pool took 26 ms to import concurrent.futures and multiprocessing,
+# 12-15 ms to start 2 workers and run a first map, and 3-4 ms to shut down;
+# and on 30 novelty episodes a warm pool's map took 22-31 ms for
 # 27 ms of in-process work, its pickling eating the gain. Selecting in-process
 # until the pool's price has been paid (ski rental), and forking only while the
 # pool is projected to save more than that price, needs no guess about the
@@ -267,6 +274,8 @@ def _select_all(select_one, episodes: list[corpus.Episode], jobs: int) -> list[t
     rest = episodes[len(outcomes):]
     if rest:
         # a pool starts all of its workers at once (under fork, when it opens)
+        from concurrent import futures
+
         workers = min(jobs, len(rest))
         with futures.ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes += pool.map(select_one, rest,
@@ -389,11 +398,10 @@ def _summary(record: dict, line_number: int) -> abstractive.Summary:
                                backend_id=record.get("backend", "unknown"))
 
 
-def _load_references(path: str, raw: bool,
-                     episodes: list[corpus.Episode] | None = None) -> dict[str, str]:
-    """Reference descriptions by episode id, from episodes or else from the file at path."""
+def _load_references(path: str, raw: bool) -> dict[str, str]:
+    """Reference descriptions by episode id, read from the episodes file at path."""
     references: dict[str, str] = {}
-    for episode in corpus.load_episodes(path) if episodes is None else episodes:
+    for episode in corpus.load_episodes(path):
         description = episode.description
         references[episode.id] = description if raw else preprocess.clean_description(description)
     return references
@@ -401,12 +409,14 @@ def _load_references(path: str, raw: bool,
 
 def _run_evaluate(summaries_path: str, references_path: str, output_path: Path,
                   method_id: str, fmt: str, raw_references: bool,
-                  episodes: list[corpus.Episode] | None = None) -> int:
-    """Score the summaries; episodes, when given, are the references file's, in memory."""
+                  references: dict[str, str] | None = None) -> int:
+    """Score the summaries; references, when given, are the file's cleaned descriptions,
+    already in memory."""
     summaries = _read_records(summaries_path, "summary", _summary)
     if not summaries:
         raise PodselectError(f"no summaries to evaluate in {summaries_path!r}")
-    references = _load_references(references_path, raw_references, episodes)
+    if references is None:
+        references = _load_references(references_path, raw_references)
     row = evalharness.evaluate_run(summaries, references, method_id)
     rendered = evalharness.render_table([row], fmt)
     with atomic_write(output_path) as handle:
@@ -434,11 +444,12 @@ def cmd_pipeline(ns) -> int:
 
     kept_path = out_dir / "kept.jsonl"
     preprocess_outputs = [kept_path, out_dir / "filter_report.json", out_dir / "split.jsonl"]
-    kept = None  # the kept episodes, when preprocess runs in this process
+    # the kept episodes and their cleaned descriptions, when preprocess runs in this process
+    kept = references = None
     if ns.resume and all(p.exists() for p in preprocess_outputs):
         logger.info("pipeline: preprocess outputs exist, skipping")
     else:
-        kept = _run_preprocess(ns.input, out_dir, settings)
+        kept, references = _run_preprocess(ns.input, out_dir, settings)
 
     selections_path = out_dir / "selections.jsonl"
     inputs = None
@@ -463,7 +474,7 @@ def cmd_pipeline(ns) -> int:
     else:
         _run_evaluate(str(summaries_path), str(kept_path), report_path,
                       settings["strategy"], settings["format"], raw_references=False,
-                      episodes=kept)
+                      references=references)
     return 0
 
 

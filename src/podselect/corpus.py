@@ -14,10 +14,9 @@ import logging
 import re
 import string
 import unicodedata
-from dataclasses import dataclass
 from importlib import resources
 from itertools import accumulate
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import EmptyDocumentError, RecordParseError
 
@@ -39,8 +38,7 @@ ABBREVIATIONS = _load_wordlist("abbreviations.txt")
 ENGLISH_STOPWORDS = _load_wordlist("english_stopwords.txt")
 
 
-@dataclass(frozen=True)
-class Episode:
+class Episode(NamedTuple):
     """One podcast episode as ingested, before any processing."""
 
     id: str
@@ -63,23 +61,20 @@ class Episode:
         return record
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A normalized token plus the byte span it was cut from."""
 
     text: str
     byte_span: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class Sentence:
+class Sentence(NamedTuple):
     index: int
     tokens: tuple[str, ...]
     raw_text: str
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(NamedTuple):
     """A segmented, tokenized transcript ready for selection."""
 
     episode_id: str

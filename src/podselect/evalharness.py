@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-import csv
 import io
 import json
-from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .abstractive import Summary
 from .corpus import token_texts
@@ -15,8 +13,7 @@ from .errors import MissingReferenceError
 from .rouge import rouge_l
 
 
-@dataclass(frozen=True)
-class EvalRow:
+class EvalRow(NamedTuple):
     """Macro-averaged ROUGE-L for one method, in percent, two decimals."""
 
     method_id: str
@@ -91,6 +88,8 @@ def render_table(rows: Iterable[EvalRow], fmt: str = "text") -> str:
             out_lines.append("  ".join(rendered).rstrip())
         return "\n".join(out_lines) + "\n"
     if fmt == "csv":
+        import csv  # here, not at the top: only this format needs it
+
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(_COLUMNS)

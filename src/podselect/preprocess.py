@@ -15,8 +15,7 @@ import logging
 import math
 import random
 import re
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import ENGLISH_STOPWORDS, Episode, segment_sentences, token_texts, _load_wordlist
 from .errors import ConfigError, InsufficientContentError
@@ -145,19 +144,37 @@ def description_similarity(a: Sequence[str], b: Sequence[str]) -> float:
     return _jaccard(_shingles(a), _shingles(b))
 
 
-@dataclass(frozen=True)
-class FilterConfig:
+class FilterConfig(NamedTuple):
     # None uses the bundled placeholder list
     profanity_list_path: str | None = None
 
 
-@dataclass
 class FilterReport:
-    input_count: int = 0
-    kept_count: int = 0
-    rejected_by_rule: dict[str, int] = field(default_factory=dict)
-    # episode id -> the first rule it tripped
-    reasons: dict[str, str] = field(default_factory=dict)
+    """What filter_corpus did with each episode; filled in as it runs."""
+
+    __slots__ = ("input_count", "kept_count", "rejected_by_rule", "reasons",
+                 "cleaned_descriptions")
+
+    def __init__(self, input_count: int = 0, kept_count: int = 0,
+                 rejected_by_rule: dict[str, int] | None = None,
+                 reasons: dict[str, str] | None = None,
+                 cleaned_descriptions: dict[str, str] | None = None):
+        self.input_count = input_count
+        self.kept_count = kept_count
+        self.rejected_by_rule = {} if rejected_by_rule is None else rejected_by_rule
+        # episode id -> the first rule it tripped
+        self.reasons = {} if reasons is None else reasons
+        # kept episode id -> its cleaned description, the reference evaluate scores against
+        self.cleaned_descriptions = {} if cleaned_descriptions is None else cleaned_descriptions
+
+    def __eq__(self, other):
+        if type(other) is not FilterReport:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+    def __repr__(self):
+        return "FilterReport(" + ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__) + ")"
 
     def add_rejection(self, episode_id: str, rule: str):
         self.rejected_by_rule[rule] = self.rejected_by_rule.get(rule, 0) + 1
@@ -231,7 +248,8 @@ def filter_corpus(
 
     Length bounds run first, then duplicate detection as a corpus-wide pass
     over the length survivors, then the per-episode checks. Returns the kept
-    episodes in input order plus a full report.
+    episodes in input order plus a full report, which also holds each kept
+    episode's cleaned description.
     """
     wordlist = load_profanity_list(config.profanity_list_path)
     report = FilterReport()
@@ -288,13 +306,13 @@ def filter_corpus(
             report.add_rejection(episode.id, RULE_TOO_FEW_TOKENS)
             continue
         kept.append(episode)
+        report.cleaned_descriptions[episode.id] = cleaned
 
     report.kept_count = len(kept)
     return kept, report
 
 
-@dataclass(frozen=True)
-class SplitAssignment:
+class SplitAssignment(NamedTuple):
     seed: int
     assignments: dict[str, str]  # episode id -> train | validation | test
 

@@ -8,12 +8,10 @@ token sequences.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 
-@dataclass(frozen=True)
-class RougeScore:
+class RougeScore(NamedTuple):
     precision: float
     recall: float
     f1: float
@@ -34,8 +32,7 @@ class RougeScore:
         return cls(precision=precision, recall=recall, f1=f1)
 
 
-@dataclass(frozen=True)
-class NgramCounts:
+class NgramCounts(NamedTuple):
     """Multiset of n-grams for one token sequence. Treat as immutable."""
 
     n: int

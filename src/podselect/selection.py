@@ -13,7 +13,7 @@ wins (earliest on ties), and the top singles are the longest sentences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .corpus import Document
 from .errors import ConfigError
@@ -23,38 +23,89 @@ DEFAULT_WINDOW_SIZE = 40
 NOVELTY_WINDOW_SIZE = 25
 DEFAULT_TOP_K = 5
 DEFAULT_TOKEN_BUDGET = 1024
+DEFAULT_NUM_TOPICS = 5  # the topic strategy's; here so that the CLI need not import topics
 
 
-@dataclass(frozen=True)
 class SelectorConfig:
-    # None picks the strategy default: 40 for the plain window, 25 for novelty
-    window_size: int | None = None
-    novelty_top_k: int = DEFAULT_TOP_K
-    token_budget: int = DEFAULT_TOKEN_BUDGET
+    """Selection settings, checked when built. Immutable; pickles by its arguments."""
 
-    def __post_init__(self):
-        if self.window_size is not None and self.window_size < 1:
-            raise ConfigError(f"window_size must be >= 1, got {self.window_size}")
-        if self.novelty_top_k < 0:
-            raise ConfigError(f"novelty_top_k must be >= 0, got {self.novelty_top_k}")
-        if self.token_budget < 1:
-            raise ConfigError(f"token_budget must be >= 1, got {self.token_budget}")
+    __slots__ = ("window_size", "novelty_top_k", "token_budget")
+
+    # window_size None picks the strategy default: 40 for the plain window, 25 for novelty
+    def __init__(self, window_size: int | None = None, novelty_top_k: int = DEFAULT_TOP_K,
+                 token_budget: int = DEFAULT_TOKEN_BUDGET):
+        if window_size is not None and window_size < 1:
+            raise ConfigError(f"window_size must be >= 1, got {window_size}")
+        if novelty_top_k < 0:
+            raise ConfigError(f"novelty_top_k must be >= 0, got {novelty_top_k}")
+        if token_budget < 1:
+            raise ConfigError(f"token_budget must be >= 1, got {token_budget}")
+        object.__setattr__(self, "window_size", window_size)
+        object.__setattr__(self, "novelty_top_k", novelty_top_k)
+        object.__setattr__(self, "token_budget", token_budget)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):
+        return SelectorConfig, (self.window_size, self.novelty_top_k, self.token_budget)
+
+    def __eq__(self, other):
+        if type(other) is not SelectorConfig:
+            return NotImplemented
+        return self.__reduce__() == other.__reduce__()
+
+    def __hash__(self):
+        return hash(self.__reduce__()[1])
+
+    def __repr__(self):
+        return (f"SelectorConfig(window_size={self.window_size!r}, "
+                f"novelty_top_k={self.novelty_top_k!r}, token_budget={self.token_budget!r})")
 
 
-@dataclass(frozen=True)
-class WindowScore:
+class WindowScore(NamedTuple):
     start: int
     end: int  # exclusive sentence index
     score: float
 
 
-@dataclass(frozen=True)
 class SelectionResult:
-    episode_id: str
-    strategy: str
-    sentence_indices: tuple[int, ...]
-    selected_token_count: int
-    diagnostics: dict = field(default_factory=dict, compare=False)
+    """One episode's pick. Immutable; diagnostics take no part in equality."""
+
+    __slots__ = ("episode_id", "strategy", "sentence_indices", "selected_token_count",
+                 "diagnostics")
+
+    def __init__(self, episode_id: str, strategy: str, sentence_indices: tuple[int, ...],
+                 selected_token_count: int, diagnostics: dict | None = None):
+        object.__setattr__(self, "episode_id", episode_id)
+        object.__setattr__(self, "strategy", strategy)
+        object.__setattr__(self, "sentence_indices", sentence_indices)
+        object.__setattr__(self, "selected_token_count", selected_token_count)
+        object.__setattr__(self, "diagnostics", {} if diagnostics is None else diagnostics)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def _compared(self) -> tuple:
+        return (self.episode_id, self.strategy, self.sentence_indices,
+                self.selected_token_count)
+
+    def __reduce__(self):
+        return SelectionResult, (*self._compared(), self.diagnostics)
+
+    def __eq__(self, other):
+        if type(other) is not SelectionResult:
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def __hash__(self):
+        return hash(self._compared())
+
+    def __repr__(self):
+        return (f"SelectionResult(episode_id={self.episode_id!r}, strategy={self.strategy!r}, "
+                f"sentence_indices={self.sentence_indices!r}, "
+                f"selected_token_count={self.selected_token_count!r}, "
+                f"diagnostics={self.diagnostics!r})")
 
     def to_record(self, include_diagnostics: bool = False) -> dict:
         record = {
@@ -150,7 +201,8 @@ def select_novelty(doc: Document, config: SelectorConfig = SelectorConfig()) -> 
     best window. Ties on sentence score go to the lower index.
     """
     window_size = config.window_size or NOVELTY_WINDOW_SIZE
-    base = select_window(doc, replace(config, window_size=window_size))
+    base = select_window(doc, SelectorConfig(window_size, config.novelty_top_k,
+                                             config.token_budget))
     singles = score_single_sentences(doc)
     ranked = sorted(singles, key=lambda pair: (-pair[1], pair[0]))
     top_k = [index for index, _ in ranked[:config.novelty_top_k]]

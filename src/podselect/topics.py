@@ -11,34 +11,54 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .corpus import Document, Sentence
 from .errors import ConfigError, InsufficientContentError
-from .selection import SelectionResult, SelectorConfig
+from .selection import DEFAULT_NUM_TOPICS, SelectionResult, SelectorConfig
 
-DEFAULT_NUM_TOPICS = 5
 BETA = 0.01  # word-topic prior; the topic prior is 50 / num_topics (Griffiths & Steyvers)
 
 
-@dataclass(frozen=True)
 class TopicConfig:
-    num_topics: int = DEFAULT_NUM_TOPICS
-    gibbs_iterations: int = 500
-    burn_in: int = 300
-    seed: int = 0
+    """LDA settings, checked when built. Immutable; pickles by its arguments."""
 
-    def __post_init__(self):
-        if self.num_topics < 1:
-            raise ConfigError(f"num_topics must be >= 1, got {self.num_topics}")
-        if self.gibbs_iterations < 1:
+    __slots__ = ("num_topics", "gibbs_iterations", "burn_in", "seed")
+
+    def __init__(self, num_topics: int = DEFAULT_NUM_TOPICS, gibbs_iterations: int = 500,
+                 burn_in: int = 300, seed: int = 0):
+        if num_topics < 1:
+            raise ConfigError(f"num_topics must be >= 1, got {num_topics}")
+        if gibbs_iterations < 1:
             raise ConfigError("gibbs_iterations must be >= 1")
-        if not 0 <= self.burn_in < self.gibbs_iterations:
+        if not 0 <= burn_in < gibbs_iterations:
             raise ConfigError("burn_in must satisfy 0 <= burn_in < gibbs_iterations")
+        object.__setattr__(self, "num_topics", num_topics)
+        object.__setattr__(self, "gibbs_iterations", gibbs_iterations)
+        object.__setattr__(self, "burn_in", burn_in)
+        object.__setattr__(self, "seed", seed)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):
+        return TopicConfig, (self.num_topics, self.gibbs_iterations, self.burn_in, self.seed)
+
+    def __eq__(self, other):
+        if type(other) is not TopicConfig:
+            return NotImplemented
+        return self.__reduce__() == other.__reduce__()
+
+    def __hash__(self):
+        return hash(self.__reduce__()[1])
+
+    def __repr__(self):
+        return (f"TopicConfig(num_topics={self.num_topics!r}, "
+                f"gibbs_iterations={self.gibbs_iterations!r}, burn_in={self.burn_in!r}, "
+                f"seed={self.seed!r})")
 
 
-@dataclass(frozen=True)
-class TopicModel:
+class TopicModel(NamedTuple):
     vocabulary: dict[str, int]
     topic_word: tuple[tuple[float, ...], ...]  # K x V, rows sum to 1
     doc_topic_weight: tuple[float, ...]        # K, sums to 1
@@ -164,8 +184,7 @@ def fit_lda(doc: Document, config: TopicConfig = TopicConfig()) -> TopicModel:
     )
 
 
-@dataclass(frozen=True)
-class TopicRelevance:
+class TopicRelevance(NamedTuple):
     sentence_index: int
     topic_id: int
     score: float  # mean per-token log probability under the topic

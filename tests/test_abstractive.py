@@ -1,4 +1,5 @@
 import json
+import pickle
 import random
 import subprocess
 import sys
@@ -111,6 +112,15 @@ class TestEnforceBudget:
         assert capped.truncated_mid_sentence == should_flag
         if should_flag:
             assert capped.token_count == budget
+
+
+class TestBackendInput:
+    def test_immutable_and_survives_pickle(self):
+        capped = BackendInput(episode_id="ep", text="some text", token_count=2,
+                              truncated_mid_sentence=True)
+        with pytest.raises(AttributeError):
+            capped.text = "other"
+        assert pickle.loads(pickle.dumps(capped)) == capped
 
 
 class TestNullBackend:

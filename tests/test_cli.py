@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from podselect import abstractive, cli, corpus, selection, topics
+from podselect import abstractive, cli, corpus, preprocess, selection, topics
 from podselect.cli import _derive_seed, _select_one, atomic_write, main
 from podselect.errors import BackendError, InsufficientContentError
 from podselect.preprocess import clean_description
@@ -395,6 +396,13 @@ class TestSelectCommand:
                      "--strategy", "window", "--window-size", "1",
                      "--jobs", "1"]) == 0
         assert [r["id"] for r in read_jsonl(out)] == ["good"]
+
+    def test_outcome_survives_pickle(self):
+        """A pool worker's episode and outcome cross a pipe."""
+        episode = corpus.Episode(id="ep", transcript_text="One two three. Four five. Six.")
+        outcome = _select_one(episode, "novelty", selection.SelectorConfig(), 5, 0, True)
+        assert outcome[1] is not None
+        assert pickle.loads(pickle.dumps((episode, outcome))) == (episode, outcome)
 
 
 def topic_episode(rng, sentence_count, episode_id="ep-topic"):
@@ -843,6 +851,50 @@ class TestPipelineCommand:
              "--strategy", "none", "--backend", "null", "--jobs", "2"],
             capture_output=True, text=True, timeout=60)
         assert proc.stdout.strip() == "0 []", proc.stderr
+
+    @pytest.mark.parametrize("extra, loaded", [
+        (["--strategy", "novelty", "--format", "json"], []),
+        (["--strategy", "topic", "--format", "json"], ["hashlib", "podselect.topics"]),
+        (["--strategy", "novelty", "--format", "csv"], ["csv"]),
+    ], ids=["novelty-json", "topic", "csv"])
+    def test_run_imports_only_the_optional_modules_it_uses(self, fixtures_dir, tmp_path,
+                                                           extra, loaded):
+        # corpus reads its word lists through importlib.resources, which on
+        # newer Pythons may import inspect itself: load it before the count
+        probe = ("import importlib.resources, sys\n"
+                 "optional = {'dataclasses', 'inspect', 'hashlib', 'csv',\n"
+                 "            'concurrent.futures', 'podselect.topics'}\n"
+                 "before = set(sys.modules)\n"
+                 "from podselect import cli\n"
+                 "cli.build_parser()\n"
+                 "at_start = sorted(optional & (set(sys.modules) - before))\n"
+                 "code = cli.main(sys.argv[1:])\n"
+                 "print(code, at_start, sorted(optional & (set(sys.modules) - before)))\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, "pipeline",
+             "--input", str(fixtures_dir / "mini_corpus.jsonl"), "--output", str(tmp_path / "run"),
+             "--backend", "null", "--jobs", "2", *extra],
+            capture_output=True, text=True, timeout=60)
+        assert proc.stdout.strip() == f"0 [] {loaded}", proc.stderr
+
+    def test_cleans_each_description_once(self, fixtures_dir, tmp_path, monkeypatch):
+        cleaned = []
+        clean = preprocess.clean_description
+        monkeypatch.setattr(preprocess, "clean_description",
+                            lambda raw: cleaned.append(raw) or clean(raw))
+        out = tmp_path / "run"
+        assert self.run_pipeline(fixtures_dir, out) == 0
+        report = json.loads((out / "filter_report.json").read_text())
+        reached_last_rule = report["kept"] + report["rejected_by_rule"].get(
+            "desc_too_few_tokens", 0)
+        assert len(cleaned) == reached_last_rule
+        fresh = (out / "report.txt").read_bytes()
+        # a resumed evaluate has no preprocess in memory: it cleans from kept.jsonl
+        (out / "report.txt").unlink()
+        cleaned.clear()
+        assert self.run_pipeline(fixtures_dir, out, "--resume") == 0
+        assert len(cleaned) == report["kept"]
+        assert (out / "report.txt").read_bytes() == fresh
 
     def test_builds_each_kept_document_once(self, fixtures_dir, tmp_path, built):
         out = tmp_path / "run"

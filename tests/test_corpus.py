@@ -1,4 +1,5 @@
 import json
+import pickle
 import random
 import string
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from podselect.corpus import (Episode, build_document, load_episodes,
+from podselect.corpus import (Document, Episode, Sentence, build_document, load_episodes,
                               segment_sentences, segment_spans, token_texts,
                               tokenize)
 from podselect.abstractive import enforce_budget
@@ -281,3 +282,19 @@ class TestBuildDocumentPrefix:
     def test_empty_transcript_still_raises(self):
         with pytest.raises(EmptyDocumentError):
             build_document(Episode(id="e1", transcript_text="... !!!"), 5)
+
+
+class TestRecords:
+    @pytest.mark.parametrize("record, field", [
+        (Episode(id="ep"), "description"),
+        (Sentence(index=0, tokens=("a",), raw_text="a"), "tokens"),
+        (Document(episode_id="ep", sentences=(), total_tokens=0), "total_tokens"),
+    ])
+    def test_fields_cannot_be_assigned(self, record, field):
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+
+    def test_episode_survives_pickle(self):
+        episode = Episode(id="ep", show_id="s", transcript_text="One. Two.",
+                          description="d", show_description="sd", duration_seconds=1.5)
+        assert pickle.loads(pickle.dumps(episode)) == episode

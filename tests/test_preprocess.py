@@ -169,6 +169,11 @@ class TestFilterCorpus:
         assert [e.id for e in kept] == [f"ep-keep-{i:02d}" for i in range(1, 7)]
         assert json.loads(report.to_json()) == EXPECTED_REPORT
 
+    def test_report_holds_each_kept_cleaned_description(self, fixtures_dir):
+        kept, report = filter_corpus(load_fixture_episodes(fixtures_dir))
+        assert report.cleaned_descriptions == {
+            episode.id: clean_description(episode.description) for episode in kept}
+
     def test_boundary_lengths_kept(self, fixtures_dir):
         episodes = load_fixture_episodes(fixtures_dir)
         by_id = {e.id: e for e in episodes}

@@ -1,9 +1,10 @@
+import pickle
 import random
 
 import pytest
 
 from podselect.errors import ConfigError
-from podselect.selection import (SelectorConfig, score_single_sentences,
+from podselect.selection import (SelectionResult, SelectorConfig, score_single_sentences,
                                  score_windows, select_head, select_novelty,
                                  select_window)
 from conftest import make_doc, random_sentences
@@ -65,8 +66,7 @@ class TestScoreWindows:
             assert result.sentence_indices == tuple(range(best[1], best[2]))
 
     def test_empty_doc_rejected(self):
-        doc = make_doc([["a"]])
-        object.__setattr__(doc, "sentences", ())
+        doc = make_doc([["a"]])._replace(sentences=())
         with pytest.raises(ConfigError):
             score_windows(doc, 2)
 
@@ -250,3 +250,27 @@ class TestSelectorConfig:
             SelectorConfig(novelty_top_k=-1)
         with pytest.raises(ConfigError):
             SelectorConfig(token_budget=0)
+
+    def test_immutable_and_pickles_with_its_values(self):
+        config = SelectorConfig(window_size=3, novelty_top_k=2, token_budget=50)
+        with pytest.raises(AttributeError):
+            config.token_budget = 10
+        assert pickle.loads(pickle.dumps(config)) == config
+        assert config != SelectorConfig(window_size=3, novelty_top_k=2)
+        assert hash(config) == hash(SelectorConfig(3, 2, 50))
+
+
+class TestSelectionResult:
+    def test_equality_ignores_diagnostics(self):
+        plain = SelectionResult("ep", "window", (0, 1), 7)
+        diagnosed = SelectionResult("ep", "window", (0, 1), 7, diagnostics={"best": 1})
+        assert plain == diagnosed and hash(plain) == hash(diagnosed)
+        assert plain.diagnostics == {}
+        assert plain != SelectionResult("ep", "window", (0, 1, 2), 7)
+
+    def test_immutable_and_pickles_with_diagnostics(self):
+        result = SelectionResult("ep", "window", (0,), 3, diagnostics={"best": 0})
+        with pytest.raises(AttributeError):
+            result.strategy = "none"
+        copy = pickle.loads(pickle.dumps(result))
+        assert copy == result and copy.diagnostics == {"best": 0}

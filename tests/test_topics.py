@@ -1,5 +1,6 @@
 import hashlib
 import math
+import pickle
 import random
 
 import pytest
@@ -38,6 +39,13 @@ class TestTopicConfig:
             TopicConfig(gibbs_iterations=100, burn_in=100)
         with pytest.raises(ConfigError):
             TopicConfig(gibbs_iterations=0)
+
+    def test_immutable_and_pickles_with_its_values(self):
+        config = TopicConfig(num_topics=3, seed=9)
+        with pytest.raises(AttributeError):
+            config.seed = 1
+        assert pickle.loads(pickle.dumps(config)) == config
+        assert config != TopicConfig(num_topics=3)
 
 
 class TestFitLda:
