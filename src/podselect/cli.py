@@ -52,6 +52,11 @@ _SETTINGS = {
 }
 
 
+def _default(key: str):
+    """The default of a setting, for help texts."""
+    return _SETTINGS[key][1]
+
+
 @contextmanager
 def atomic_write(path: Path):
     """Write through a .partial file, renaming only on success.
@@ -488,7 +493,8 @@ def _add_io_flags(parser, output_help: str):
 
 def _add_shared_flags(parser):
     parser.add_argument("--seed", type=int, default=None,
-                        help="random seed for anything stochastic (default: 0)")
+                        help="random seed for anything stochastic "
+                             f"(default: {_default('seed')})")
     parser.add_argument("--jobs", type=int, default=None,
                         help="worker count; selection starts in-process and, once "
                              "it has run longer than a pool costs to start and a "
@@ -503,25 +509,28 @@ def _add_shared_flags(parser):
 
 def _add_strategy_flags(parser):
     parser.add_argument("--strategy", choices=STRATEGIES, default=None,
-                        help="selection strategy (default: window); 'none' passes "
-                             "the transcript head straight through")
+                        help=f"selection strategy (default: {_default('strategy')}); "
+                             "'none' passes the transcript head straight through")
     parser.add_argument("--window-size", dest="window_size", type=int, default=None,
-                        help="sentences per window (default: 40; the novelty "
-                             "strategy defaults to 25)")
+                        help="sentences per window (default: "
+                             f"{selection.DEFAULT_WINDOW_SIZE}; the novelty strategy "
+                             f"defaults to {selection.NOVELTY_WINDOW_SIZE})")
     parser.add_argument("--top-k", dest="top_k", type=int, default=None,
                         help="extra top-scoring sentences merged by the novelty "
-                             "strategy (default: 5)")
+                             f"strategy (default: {_default('top_k')})")
     parser.add_argument("--topics", type=int, default=None,
-                        help="topic count for the topic strategy (default: 5)")
+                        help="topic count for the topic strategy "
+                             f"(default: {_default('topics')})")
     parser.add_argument("--budget", type=int, default=None,
-                        help="token budget handed to the backend (default: 1024)")
+                        help="token budget handed to the backend "
+                             f"(default: {_default('budget')})")
     parser.add_argument("--diagnostics", action="store_true",
                         help="include per-window scores in the selections file")
 
 
 def _add_backend_flags(parser):
     parser.add_argument("--backend", choices=BACKENDS, default=None,
-                        help="summarization backend (default: null)")
+                        help=f"summarization backend (default: {_default('backend')})")
     parser.add_argument("--endpoint", default=None,
                         help="base URL of the remote backend, e.g. http://host:8080")
 
@@ -550,7 +559,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--episodes", required=True,
                    help="episodes JSONL the selections refer to")
     p.add_argument("--budget", type=int, default=None,
-                   help="token budget enforced before the backend call (default: 1024)")
+                   help="token budget enforced before the backend call "
+                        f"(default: {_default('budget')})")
     _add_backend_flags(p)
     _add_shared_flags(p)
     p.set_defaults(func=cmd_summarize)
@@ -560,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--references", required=True,
                    help="episodes JSONL providing reference descriptions")
     p.add_argument("--format", choices=REPORT_FORMATS, default=None,
-                   help="report format (default: text)")
+                   help=f"report format (default: {_default('format')})")
     p.add_argument("--method-id", dest="method_id", default=None,
                    help="row label in the report (default: run)")
     p.add_argument("--raw-references", action="store_true",
@@ -573,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_strategy_flags(p)
     _add_backend_flags(p)
     p.add_argument("--format", choices=REPORT_FORMATS, default=None,
-                   help="report format (default: text)")
+                   help=f"report format (default: {_default('format')})")
     p.add_argument("--resume", action="store_true",
                    help="skip stages whose outputs already exist")
     _add_shared_flags(p)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import logging
+import math
 import re
 import string
 import unicodedata
@@ -23,19 +24,64 @@ from .errors import EmptyDocumentError, RecordParseError
 logger = logging.getLogger(__name__)
 
 
+def _parse_wordlist(lines: Iterable[str]) -> frozenset[str]:
+    """The words of a one-token-per-line list: each line stripped and
+    lowercased, blank lines and lines starting with # skipped."""
+    return frozenset(line.lower() for line in map(str.strip, lines)
+                     if line and not line.startswith("#"))
+
+
 def _load_wordlist(name: str) -> frozenset[str]:
-    """Read a bundled one-token-per-line list, skipping blanks and comments."""
+    """Read a bundled word list; see _parse_wordlist."""
     text = resources.files("podselect").joinpath(f"data/{name}").read_text("utf-8")
-    words = set()
-    for line in text.splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            words.add(line.lower())
-    return frozenset(words)
+    return _parse_wordlist(text.splitlines())
 
 
 ABBREVIATIONS = _load_wordlist("abbreviations.txt")
 ENGLISH_STOPWORDS = _load_wordlist("english_stopwords.txt")
+
+
+class Frozen:
+    """Base of the immutable records whose __init__ does more than store.
+
+    A subclass lists its fields in __slots__, in the order of its __init__
+    arguments, and its __init__ checks or fills them and hands them all to
+    Frozen.__init__, which sets each one once. The fields are then compared,
+    hashed, shown and pickled in that order; assigning one raises
+    AttributeError. Pickling calls the class with the field values, so
+    unpickling runs the subclass's checks again. A subclass overrides
+    _compared to leave a field out of equality and hashing.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def _compared(self) -> tuple:
+        return self._fields()
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def __hash__(self):
+        return hash(self._compared())
+
+    def __repr__(self):
+        return f"{type(self).__name__}(" + ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__) + ")"
 
 
 class Episode(NamedTuple):
@@ -93,10 +139,15 @@ def _parse_record(record: dict, line_number: int) -> Episode:
         raise RecordParseError(line_number, "missing 'transcript'")
     duration = record.get("duration_seconds")
     if duration is not None:
+        if isinstance(duration, bool):  # float() would take a JSON true as 1.0
+            raise RecordParseError(line_number, "duration_seconds is not a number")
         try:
             duration = float(duration)
         except (TypeError, ValueError):
             raise RecordParseError(line_number, "duration_seconds is not a number")
+        # NaN and the infinities would be written back as invalid JSON
+        if not math.isfinite(duration):
+            raise RecordParseError(line_number, "duration_seconds is not finite")
         if duration < 0:
             raise RecordParseError(line_number, "duration_seconds is negative")
     episode = Episode(

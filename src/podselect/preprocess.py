@@ -17,7 +17,8 @@ import random
 import re
 from typing import Iterable, NamedTuple, Sequence
 
-from .corpus import ENGLISH_STOPWORDS, Episode, segment_sentences, token_texts, _load_wordlist
+from .corpus import (ENGLISH_STOPWORDS, Episode, segment_sentences, token_texts,
+                     _load_wordlist, _parse_wordlist)
 from .errors import ConfigError, InsufficientContentError
 
 logger = logging.getLogger(__name__)
@@ -91,11 +92,7 @@ def load_profanity_list(path=None) -> frozenset[str]:
         return _load_wordlist("profanity_placeholder.txt")
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return frozenset(
-                line.strip().lower()
-                for line in handle
-                if line.strip() and not line.strip().startswith("#")
-            )
+            return _parse_wordlist(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read profanity list {path!r}: {exc}") from exc
 
@@ -149,36 +146,15 @@ class FilterConfig(NamedTuple):
     profanity_list_path: str | None = None
 
 
-class FilterReport:
-    """What filter_corpus did with each episode; filled in as it runs."""
+class FilterReport(NamedTuple):
+    """What filter_corpus did with each episode."""
 
-    __slots__ = ("input_count", "kept_count", "rejected_by_rule", "reasons",
-                 "cleaned_descriptions")
-
-    def __init__(self, input_count: int = 0, kept_count: int = 0,
-                 rejected_by_rule: dict[str, int] | None = None,
-                 reasons: dict[str, str] | None = None,
-                 cleaned_descriptions: dict[str, str] | None = None):
-        self.input_count = input_count
-        self.kept_count = kept_count
-        self.rejected_by_rule = {} if rejected_by_rule is None else rejected_by_rule
-        # episode id -> the first rule it tripped
-        self.reasons = {} if reasons is None else reasons
-        # kept episode id -> its cleaned description, the reference evaluate scores against
-        self.cleaned_descriptions = {} if cleaned_descriptions is None else cleaned_descriptions
-
-    def __eq__(self, other):
-        if type(other) is not FilterReport:
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
-
-    def __repr__(self):
-        return "FilterReport(" + ", ".join(
-            f"{name}={getattr(self, name)!r}" for name in self.__slots__) + ")"
-
-    def add_rejection(self, episode_id: str, rule: str):
-        self.rejected_by_rule[rule] = self.rejected_by_rule.get(rule, 0) + 1
-        self.reasons.setdefault(episode_id, rule)
+    input_count: int
+    kept_count: int
+    rejected_by_rule: dict[str, int]
+    reasons: dict[str, str]  # episode id -> the first rule it tripped
+    # kept episode id -> its cleaned description, the reference evaluate scores against
+    cleaned_descriptions: dict[str, str]
 
     def to_json(self) -> str:
         payload = {
@@ -252,18 +228,23 @@ def filter_corpus(
     episode's cleaned description.
     """
     wordlist = load_profanity_list(config.profanity_list_path)
-    report = FilterReport()
     episodes = list(episodes)
-    report.input_count = len(episodes)
+    rejected_by_rule: dict[str, int] = {}
+    reasons: dict[str, str] = {}
+    cleaned_descriptions: dict[str, str] = {}
+
+    def add_rejection(episode_id: str, rule: str):
+        rejected_by_rule[rule] = rejected_by_rule.get(rule, 0) + 1
+        reasons.setdefault(episode_id, rule)
 
     # rule 1: description length bounds (raw characters)
     survivors: list[Episode] = []
     for episode in episodes:
         length = len(episode.description)
         if length < DESC_MIN_CHARS:
-            report.add_rejection(episode.id, RULE_DESC_TOO_SHORT)
+            add_rejection(episode.id, RULE_DESC_TOO_SHORT)
         elif length > DESC_MAX_CHARS:
-            report.add_rejection(episode.id, RULE_DESC_TOO_LONG)
+            add_rejection(episode.id, RULE_DESC_TOO_LONG)
         else:
             survivors.append(episode)
 
@@ -276,25 +257,25 @@ def filter_corpus(
         if index.add_unless_duplicate(episode_shingles):
             deduped.append((episode, description_tokens))
         else:
-            report.add_rejection(episode.id, RULE_DUPLICATE)
+            add_rejection(episode.id, RULE_DUPLICATE)
 
     # rules 3..6, evaluated per episode in order
     kept: list[Episode] = []
     for episode, description_tokens in deduped:
         show_tokens = token_texts(episode.show_description)
         if description_similarity(description_tokens, show_tokens) >= SHOW_DESC_SIM_THRESHOLD:
-            report.add_rejection(episode.id, RULE_SHOW_SIMILAR)
+            add_rejection(episode.id, RULE_SHOW_SIMILAR)
             continue
         if contains_profanity(description_tokens, wordlist) \
                 or contains_profanity(show_tokens, wordlist):
-            report.add_rejection(episode.id, RULE_PROFANITY)
+            add_rejection(episode.id, RULE_PROFANITY)
             continue
         try:
             is_english, _ = detect_english(description_tokens)
         except ValueError:
             is_english = False  # no tokens at all, cannot be confirmed English
         if not is_english:
-            report.add_rejection(episode.id, RULE_NON_ENGLISH)
+            add_rejection(episode.id, RULE_NON_ENGLISH)
             continue
         cleaned = clean_description(episode.description)
         # tokens are cut at whitespace, so a cleanup that only collapsed it changed none
@@ -303,13 +284,13 @@ def filter_corpus(
         else:
             cleaned_tokens = token_texts(cleaned)
         if len(cleaned_tokens) < DESC_MIN_TOKENS:
-            report.add_rejection(episode.id, RULE_TOO_FEW_TOKENS)
+            add_rejection(episode.id, RULE_TOO_FEW_TOKENS)
             continue
         kept.append(episode)
-        report.cleaned_descriptions[episode.id] = cleaned
+        cleaned_descriptions[episode.id] = cleaned
 
-    report.kept_count = len(kept)
-    return kept, report
+    return kept, FilterReport(len(episodes), len(kept), rejected_by_rule, reasons,
+                              cleaned_descriptions)
 
 
 class SplitAssignment(NamedTuple):

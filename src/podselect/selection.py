@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .corpus import Document
+from .corpus import Document, Frozen
 from .errors import ConfigError
 from .rouge import RougeScore
 
@@ -26,7 +26,7 @@ DEFAULT_TOKEN_BUDGET = 1024
 DEFAULT_NUM_TOPICS = 5  # the topic strategy's; here so that the CLI need not import topics
 
 
-class SelectorConfig:
+class SelectorConfig(Frozen):
     """Selection settings, checked when built. Immutable; pickles by its arguments."""
 
     __slots__ = ("window_size", "novelty_top_k", "token_budget")
@@ -40,27 +40,7 @@ class SelectorConfig:
             raise ConfigError(f"novelty_top_k must be >= 0, got {novelty_top_k}")
         if token_budget < 1:
             raise ConfigError(f"token_budget must be >= 1, got {token_budget}")
-        object.__setattr__(self, "window_size", window_size)
-        object.__setattr__(self, "novelty_top_k", novelty_top_k)
-        object.__setattr__(self, "token_budget", token_budget)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __reduce__(self):
-        return SelectorConfig, (self.window_size, self.novelty_top_k, self.token_budget)
-
-    def __eq__(self, other):
-        if type(other) is not SelectorConfig:
-            return NotImplemented
-        return self.__reduce__() == other.__reduce__()
-
-    def __hash__(self):
-        return hash(self.__reduce__()[1])
-
-    def __repr__(self):
-        return (f"SelectorConfig(window_size={self.window_size!r}, "
-                f"novelty_top_k={self.novelty_top_k!r}, token_budget={self.token_budget!r})")
+        super().__init__(window_size, novelty_top_k, token_budget)
 
 
 class WindowScore(NamedTuple):
@@ -69,7 +49,7 @@ class WindowScore(NamedTuple):
     score: float
 
 
-class SelectionResult:
+class SelectionResult(Frozen):
     """One episode's pick. Immutable; diagnostics take no part in equality."""
 
     __slots__ = ("episode_id", "strategy", "sentence_indices", "selected_token_count",
@@ -77,35 +57,12 @@ class SelectionResult:
 
     def __init__(self, episode_id: str, strategy: str, sentence_indices: tuple[int, ...],
                  selected_token_count: int, diagnostics: dict | None = None):
-        object.__setattr__(self, "episode_id", episode_id)
-        object.__setattr__(self, "strategy", strategy)
-        object.__setattr__(self, "sentence_indices", sentence_indices)
-        object.__setattr__(self, "selected_token_count", selected_token_count)
-        object.__setattr__(self, "diagnostics", {} if diagnostics is None else diagnostics)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
+        super().__init__(episode_id, strategy, sentence_indices, selected_token_count,
+                         {} if diagnostics is None else diagnostics)
 
     def _compared(self) -> tuple:
         return (self.episode_id, self.strategy, self.sentence_indices,
                 self.selected_token_count)
-
-    def __reduce__(self):
-        return SelectionResult, (*self._compared(), self.diagnostics)
-
-    def __eq__(self, other):
-        if type(other) is not SelectionResult:
-            return NotImplemented
-        return self._compared() == other._compared()
-
-    def __hash__(self):
-        return hash(self._compared())
-
-    def __repr__(self):
-        return (f"SelectionResult(episode_id={self.episode_id!r}, strategy={self.strategy!r}, "
-                f"sentence_indices={self.sentence_indices!r}, "
-                f"selected_token_count={self.selected_token_count!r}, "
-                f"diagnostics={self.diagnostics!r})")
 
     def to_record(self, include_diagnostics: bool = False) -> dict:
         record = {

@@ -13,14 +13,14 @@ import math
 import random
 from typing import NamedTuple
 
-from .corpus import Document, Sentence
+from .corpus import Document, Frozen, Sentence
 from .errors import ConfigError, InsufficientContentError
 from .selection import DEFAULT_NUM_TOPICS, SelectionResult, SelectorConfig
 
 BETA = 0.01  # word-topic prior; the topic prior is 50 / num_topics (Griffiths & Steyvers)
 
 
-class TopicConfig:
+class TopicConfig(Frozen):
     """LDA settings, checked when built. Immutable; pickles by its arguments."""
 
     __slots__ = ("num_topics", "gibbs_iterations", "burn_in", "seed")
@@ -33,29 +33,7 @@ class TopicConfig:
             raise ConfigError("gibbs_iterations must be >= 1")
         if not 0 <= burn_in < gibbs_iterations:
             raise ConfigError("burn_in must satisfy 0 <= burn_in < gibbs_iterations")
-        object.__setattr__(self, "num_topics", num_topics)
-        object.__setattr__(self, "gibbs_iterations", gibbs_iterations)
-        object.__setattr__(self, "burn_in", burn_in)
-        object.__setattr__(self, "seed", seed)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __reduce__(self):
-        return TopicConfig, (self.num_topics, self.gibbs_iterations, self.burn_in, self.seed)
-
-    def __eq__(self, other):
-        if type(other) is not TopicConfig:
-            return NotImplemented
-        return self.__reduce__() == other.__reduce__()
-
-    def __hash__(self):
-        return hash(self.__reduce__()[1])
-
-    def __repr__(self):
-        return (f"TopicConfig(num_topics={self.num_topics!r}, "
-                f"gibbs_iterations={self.gibbs_iterations!r}, burn_in={self.burn_in!r}, "
-                f"seed={self.seed!r})")
+        super().__init__(num_topics, gibbs_iterations, burn_in, seed)
 
 
 class TopicModel(NamedTuple):

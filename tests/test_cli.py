@@ -211,6 +211,25 @@ class TestPreprocessCommand:
         assert [r["id"] for r in read_jsonl(out / "kept.jsonl")] == [r["id"] for r in records]
         assert not list(out.glob("*.partial"))
 
+    def test_non_finite_durations_never_reach_kept_jsonl(self, tmp_path):
+        source = tmp_path / "eps.jsonl"
+        records = tiny_corpus(source, count=8)
+        bad = ["NaN", '"nan"', "1e999", '"-inf"', "true"]
+        lines = [json.dumps(dict(record, duration_seconds=60.5)) for record in records]
+        for number, duration in enumerate(bad, 1):  # each one a record the filter keeps
+            lines[number] = lines[number][:-1] + f', "duration_seconds": {duration}}}'
+        source.write_text("\n".join(lines) + "\n", "utf-8")
+        out = tmp_path / "stage"
+        assert main(["preprocess", "--input", str(source), "--output", str(out)]) == 0
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        with open(out / "kept.jsonl", encoding="utf-8") as handle:
+            kept = [json.loads(line, parse_constant=refuse) for line in handle]
+        assert [r["id"] for r in kept] == [records[i]["id"] for i in (0, 6, 7)]
+        assert {r["duration_seconds"] for r in kept} == {60.5}
+
     def test_repeated_id_reported_and_first_kept(self, fixtures_dir, tmp_path):
         records = read_jsonl(fixtures_dir / "mini_corpus.jsonl")
         repeat = dict(records[0], description="A different description of the same "
@@ -1006,6 +1025,19 @@ class TestHelpAndEntryPoint:
         with pytest.raises(SystemExit):
             main(["summarize", "--help"])
         assert "default: 1024" in capsys.readouterr().out
+
+    # Help as printed at 80 columns, kept in tests/fixtures/help/<command>.txt.
+    # The defaults it states are read from the code that sets them; this pins
+    # the text to what it was when they were written out by hand.
+    @pytest.mark.parametrize("command", [None, "preprocess", "select", "summarize",
+                                         "evaluate", "pipeline"])
+    def test_help_text_is_pinned(self, command, fixtures_dir, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--help"] if command else ["--help"])
+        assert excinfo.value.code == 0
+        expected = (fixtures_dir / "help" / f"{command or 'podselect'}.txt").read_text("utf-8")
+        assert capsys.readouterr().out == expected
 
     def test_module_entry_point(self):
         proc = subprocess.run([sys.executable, "-m", "podselect", "--help"],

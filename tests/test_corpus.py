@@ -87,6 +87,18 @@ class TestLoadEpisodes:
         assert list(load_episodes(path, errors=errors)) == []
         assert len(errors) == 1
 
+    @pytest.mark.parametrize("duration, reason", [
+        ("NaN", "is not finite"), ('"nan"', "is not finite"), ("1e999", "is not finite"),
+        ('"-inf"', "is not finite"), ("true", "is not a number"),
+    ])
+    def test_non_finite_or_boolean_duration_rejected(self, tmp_path, duration, reason):
+        path = tmp_path / "eps.jsonl"
+        write_lines(path, [json.dumps({"id": "ok", "transcript": "t", "duration_seconds": 5}),
+                           '{"id": "bad", "transcript": "t", "duration_seconds": %s}' % duration])
+        errors = []
+        assert [e.id for e in load_episodes(path, errors=errors)] == ["ok"]
+        assert [str(e) for e in errors] == [f"line 2: duration_seconds {reason}"]
+
     def test_repeated_id_reported_and_first_kept(self, tmp_path):
         path = tmp_path / "eps.jsonl"
         write_lines(path, [

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from podselect import preprocess
 from podselect.corpus import Episode, load_episodes, token_texts
 from podselect.errors import ConfigError, InsufficientContentError
-from podselect.preprocess import (DUPLICATE_SIM_THRESHOLD, FilterConfig, _DuplicateIndex,
-                                  _shingles, clean_description, contains_profanity,
-                                  description_similarity, detect_english, filter_corpus,
-                                  load_profanity_list, split_dataset)
+from podselect.preprocess import (DUPLICATE_SIM_THRESHOLD, FilterConfig, FilterReport,
+                                  _DuplicateIndex, _shingles, clean_description,
+                                  contains_profanity, description_similarity, detect_english,
+                                  filter_corpus, load_profanity_list, split_dataset)
 
 from oracles import oracle_near_duplicates
 
@@ -81,6 +81,13 @@ class TestProfanity:
         words = load_profanity_list(path)
         assert contains_profanity(token_texts("total zonk moment"), words)
         assert not contains_profanity(token_texts("zonked out"), words)
+
+    def test_custom_wordlist_lines_are_stripped_lowercased_and_split_at_newlines(self,
+                                                                                  tmp_path):
+        path = tmp_path / "words.txt"
+        # str.splitlines would also cut at the form feed; a file's lines do not
+        path.write_text("  Zonk \n\n  # note\nab\x0ccd\r\nQuux\n", encoding="utf-8")
+        assert load_profanity_list(path) == {"zonk", "ab\x0ccd", "quux"}
 
 
 class TestDetectEnglish:
@@ -168,6 +175,23 @@ class TestFilterCorpus:
         kept, report = filter_corpus(episodes)
         assert [e.id for e in kept] == [f"ep-keep-{i:02d}" for i in range(1, 7)]
         assert json.loads(report.to_json()) == EXPECTED_REPORT
+
+    def test_report_is_immutable_compares_every_field_and_renders_unchanged(self):
+        fields = (3, 1, {"profanity": 1, "desc_too_short": 1},
+                  {"é": "profanity", "a": "desc_too_short"}, {"c": "x"})
+        report = FilterReport(*fields)
+        with pytest.raises(AttributeError):
+            report.kept_count = 2
+        assert report == FilterReport(*fields)
+        for position in range(len(fields)):
+            changed = list(fields)
+            changed[position] = 0 if position < 2 else {"other": 1}
+            assert report != FilterReport(*changed)
+        # rules in ALL_RULES order, reasons in insertion order, no cleaned descriptions
+        assert report.to_json() == (
+            '{\n  "input": 3,\n  "kept": 1,\n  "rejected_by_rule": {\n'
+            '    "desc_too_short": 1,\n    "profanity": 1\n  },\n  "reasons": {\n'
+            '    "é": "profanity",\n    "a": "desc_too_short"\n  }\n}')
 
     def test_report_holds_each_kept_cleaned_description(self, fixtures_dir):
         kept, report = filter_corpus(load_fixture_episodes(fixtures_dir))

@@ -258,6 +258,12 @@ class TestSelectorConfig:
         assert pickle.loads(pickle.dumps(config)) == config
         assert config != SelectorConfig(window_size=3, novelty_top_k=2)
         assert hash(config) == hash(SelectorConfig(3, 2, 50))
+        assert repr(config) == "SelectorConfig(window_size=3, novelty_top_k=2, token_budget=50)"
+        # unpickling calls the class, so its checks run again
+        invalid = SelectorConfig()
+        object.__setattr__(invalid, "token_budget", 0)
+        with pytest.raises(ConfigError, match="token_budget must be >= 1, got 0"):
+            pickle.loads(pickle.dumps(invalid))
 
 
 class TestSelectionResult:
@@ -274,3 +280,6 @@ class TestSelectionResult:
             result.strategy = "none"
         copy = pickle.loads(pickle.dumps(result))
         assert copy == result and copy.diagnostics == {"best": 0}
+        assert repr(result) == ("SelectionResult(episode_id='ep', strategy='window', "
+                                "sentence_indices=(0,), selected_token_count=3, "
+                                "diagnostics={'best': 0})")

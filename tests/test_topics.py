@@ -46,6 +46,13 @@ class TestTopicConfig:
             config.seed = 1
         assert pickle.loads(pickle.dumps(config)) == config
         assert config != TopicConfig(num_topics=3)
+        assert repr(config) == ("TopicConfig(num_topics=3, gibbs_iterations=500, burn_in=300, "
+                                "seed=9)")
+        # unpickling calls the class, so its checks run again
+        invalid = TopicConfig()
+        object.__setattr__(invalid, "burn_in", 500)
+        with pytest.raises(ConfigError, match="burn_in must satisfy"):
+            pickle.loads(pickle.dumps(invalid))
 
 
 class TestFitLda:
