@@ -171,7 +171,7 @@ class RemoteBackend:
     def _parse(body: bytes, episode_id: str) -> str:
         try:
             data = json.loads(body)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
             raise ProtocolError(
                 f"backend returned non-JSON body for {episode_id!r}: {exc}"
             ) from exc

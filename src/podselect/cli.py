@@ -24,7 +24,7 @@ from time import perf_counter
 
 from . import abstractive, corpus, evalharness, preprocess, selection
 from .errors import (BackendError, ConfigError, EmptyDocumentError,
-                     InsufficientContentError, PodselectError)
+                     InsufficientContentError, PodselectError, RecordParseError)
 
 logger = logging.getLogger("podselect")
 
@@ -84,6 +84,8 @@ def _load_config_mapping(ns) -> dict:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError: JSON is UTF-8
         raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ConfigError(f"config file {path!r} is not valid JSON: nested too deeply") from None
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path!r} must hold a JSON object")
     return data
@@ -120,37 +122,12 @@ def _settings(ns) -> dict:
 
 
 def _read_records(path: str, what: str, parse) -> list:
-    """parse(record, line_number) for each JSON object line of a JSONL file, Nones left out.
-
-    Raises PodselectError("{what} line N: <reason>") for a line that is not UTF-8 or a
-    JSON object, that parse rejects (KeyError, TypeError, ValueError) or that repeats an id.
-    """
-    items = []
-    seen: set[str] = set()
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
-        for line_number, line in enumerate(handle, 1):
-            if not line.strip():
-                continue
-            try:
-                line.encode("utf-8")
-                record = json.loads(line)
-                if not isinstance(record, dict):
-                    raise ValueError("not a JSON object")
-                item = parse(record, line_number)
-                if record["id"] in seen:
-                    raise ValueError(f"duplicate id {record['id']!r}")
-                seen.add(record["id"])
-            except UnicodeEncodeError:
-                raise PodselectError(f"{what} line {line_number}: not valid UTF-8") from None
-            except json.JSONDecodeError as exc:
-                raise PodselectError(f"{what} line {line_number}: invalid JSON: {exc}") from exc
-            except KeyError as exc:
-                raise PodselectError(f"{what} line {line_number}: missing key {exc}") from exc
-            except (TypeError, ValueError) as exc:
-                raise PodselectError(f"{what} line {line_number}: {exc}") from exc
-            if item is not None:
-                items.append(item)
-    return items
+    """corpus.read_records(path, parse) as a list, Nones left out; the first bad
+    line raises PodselectError("{what} line N: <reason>")."""
+    try:
+        return [item for item in corpus.read_records(path, parse) if item is not None]
+    except RecordParseError as err:
+        raise PodselectError(f"{what} {err}") from None
 
 
 def _derive_seed(base_seed: int, episode_id: str) -> int:
@@ -344,7 +321,13 @@ def _read_capped_inputs(selections_path: str, episodes_path: str,
     episodes = {episode.id: episode for episode in corpus.load_episodes(episodes_path)}
 
     def capped_input(record: dict, line_number: int) -> abstractive.BackendInput | None:
-        episode = episodes.get(record["id"])
+        episode_id, indices = record["id"], record["indices"]
+        if not isinstance(episode_id, str):
+            raise ValueError("'id' must be a string")
+        if not (type(indices) is list and all(type(i) is int for i in indices)  # as select writes
+                and all(a < b for a, b in zip(indices, indices[1:]))):
+            raise ValueError("'indices' must be a list of strictly increasing integers")
+        episode = episodes.get(episode_id)
         doc = None
         if episode is not None:
             try:
@@ -352,12 +335,12 @@ def _read_capped_inputs(selections_path: str, episodes_path: str,
             except EmptyDocumentError as exc:
                 logger.warning("skipping %s: %s", episode.id, exc)
         if doc is None:
-            logger.warning("selection line %d: no episode %r", line_number, record["id"])
+            logger.warning("selection line %d: no episode %r", line_number, episode_id)
             return None
         result = selection.SelectionResult(
-            episode_id=record["id"],
+            episode_id=episode_id,
             strategy=record.get("strategy", "window"),
-            sentence_indices=tuple(record["indices"]),
+            sentence_indices=tuple(indices),
             selected_token_count=record.get("tokens", 0),
         )
         return abstractive.enforce_budget(result, doc, budget)
@@ -405,11 +388,8 @@ def _summary(record: dict, line_number: int) -> abstractive.Summary:
 
 def _load_references(path: str, raw: bool) -> dict[str, str]:
     """Reference descriptions by episode id, read from the episodes file at path."""
-    references: dict[str, str] = {}
-    for episode in corpus.load_episodes(path):
-        description = episode.description
-        references[episode.id] = description if raw else preprocess.clean_description(description)
-    return references
+    clean = str if raw else preprocess.clean_description
+    return {episode.id: clean(episode.description) for episode in corpus.load_episodes(path)}
 
 
 def _run_evaluate(summaries_path: str, references_path: str, output_path: Path,

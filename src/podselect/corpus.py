@@ -129,20 +129,25 @@ class Document(NamedTuple):
 
 
 def _parse_record(record: dict, line_number: int) -> Episode:
-    if not isinstance(record, dict):
-        raise RecordParseError(line_number, "record is not an object")
     episode_id = record.get("id")
     if not isinstance(episode_id, str) or not episode_id:
         raise RecordParseError(line_number, "missing or empty 'id'")
     transcript = record.get("transcript")
     if not isinstance(transcript, str):
         raise RecordParseError(line_number, "missing 'transcript'")
+    texts = {}
+    for key in ("show_id", "description", "show_description"):
+        texts[key] = "" if record.get(key) is None else record[key]
+        if not isinstance(texts[key], str):
+            raise RecordParseError(line_number, f"{key!r} is not a string")
     duration = record.get("duration_seconds")
     if duration is not None:
         if isinstance(duration, bool):  # float() would take a JSON true as 1.0
             raise RecordParseError(line_number, "duration_seconds is not a number")
         try:
             duration = float(duration)
+        except OverflowError:  # an integer past the float range
+            duration = math.inf
         except (TypeError, ValueError):
             raise RecordParseError(line_number, "duration_seconds is not a number")
         # NaN and the infinities would be written back as invalid JSON
@@ -150,22 +155,59 @@ def _parse_record(record: dict, line_number: int) -> Episode:
             raise RecordParseError(line_number, "duration_seconds is not finite")
         if duration < 0:
             raise RecordParseError(line_number, "duration_seconds is negative")
-    episode = Episode(
-        id=episode_id,
-        show_id=str(record.get("show_id") or ""),
-        transcript_text=transcript,
-        description=str(record.get("description") or ""),
-        show_description=str(record.get("show_description") or ""),
-        duration_seconds=duration,
-    )
-    # raw bytes kept by surrogateescape, or JSON \ud800 escapes: both fail to write
+    # JSON escapes such as \ud800 pass read_records' UTF-8 check, and fail to write
     try:
-        for text in (episode.id, episode.show_id, episode.transcript_text,
-                     episode.description, episode.show_description):
-            text.encode("utf-8")
+        "".join((episode_id, transcript, *texts.values())).encode("utf-8")
     except UnicodeEncodeError:
         raise RecordParseError(line_number, "not valid UTF-8") from None
-    return episode
+    return Episode(episode_id, transcript_text=transcript, duration_seconds=duration, **texts)
+
+
+def read_records(path, parse, errors: list[RecordParseError] | None = None) -> Iterator:
+    """Lazily yield parse(record, line_number) for each line of a JSONL file.
+
+    Blank lines are skipped. A line that is not UTF-8, not JSON (nesting too
+    deep to read included) or not an object, that parse rejects by raising
+    RecordParseError, KeyError, TypeError or ValueError, or that repeats an
+    earlier 'id' (parse must check that it is a string) is a RecordParseError.
+    With errors None the first one is raised; with a list each one is logged,
+    appended to it and its line skipped, so the first of a repeated id wins.
+    """
+    seen: set[str] = set()
+    # surrogateescape: a line with bad bytes is rejected alone, not its whole chunk
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+        for line_number, line in enumerate(handle, 1):
+            if not line.strip():
+                continue
+            try:
+                line.encode("utf-8")
+                try:
+                    record = json.loads(line)
+                except RecursionError:
+                    raise json.JSONDecodeError("nested too deeply", line, 0) from None
+                if not isinstance(record, dict):
+                    raise TypeError("not a JSON object")
+                item = parse(record, line_number)
+                if record["id"] in seen:
+                    raise ValueError(f"duplicate id {record['id']!r}")
+                seen.add(record["id"])
+            except UnicodeEncodeError:
+                err = RecordParseError(line_number, "not valid UTF-8")
+            except json.JSONDecodeError as exc:
+                err = RecordParseError(line_number, f"invalid JSON ({exc.msg})")
+            except KeyError as exc:
+                err = RecordParseError(line_number, f"missing key {exc}")
+            except (TypeError, ValueError) as exc:  # ValueError: also an int too long to read
+                err = RecordParseError(line_number, str(exc))
+            except RecordParseError as exc:
+                err = exc
+            else:
+                yield item
+                continue
+            if errors is None:
+                raise err
+            logger.warning("skipping record: %s", err)
+            errors.append(err)
 
 
 def load_episodes(path, errors: list[RecordParseError] | None = None) -> Iterator[Episode]:
@@ -175,32 +217,7 @@ def load_episodes(path, errors: list[RecordParseError] | None = None) -> Iterato
     wins), are never silently dropped: each one is logged with its line
     number and, when ``errors`` is given, appended to it.
     """
-
-    def report(err: RecordParseError):
-        logger.warning("skipping record: %s", err)
-        if errors is not None:
-            errors.append(err)
-
-    seen: set[str] = set()
-    # surrogateescape: _parse_record rejects a bad line alone, not its whole chunk
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
-        for line_number, line in enumerate(handle, 1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                report(RecordParseError(line_number, f"invalid JSON ({exc.msg})"))
-                continue
-            try:
-                episode = _parse_record(record, line_number)
-                if episode.id in seen:
-                    raise RecordParseError(line_number, f"duplicate id {episode.id!r}")
-            except RecordParseError as err:
-                report(err)
-                continue
-            seen.add(episode.id)
-            yield episode
+    return read_records(path, _parse_record, [] if errors is None else errors)
 
 
 # --- sentence segmentation ---------------------------------------------------

@@ -12,10 +12,10 @@ class ConfigError(PodselectError):
 
 
 class RecordParseError(PodselectError):
-    """A corpus record could not be parsed.
+    """A line of a JSONL input could not be read (see corpus.read_records).
 
-    Logged and collected during ingestion, not propagated, so one bad line
-    does not abort a batch run.
+    The episodes file logs and skips such lines, so one bad line does not
+    abort a batch run; a selections or summaries file stops at the first.
     """
 
     def __init__(self, line_number: int, message: str):

@@ -93,7 +93,7 @@ def load_profanity_list(path=None) -> frozenset[str]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return _parse_wordlist(handle)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, or not UTF-8
         raise ConfigError(f"cannot read profanity list {path!r}: {exc}") from exc
 
 

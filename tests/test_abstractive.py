@@ -285,6 +285,12 @@ class TestRemoteBackend:
         assert len(server.requests) == 2
         assert delays == []
 
+    def test_too_deeply_nested_body_is_protocol_error(self, stub_server):
+        server, endpoint = stub_server
+        server.script.append((200, b"[" * 200_000))
+        with pytest.raises(ProtocolError, match="non-JSON body for 'e'"):
+            RemoteBackend(endpoint).generate("e", "t")
+
     def test_missing_summary_field_is_protocol_error(self, stub_server):
         server, endpoint = stub_server
         server.script.append((200, {"id": "e", "result": "wrong key"}))

@@ -5,6 +5,7 @@ import pickle
 import random
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from collections import deque
@@ -74,7 +75,7 @@ def read_jsonl(path):
         return [json.loads(line) for line in handle if line.strip()]
 
 
-def tiny_corpus(path, count=3, sentences=6):
+def tiny_records(count=3, sentences=6):
     """Hand-sized corpus: every transcript has `sentences` 3-token sentences."""
     words = ["alpha", "bravo", "charlie", "delta", "echo", "foxtrot",
              "golf", "hotel", "india", "juliet", "kilo", "lima"]
@@ -94,6 +95,12 @@ def tiny_corpus(path, count=3, sentences=6):
                            f"studies, guest interviews, and closing thoughts.",
             "show_description": "A show about things.",
         })
+    return records
+
+
+def tiny_corpus(path, count=3, sentences=6):
+    """tiny_records written to path."""
+    records = tiny_records(count, sentences)
     write_jsonl(path, records)
     return records
 
@@ -210,6 +217,17 @@ class TestPreprocessCommand:
         assert "line 4: not valid UTF-8" in proc.stderr
         assert [r["id"] for r in read_jsonl(out / "kept.jsonl")] == [r["id"] for r in records]
         assert not list(out.glob("*.partial"))
+
+    @pytest.mark.parametrize("command", ["preprocess", "pipeline"])
+    def test_too_deeply_nested_line_reported_and_skipped(self, tmp_path, caplog, command):
+        source = tmp_path / "eps.jsonl"
+        records = tiny_corpus(source, count=3)
+        lines = source.read_text("utf-8").splitlines()
+        source.write_text("\n".join([lines[0], "[" * 200_000, *lines[1:]]) + "\n", "utf-8")
+        out = tmp_path / "stage"
+        assert main([command, "--input", str(source), "--output", str(out), "--jobs", "1"]) == 0
+        assert "line 2: invalid JSON (nested too deeply)" in caplog.text
+        assert [r["id"] for r in read_jsonl(out / "kept.jsonl")] == [r["id"] for r in records]
 
     def test_non_finite_durations_never_reach_kept_jsonl(self, tmp_path):
         source = tmp_path / "eps.jsonl"
@@ -549,10 +567,13 @@ class TestConfigPrecedence:
         ({"backend": "remote", "endpoint": "http://h:abc"}, "endpoint 'http://h:abc': "),
         ({"backend": "remote", "endpoint": "http://a b:80"}, "endpoint 'http://a b:80': "),
         (b'{"seed": 1, "strategy": "w\xffndow"}', "is not valid JSON"),
+        (b"[" * 200_000, "is not valid JSON: nested too deeply"),
+        ({"profanity_list_path": "nul\x00.txt"}, "cannot read profanity list"),
     ], ids=["budget-string", "budget-bool", "topics-string", "endpoint-number",
             "filter-threshold-key", "misspelled-key", "missing-profanity-list",
             "endpoint-no-scheme", "endpoint-ftp", "endpoint-no-host",
-            "endpoint-bad-port", "endpoint-space-in-host", "config-not-utf8"])
+            "endpoint-bad-port", "endpoint-space-in-host", "config-not-utf8",
+            "config-nested-too-deeply", "profanity-list-path-with-nul"])
     def test_bad_config_exits_two_and_writes_nothing(self, fixtures_dir, tmp_path,
                                                      config, named):
         config_path = tmp_path / "conf.json"
@@ -578,6 +599,9 @@ class TestConfigPrecedence:
         assert main(["select", "--input", str(source),
                      "--output", str(tmp_path / "sel.jsonl"),
                      "--config", str(config)]) == 2
+
+
+INDICES_RULE = "'indices' must be a list of strictly increasing integers"
 
 
 class TestSummarizeCommand:
@@ -656,8 +680,18 @@ class TestSummarizeCommand:
          "selection for 'tiny-01' references sentence 99"),
         ('{"id": "tiny-00", "indices": [0], "tokens": 3}', "duplicate id 'tiny-00'"),
         (b'{"id": "tiny-01", "indices": [0], "note": "\xff"}', "not valid UTF-8"),
+        ("[" * 200_000, "invalid JSON (nested too deeply)"),
+        ('{"id": "tiny-01", "indices": [1, 1], "tokens": 6}', INDICES_RULE),
+        ('{"id": "tiny-01", "indices": [2, 0], "tokens": 6}', INDICES_RULE),
+        ('{"id": "tiny-01", "indices": [true, false], "tokens": 3}', INDICES_RULE),
+        ('{"id": "tiny-01", "indices": [0.0, 1.0], "tokens": 6}', INDICES_RULE),
+        ('{"id": "tiny-01", "indices": "01", "tokens": 6}', INDICES_RULE),
+        ('{"id": 1, "indices": [0], "tokens": 3}', "'id' must be a string"),
+        ('{"id": ["tiny-01"], "indices": [0], "tokens": 3}', "'id' must be a string"),
     ], ids=["not-json", "not-an-object", "missing-indices", "index-out-of-range",
-            "duplicate-id", "not-utf8"])
+            "duplicate-id", "not-utf8", "nested-too-deeply", "repeated-index",
+            "indices-out-of-order", "boolean-indices", "float-indices", "indices-string",
+            "id-number", "id-list"])
     def test_malformed_selection_line_exits_one(self, tmp_path, bad_line, reason):
         source, selections = self.prepare(tmp_path)
         first_line = selections.read_bytes().splitlines()[0]
@@ -769,8 +803,9 @@ class TestEvaluateCommand:
         ('{"id": "tiny-00", "summary": 5}', "'id' and 'summary' must be strings"),
         ('{"id": "tiny-00", "summary": "text", "backend": "null"}', "duplicate id 'tiny-00'"),
         (b'{"id": "tiny-01", "summary": "caf\xe9"}', "not valid UTF-8"),
+        ("[" * 200_000, "invalid JSON (nested too deeply)"),
     ], ids=["not-json", "not-an-object", "missing-id", "summary-not-a-string",
-            "duplicate-id", "not-utf8"])
+            "duplicate-id", "not-utf8", "nested-too-deeply"])
     def test_malformed_summary_line_exits_one(self, tmp_path, bad_line, reason):
         source = tmp_path / "eps.jsonl"
         tiny_corpus(source, count=1)
@@ -1159,3 +1194,73 @@ class TestGoldenDigests:
                      "--output", str(out), "--strategy", "window", "--diagnostics",
                      "--jobs", "1"]) == 0
         assert sha256_of(out) == GOLDEN_WINDOW_DIAGNOSTICS_DIGEST
+
+
+# --- no input line crashes a run ----------------------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+# every key that an input file or the config file is read for
+INPUT_KEYS = ["id", "transcript", "show_id", "description", "show_description",
+              "duration_seconds", "indices", "strategy", "tokens", "summary", "backend",
+              *cli._SETTINGS]
+TINY = tiny_records(count=3)
+# target: (records a line is edited from, the command with {path}, {tiny} and {out})
+INPUT_TARGETS = {
+    "episodes": (TINY, ["preprocess", "--input", "{path}", "--output", "{out}"]),
+    "selections": ([{"id": r["id"], "strategy": "window", "indices": [1, 2], "tokens": 6}
+                    for r in TINY],
+                   ["summarize", "--input", "{path}", "--episodes", "{tiny}",
+                    "--output", "{out}/summaries.jsonl", "--jobs", "1"]),
+    "summaries": ([{"id": r["id"], "summary": "golf hotel", "backend": "null"} for r in TINY],
+                  ["evaluate", "--input", "{path}", "--references", "{tiny}",
+                   "--output", "{out}/report.json", "--format", "json"]),
+    # flags keep the run offline and in-process whatever the file says
+    "config": ([{"strategy": "topic", "topics": 2, "budget": 8}, {"top_k": 1, "seed": 3}],
+               ["pipeline", "--input", "{tiny}", "--output", "{out}", "--config", "{path}",
+                "--backend", "null", "--jobs", "1"]),
+}
+
+
+def input_lines(base_records):
+    """Lines of an input file: a base record with one key set to any JSON value, any
+    JSON value, an array nested up to 200,000 deep, or arbitrary bytes."""
+    edited = st.builds(lambda base, key, value: {**base, key: value},
+                       st.sampled_from(base_records), st.sampled_from(INPUT_KEYS), JSON_VALUES)
+    line = st.one_of(edited.map(json.dumps), JSON_VALUES.map(json.dumps),
+                     st.integers(1, 200_000).map(lambda depth: "[" * depth))
+    return st.lists(line.map(str.encode) | st.binary(max_size=30), min_size=1, max_size=3)
+
+
+def refuse_constant(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+class TestNoInputLineCrashesARun:
+    @pytest.mark.parametrize("target", list(INPUT_TARGETS))
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_exits_with_a_code_and_writes_only_json(self, target, data):
+        """Whatever its lines hold, a command given the file exits 0, 1 or 2 without
+        raising, and every JSON artifact it leaves parses without NaN or Infinity."""
+        base_records, command = INPUT_TARGETS[target]
+        lines = data.draw(input_lines(base_records))
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            write_jsonl(tmp / "tiny.jsonl", TINY)
+            # a config file is one JSON document; the others are the lines, then the bases
+            (tmp / "input").write_bytes(lines[0] if target == "config" else b"\n".join(
+                [*lines, *(json.dumps(r).encode() for r in base_records)]))
+            (tmp / "out").mkdir()
+            names = {"path": tmp / "input", "tiny": tmp / "tiny.jsonl", "out": tmp / "out"}
+            assert main([arg.format(**names) for arg in command]) in (0, 1, 2)
+            for artifact in (tmp / "out").iterdir():
+                text = artifact.read_text("utf-8")
+                if artifact.suffix == ".json":
+                    json.loads(text, parse_constant=refuse_constant)
+                elif ".jsonl" in artifact.name:  # .partial files too
+                    for line in text.splitlines():
+                        json.loads(line, parse_constant=refuse_constant)

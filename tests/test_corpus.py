@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from podselect.corpus import (Document, Episode, Sentence, build_document, load_episodes,
-                              segment_sentences, segment_spans, token_texts,
+                              read_records, segment_sentences, segment_spans, token_texts,
                               tokenize)
 from podselect.abstractive import enforce_budget
-from podselect.errors import EmptyDocumentError
+from podselect.errors import EmptyDocumentError, RecordParseError
 from podselect.selection import select_head
 
 from oracles import oracle_segment_spans, oracle_tokenize
@@ -90,6 +90,7 @@ class TestLoadEpisodes:
     @pytest.mark.parametrize("duration, reason", [
         ("NaN", "is not finite"), ('"nan"', "is not finite"), ("1e999", "is not finite"),
         ('"-inf"', "is not finite"), ("true", "is not a number"),
+        pytest.param("1" + "0" * 400, "is not finite", id="int-past-the-float-range"),
     ])
     def test_non_finite_or_boolean_duration_rejected(self, tmp_path, duration, reason):
         path = tmp_path / "eps.jsonl"
@@ -111,6 +112,64 @@ class TestLoadEpisodes:
         assert [(e.id, e.transcript_text) for e in episodes] == [("ep1", "first"),
                                                                  ("ep2", "other")]
         assert [str(e) for e in errors] == ["line 3: duplicate id 'ep1'"]
+
+    @pytest.mark.parametrize("field", ["show_id", "description", "show_description"])
+    @pytest.mark.parametrize("value", [{"text": "a dict"}, ["a", "list"], 17, True],
+                             ids=["object", "list", "number", "true"])
+    def test_text_field_that_is_not_a_string_rejected(self, tmp_path, field, value):
+        path = tmp_path / "eps.jsonl"
+        write_lines(path, [json.dumps({"id": "ok", "transcript": "Some words here."}),
+                           json.dumps({"id": "bad", "transcript": "Some words here.",
+                                       field: value})])
+        errors = []
+        assert [e.id for e in load_episodes(path, errors=errors)] == ["ok"]
+        assert [str(e) for e in errors] == [f"line 2: {field!r} is not a string"]
+
+    def test_missing_or_null_text_fields_read_as_empty(self, tmp_path):
+        path = tmp_path / "eps.jsonl"
+        write_lines(path, [json.dumps({"id": "missing", "transcript": "t"}),
+                           json.dumps({"id": "null", "transcript": "t", "show_id": None,
+                                       "description": None, "show_description": None})])
+        episodes = list(load_episodes(path))
+        assert [(e.show_id, e.description, e.show_description) for e in episodes] == [
+            ("", "", "")] * 2
+
+    @pytest.mark.parametrize("line", ["[" * 200_000, '{"id": "deep", "x": ' + "[" * 200_000],
+                             ids=["top-level", "in-an-object"])
+    def test_too_deeply_nested_line_skipped(self, tmp_path, line):
+        path = tmp_path / "eps.jsonl"
+        write_lines(path, [json.dumps({"id": "ep1", "transcript": "a"}), line,
+                           json.dumps({"id": "ep3", "transcript": "c"})])
+        errors = []
+        assert [e.id for e in load_episodes(path, errors=errors)] == ["ep1", "ep3"]
+        assert [str(e) for e in errors] == ["line 2: invalid JSON (nested too deeply)"]
+
+    def test_integer_too_long_to_read_never_raises(self, tmp_path):
+        path = tmp_path / "eps.jsonl"
+        write_lines(path, ['{"id": "long", "transcript": "t", "n": 1%s}' % ("0" * 5000),
+                           json.dumps({"id": "ok", "transcript": "t"})])
+        # Python 3.11 and later refuse to read an integer this long; 3.10 reads it
+        assert [e.id for e in load_episodes(path)][-1] == "ok"
+
+    def test_bad_bytes_in_an_ignored_key_reject_the_line(self, tmp_path):
+        path = tmp_path / "eps.jsonl"
+        path.write_bytes(b'{"id": "ok", "transcript": "t"}\n'
+                         b'{"id": "bad", "transcript": "t", "note": "caf\xe9"}\n')
+        errors = []
+        assert [e.id for e in load_episodes(path, errors=errors)] == ["ok"]
+        assert [str(e) for e in errors] == ["line 2: not valid UTF-8"]
+
+
+class TestReadRecords:
+    def test_without_errors_the_first_bad_line_raises(self, tmp_path):
+        path = tmp_path / "recs.jsonl"
+        write_lines(path, ['{"id": "a"}', "", '{"id": "b"}', '{"id": "a"}', "{bad"])
+        reader = read_records(path, lambda record, line_number: (line_number, record["id"]))
+        assert next(reader) == (1, "a")
+        assert next(reader) == (3, "b")
+        with pytest.raises(RecordParseError, match="^line 4: duplicate id 'a'$"):
+            next(reader)
+
 
 class TestSegmentation:
     def test_hand_segmented_fixture(self, fixtures_dir):

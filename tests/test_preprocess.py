@@ -75,6 +75,16 @@ class TestProfanity:
         with pytest.raises(ConfigError):
             load_profanity_list(tmp_path / "missing.txt")
 
+    @pytest.mark.parametrize("name, content", [("nul\x00.txt", None),
+                                               ("latin1.txt", b"caf\xe9\n")],
+                             ids=["nul-in-path", "not-utf8"])
+    def test_unreadable_wordlist_is_config_error(self, tmp_path, name, content):
+        path = tmp_path / name
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(ConfigError, match="cannot read profanity list"):
+            load_profanity_list(str(path))
+
     def test_custom_wordlist_file(self, tmp_path):
         path = tmp_path / "words.txt"
         path.write_text("# comment\nzonk\n", encoding="utf-8")
