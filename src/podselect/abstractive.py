@@ -16,7 +16,7 @@ import logging
 import threading
 import time
 from typing import NamedTuple, Protocol
-from urllib.parse import urlsplit
+from urllib.parse import urlsplit, urlunsplit
 
 from .corpus import Document, tokenize
 from .errors import BackendError, ConfigError, ProtocolError
@@ -119,8 +119,9 @@ class NullBackend:
 class RemoteBackend:
     """HTTP client for a remote summarization service.
 
-    POSTs ``{"id", "text", "max_length"?}`` to ``<endpoint>/summarize``, on a
-    new connection per call, and expects ``{"id", "summary"}`` back. Each call
+    POSTs ``{"id", "text", "max_length"?}`` to the endpoint's path joined with
+    ``/summarize``, its query kept and its fragment dropped, on a new
+    connection per call, and expects ``{"id", "summary"}`` back. Each call
     is one attempt: a non-2xx response raises BackendError with its status, a
     connection or timeout failure raises one without, and a malformed body
     raises ProtocolError. summarize_all decides which of them to retry.
@@ -134,17 +135,21 @@ class RemoteBackend:
     def __init__(self, endpoint: str, timeout: float = 30.0):
         from http.client import HTTPConnection, HTTPSConnection, InvalidURL
 
-        self.url = endpoint.rstrip("/") + "/summarize"
-        parts = urlsplit(self.url)
-        if parts.scheme not in ("http", "https") or not parts.hostname:
-            raise ConfigError(f"endpoint {endpoint!r} is not an http(s):// URL with a host")
-        connection_type = HTTPSConnection if parts.scheme == "https" else HTTPConnection
-        try:  # a port that is not a number, or a host http.client refuses
+        # refused: an unclosed [ in the host, a port that is not a number, and a
+        # host http.client cannot use
+        try:
+            parts = urlsplit(endpoint)
+            if parts.scheme not in ("http", "https") or not parts.hostname:
+                raise ConfigError(f"endpoint {endpoint!r} is not an http(s):// URL with a host")
+            connection_type = HTTPSConnection if parts.scheme == "https" else HTTPConnection
             self._connect = functools.partial(connection_type, parts.hostname, parts.port,
                                               timeout=timeout)
             self._connect()  # only checks: a connection opens on its first request
         except (ValueError, InvalidURL) as exc:
             raise ConfigError(f"endpoint {endpoint!r}: {exc}") from exc
+        # the query goes with every request; the fragment is never sent
+        parts = parts._replace(path=parts.path.rstrip("/") + "/summarize", fragment="")
+        self.url = urlunsplit(parts)
         self._target = parts.path + (f"?{parts.query}" if parts.query else "")
 
     def generate(self, episode_id: str, text: str, max_length: int | None = None) -> str:

@@ -259,9 +259,12 @@ def _select_all(select_one, episodes: list[corpus.Episode], jobs: int) -> list[t
         from concurrent import futures
 
         workers = min(jobs, len(rest))
-        with futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes += pool.map(select_one, rest,
-                                 chunksize=max(1, len(rest) // (workers * 4)))
+        try:
+            with futures.ProcessPoolExecutor(max_workers=workers) as pool:
+                outcomes += pool.map(select_one, rest,
+                                     chunksize=max(1, len(rest) // (workers * 4)))
+        except futures.BrokenExecutor:  # a worker died, e.g. killed for memory
+            raise PodselectError("select pool: a worker process died") from None
     return outcomes
 
 
@@ -431,30 +434,35 @@ def cmd_pipeline(ns) -> int:
     preprocess_outputs = [kept_path, out_dir / "filter_report.json", out_dir / "split.jsonl"]
     # the kept episodes and their cleaned descriptions, when preprocess runs in this process
     kept = references = None
-    if ns.resume and all(p.exists() for p in preprocess_outputs):
+    # the first stage that runs clears resume: its outputs make every later one stale
+    resume = ns.resume
+    if resume and all(p.exists() for p in preprocess_outputs):
         logger.info("pipeline: preprocess outputs exist, skipping")
     else:
+        resume = False
         kept, references = _run_preprocess(ns.input, out_dir, settings)
 
     selections_path = out_dir / "selections.jsonl"
     inputs = None
-    if ns.resume and selections_path.exists():
+    if resume and selections_path.exists():
         logger.info("pipeline: selections exist, skipping")
     else:
+        resume = False
         episodes = list(corpus.load_episodes(kept_path)) if kept is None else kept
         inputs = _run_select(episodes, selections_path, settings, ns.diagnostics)
 
     summaries_path = out_dir / "summaries.jsonl"
-    if ns.resume and summaries_path.exists():
+    if resume and summaries_path.exists():
         logger.info("pipeline: summaries exist, skipping")
     else:
+        resume = False
         if inputs is None:  # select ran in an earlier process: rebuild from its file
             inputs = _read_capped_inputs(str(selections_path), str(kept_path),
                                          settings["budget"])
         _run_summarize(inputs, summaries_path, backend, settings["budget"], settings["jobs"])
 
     report_path = out_dir / f"report.{_REPORT_EXT[settings['format']]}"
-    if ns.resume and report_path.exists():
+    if resume and report_path.exists():
         logger.info("pipeline: report exists, skipping")
     else:
         _run_evaluate(str(summaries_path), str(kept_path), report_path,

@@ -222,22 +222,24 @@ def load_episodes(path, errors: list[RecordParseError] | None = None) -> Iterato
 
 # --- sentence segmentation ---------------------------------------------------
 
-_TERMINALS = ".!?"
-_CLOSERS = "\"'”’)]"
-# A maximal run of terminals, then any closers (group 1). Closers are not
-# terminals, so resuming the search after them skips no run.
-_BOUNDARY_RE = re.compile(f"[{re.escape(_TERMINALS)}]+([{re.escape(_CLOSERS)}]*)")
+# A maximal run of the terminals . ! ?, then any closing quotes or brackets
+# (group 1), then the whitespace that makes it a boundary. The lookbehind lets
+# a match start only at the head of a run, so a long run with no whitespace
+# after it is tried once, not again from each of its characters (time
+# quadratic in the run's length).
+_BOUNDARY_RE = re.compile(r"""[.!?](?<![.!?]{2})[.!?]*(["'”’)\]]*)\s+""")
 
 
 def _is_abbreviation_guard(text: str, dot_index: int) -> bool:
     """True when the period at dot_index ends an abbreviation, not a sentence."""
+    # Linear over a transcript: every candidate period has whitespace after
+    # it, so the words walked back over never overlap.
     start = dot_index
     while start > 0 and not text[start - 1].isspace():
         start -= 1
     word = text[start:dot_index]
     # ignore any opening punctuation stuck to the word, e.g. '("Dr'
-    while word and _is_edge_strippable(word[0]):
-        word = word[1:]
+    word = word.lstrip(_edge_chars(word))
     if not word:
         return False
     if len(word) == 1 and word.isalpha():
@@ -245,33 +247,19 @@ def _is_abbreviation_guard(text: str, dot_index: int) -> bool:
     return word.lower() in ABBREVIATIONS
 
 
-def _boundary_spans(text: str) -> Iterator[tuple[int, int]]:
-    """Untrimmed sentence spans, cut at each boundary; they tile the text."""
-    n = len(text)
-    seg_start = 0
+def _iter_spans(text: str) -> Iterator[tuple[int, int]]:
+    """segment_spans(text), one span at a time, so a caller can stop early."""
+    start = len(text) - len(text.lstrip())
     for match in _BOUNDARY_RE.finditer(text):
-        close_end = match.end()
-        if close_end == n or not text[close_end].isspace():
-            continue
         run_start, run_end = match.start(), match.start(1)
         if (run_end - run_start == 1 and text[run_start] == "."
                 and _is_abbreviation_guard(text, run_start)):
             continue
-        yield (seg_start, close_end)
-        seg_start = close_end
-    if seg_start < n:
-        yield (seg_start, n)
-
-
-def _iter_spans(text: str) -> Iterator[tuple[int, int]]:
-    """segment_spans(text), one span at a time, so a caller can stop early."""
-    for start, end in _boundary_spans(text):
-        while start < end and text[start].isspace():
-            start += 1
-        while end > start and text[end - 1].isspace():
-            end -= 1
-        if end > start:
-            yield (start, end)
+        yield (start, match.end(1))
+        start = match.end()
+    end = len(text.rstrip())
+    if start < end:
+        yield (start, end)
 
 
 def segment_spans(text: str) -> list[tuple[int, int]]:

@@ -329,6 +329,16 @@ class TestRemoteBackend:
         backend = RemoteBackend("http://host:9/")
         assert backend.url == "http://host:9/summarize"
 
+    @pytest.mark.parametrize("suffix", ["/api?key=abc", "/api/?key=abc#x"],
+                             ids=["query", "slash-query-fragment"])
+    def test_endpoint_query_kept_and_fragment_dropped(self, stub_server, suffix):
+        server, endpoint = stub_server
+        server.script.append((200, {"id": "e", "summary": "s"}))
+        backend = RemoteBackend(endpoint + suffix)
+        assert backend.url == endpoint + "/api/summarize?key=abc"
+        backend.generate("e", "t")
+        assert server.requests[0][0] == "/api/summarize?key=abc"
+
     def test_summarize_uses_backend_id(self, stub_server):
         server, endpoint = stub_server
         server.script.append((200, {"id": "e", "summary": "out"}))

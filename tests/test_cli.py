@@ -10,6 +10,7 @@ import threading
 import time
 from collections import deque
 from concurrent import futures
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -314,6 +315,31 @@ class TestSelectCommand:
         assert [size for size, _ in pools] == [3]
         assert out.read_bytes() == serial.read_bytes()
 
+    def test_dead_pool_worker_exits_one(self, tmp_path, monkeypatch, caplog):
+        class BrokenPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                raise BrokenProcessPool("a process was terminated abruptly")
+
+        source = tmp_path / "eps.jsonl"
+        tiny_corpus(source, count=3)
+        monkeypatch.setattr(cli, "_POOL_AFTER_S", 0)
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", BrokenPool)
+        out = tmp_path / "sel.jsonl"
+        assert main(["select", "--input", str(source), "--output", str(out),
+                     "--jobs", "2"]) == 1
+        assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+            "select pool: a worker process died"]
+        assert not out.exists()
+
     def select_with_clock(self, tmp_path, monkeypatch, built, count, pool_after, jobs,
                           costs=None):
         """--jobs `jobs` select of a novelty tiny corpus under a clock advancing costs[i]
@@ -569,11 +595,14 @@ class TestConfigPrecedence:
         (b'{"seed": 1, "strategy": "w\xffndow"}', "is not valid JSON"),
         (b"[" * 200_000, "is not valid JSON: nested too deeply"),
         ({"profanity_list_path": "nul\x00.txt"}, "cannot read profanity list"),
+        ({"backend": "remote", "endpoint": "http://[::1:80"},
+         "endpoint 'http://[::1:80': Invalid IPv6 URL"),
     ], ids=["budget-string", "budget-bool", "topics-string", "endpoint-number",
             "filter-threshold-key", "misspelled-key", "missing-profanity-list",
             "endpoint-no-scheme", "endpoint-ftp", "endpoint-no-host",
             "endpoint-bad-port", "endpoint-space-in-host", "config-not-utf8",
-            "config-nested-too-deeply", "profanity-list-path-with-nul"])
+            "config-nested-too-deeply", "profanity-list-path-with-nul",
+            "endpoint-unclosed-bracket"])
     def test_bad_config_exits_two_and_writes_nothing(self, fixtures_dir, tmp_path,
                                                      config, named):
         config_path = tmp_path / "conf.json"
@@ -957,6 +986,21 @@ class TestPipelineCommand:
         kept = [record["id"] for record in read_jsonl(out / "kept.jsonl")]
         assert len(read_jsonl(out / "summaries.jsonl")) == len(kept) == 10
         assert sorted(built) == sorted(kept)
+
+    def test_resume_reruns_every_stage_after_one_that_runs(self, fixtures_dir, tmp_path):
+        def run(out, *extra):
+            return main(["pipeline", "--input", str(fixtures_dir / "mini_corpus.jsonl"),
+                         "--output", str(out), "--strategy", "none", "--seed", "7",
+                         "--format", "json", "--jobs", "1", *extra])
+
+        fresh = tmp_path / "fresh"
+        assert run(fresh, "--budget", "20") == 0
+        out = tmp_path / "run"
+        assert run(out) == 0
+        (out / "selections.jsonl").unlink()
+        assert run(out, "--resume", "--budget", "20") == 0
+        for name in ("selections.jsonl", "summaries.jsonl", "report.json"):
+            assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
 
     def test_kept_episodes_pass_in_memory_unless_resumed(self, fixtures_dir, tmp_path,
                                                           monkeypatch):

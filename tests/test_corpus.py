@@ -2,6 +2,7 @@ import json
 import pickle
 import random
 import string
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,14 @@ MIXED_TEXT = st.lists(st.sampled_from(list(MIXED_CHARS)) | st.sampled_from(MIXED
                       max_size=60).map("".join)
 ASCII_TEXT = st.text(alphabet=string.ascii_letters + string.punctuation + " \t\n",
                      max_size=60)
+# Terminals, closers and whitespace packed together, with single letters,
+# abbreviations and runs of opening brackets before the periods.
+BOUNDARY_DENSE_TEXT = st.lists(
+    st.sampled_from(list(".!?") + list("\"')]”’")
+                    + list("\t\n\r\x0b\x0c\x1c\x85\xa0\u2028\u3000")
+                    + ["a", "J", "x", "Dr", "e.g"])
+    | st.integers(1, 5).map(lambda n: "(" * n),
+    max_size=60).map("".join)
 
 
 def write_lines(path, lines):
@@ -210,10 +219,22 @@ class TestSegmentation:
         rebuilt.append(text[cursor:])
         assert "".join(rebuilt) == text
 
-    @given(MIXED_TEXT | ASCII_TEXT)
+    @given(MIXED_TEXT | ASCII_TEXT | BOUNDARY_DENSE_TEXT)
     @settings(max_examples=300)
     def test_matches_character_oracle(self, text):
         assert segment_spans(text) == oracle_segment_spans(text)
+
+    @pytest.mark.parametrize("run", ["(", ".", "!.", '."'])
+    def test_linear_in_a_million_character_run(self, run):
+        # long enough that work quadratic in the run, such as stripping the word's
+        # punctuation one character at a time or retrying a match from each
+        # character of a run of terminals, takes far longer than the limit
+        filler = run * (1_000_000 // len(run))
+        text = "Start here. " + filler + "a. b"
+        started = time.perf_counter()
+        spans = segment_spans(text)
+        assert time.perf_counter() - started < 5
+        assert spans == [(0, 11), (12, len(text))]
 
 
 class TestTokenize:
