@@ -325,26 +325,31 @@ def _read_capped_inputs(selections_path: str, episodes_path: str,
 
     def capped_input(record: dict, line_number: int) -> abstractive.BackendInput | None:
         episode_id, indices = record["id"], record["indices"]
+        strategy, tokens = record.get("strategy", "window"), record.get("tokens", 0)
         if not isinstance(episode_id, str):
             raise ValueError("'id' must be a string")
         if not (type(indices) is list and all(type(i) is int for i in indices)  # as select writes
                 and all(a < b for a, b in zip(indices, indices[1:]))):
             raise ValueError("'indices' must be a list of strictly increasing integers")
+        if not isinstance(strategy, str):
+            raise ValueError("'strategy' must be a string")
+        if type(tokens) is not int:
+            raise ValueError("'tokens' must be an integer")
         episode = episodes.get(episode_id)
-        doc = None
-        if episode is not None:
-            try:
-                doc = corpus.build_document(episode)
-            except EmptyDocumentError as exc:
-                logger.warning("skipping %s: %s", episode.id, exc)
-        if doc is None:
+        if episode is None:
             logger.warning("selection line %d: no episode %r", line_number, episode_id)
+            return None
+        try:
+            doc = corpus.build_document(episode)
+        except EmptyDocumentError:
+            logger.warning("selection line %d: skipping %r: transcript has no usable "
+                           "sentences", line_number, episode_id)
             return None
         result = selection.SelectionResult(
             episode_id=episode_id,
-            strategy=record.get("strategy", "window"),
+            strategy=strategy,
             sentence_indices=tuple(indices),
-            selected_token_count=record.get("tokens", 0),
+            selected_token_count=tokens,
         )
         return abstractive.enforce_budget(result, doc, budget)
 
@@ -383,10 +388,12 @@ def cmd_summarize(ns) -> int:
 
 def _summary(record: dict, line_number: int) -> abstractive.Summary:
     episode_id, text = record["id"], record.get("summary", "")
+    backend_id = record.get("backend", "unknown")
     if not isinstance(episode_id, str) or not isinstance(text, str):
         raise ValueError("'id' and 'summary' must be strings")
-    return abstractive.Summary(episode_id=episode_id, text=text,
-                               backend_id=record.get("backend", "unknown"))
+    if not isinstance(backend_id, str):
+        raise ValueError("'backend' must be a string")
+    return abstractive.Summary(episode_id=episode_id, text=text, backend_id=backend_id)
 
 
 def _load_references(path: str, raw: bool) -> dict[str, str]:

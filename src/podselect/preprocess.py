@@ -83,7 +83,7 @@ def clean_description(raw: str) -> str:
             if any(p in lowered for p in SPONSOR_PHRASES):
                 continue
             kept_parts.append(sentence)
-    return re.sub(r"\s+", " ", " ".join(kept_parts)).strip()
+    return " ".join(" ".join(kept_parts).split())
 
 
 def load_profanity_list(path=None) -> frozenset[str]:

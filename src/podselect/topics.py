@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import cycle
 from typing import NamedTuple
 
 from .corpus import Document, Frozen, Sentence
@@ -211,33 +212,21 @@ def select_by_topics(doc: Document, model: TopicModel,
         scored = [sentence_topic_relevance(s, model, j) for s in doc.sentences]
         scored.sort(key=lambda r: (-r.score, r.sentence_index))
         ranked[j] = [r.sentence_index for r in scored]
-    cursors = {j: 0 for j in order}
 
     selected: set[int] = set()
     picks: list[tuple[int, int]] = []  # (topic_id, sentence_index) in pick order
     total = 0
-    over_budget = False
-    while not over_budget:
-        progressed = False
-        for j in order:
-            queue = ranked[j]
-            cursor = cursors[j]
-            while cursor < len(queue) and queue[cursor] in selected:
-                cursor += 1
-            cursors[j] = cursor
-            if cursor >= len(queue):
-                continue
-            index = queue[cursor]
-            cost = len(doc.sentences[index].tokens)
-            if total + cost > budget:
-                over_budget = True
-                break
-            selected.add(index)
-            picks.append((j, index))
-            total += cost
-            progressed = True
-        if not progressed:
+    # every topic ranks every sentence, so one runs dry only once all are taken
+    for j, queue in cycle([(j, iter(ranked[j])) for j in order]):
+        index = next((i for i in queue if i not in selected), None)
+        if index is None:
             break
+        cost = len(doc.sentences[index].tokens)
+        if total + cost > budget:
+            break
+        selected.add(index)
+        picks.append((j, index))
+        total += cost
 
     diagnostics: dict = {"topic_order": order, "picks": picks}
     if not selected and doc.sentences:

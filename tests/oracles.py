@@ -9,6 +9,7 @@ word lists are shared, read here with their own parser.
 
 from __future__ import annotations
 
+import math
 import unicodedata
 from collections import Counter
 from importlib import resources
@@ -192,3 +193,52 @@ def oracle_near_duplicates(shingle_sets, threshold):
         if not duplicate:
             kept.append(shingles)
     return verdicts
+
+
+def oracle_topic_picks(sentence_tokens, vocabulary, topic_word, doc_topic_weight,
+                       oov_probability, budget):
+    """Topic round robin, rescanning each ranking from the top every turn.
+
+    A sentence's relevance to a topic is its mean per-token log probability,
+    unseen words at the topic's floor; each topic ranks every sentence by
+    (-relevance, index). Topics take turns by (-weight, topic id), each
+    claiming its first untaken sentence, until all are taken or the next
+    pick would cross budget. The log probabilities are added in a plain
+    loop: from Python 3.12 sum() compensates float error, which can move a
+    tie. Returns the fields select_by_topics reports.
+    """
+    topics = range(len(topic_word))
+    order = sorted(topics, key=lambda j: (-doc_topic_weight[j], j))
+    rankings = {}
+    for j in topics:
+        scores = []
+        for tokens in sentence_tokens:
+            total = 0.0
+            for token in tokens:
+                if token in vocabulary:
+                    total += math.log(topic_word[j][vocabulary[token]])
+                else:
+                    total += math.log(oov_probability[j])
+            scores.append(total / len(tokens))
+        rankings[j] = sorted(range(len(sentence_tokens)), key=lambda i: (-scores[i], i))
+
+    taken = []
+    picks = []
+    used = 0
+    done = False
+    while not done:
+        for j in order:
+            untaken = [i for i in rankings[j] if i not in taken]
+            if not untaken or used + len(sentence_tokens[untaken[0]]) > budget:
+                done = True
+                break
+            taken.append(untaken[0])
+            picks.append((j, untaken[0]))
+            used += len(sentence_tokens[untaken[0]])
+    return {
+        "sentence_indices": tuple(sorted(taken)),
+        "selected_token_count": used,
+        "picks": picks,
+        "topic_order": order,
+        "budget_too_small": not taken and bool(sentence_tokens),
+    }

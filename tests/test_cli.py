@@ -1,5 +1,6 @@
 import hashlib
 import json
+import logging
 import os
 import pickle
 import random
@@ -717,10 +718,18 @@ class TestSummarizeCommand:
         ('{"id": "tiny-01", "indices": "01", "tokens": 6}', INDICES_RULE),
         ('{"id": 1, "indices": [0], "tokens": 3}', "'id' must be a string"),
         ('{"id": ["tiny-01"], "indices": [0], "tokens": 3}', "'id' must be a string"),
+        ('{"id": "tiny-01", "strategy": 5, "indices": [0], "tokens": 3}',
+         "'strategy' must be a string"),
+        ('{"id": "tiny-01", "strategy": null, "indices": [0], "tokens": 3}',
+         "'strategy' must be a string"),
+        ('{"id": "tiny-01", "indices": [0], "tokens": "many"}', "'tokens' must be an integer"),
+        ('{"id": "tiny-01", "indices": [0], "tokens": true}', "'tokens' must be an integer"),
+        ('{"id": "tiny-01", "indices": [0], "tokens": 3.0}', "'tokens' must be an integer"),
     ], ids=["not-json", "not-an-object", "missing-indices", "index-out-of-range",
             "duplicate-id", "not-utf8", "nested-too-deeply", "repeated-index",
             "indices-out-of-order", "boolean-indices", "float-indices", "indices-string",
-            "id-number", "id-list"])
+            "id-number", "id-list", "strategy-number", "strategy-null", "tokens-string",
+            "tokens-boolean", "tokens-float"])
     def test_malformed_selection_line_exits_one(self, tmp_path, bad_line, reason):
         source, selections = self.prepare(tmp_path)
         first_line = selections.read_bytes().splitlines()[0]
@@ -758,9 +767,20 @@ class TestSummarizeCommand:
         assert main(["summarize", "--input", str(selections), "--episodes", str(source),
                      "--output", str(out), "--jobs", "1"]) == 0
         assert [r["id"] for r in read_jsonl(out)] == ["tiny-00", "tiny-01"]
-        assert ("skipping hollow: episode 'hollow': transcript has no usable sentences"
-                in caplog.text)
-        assert "selection line 3: no episode 'hollow'" in caplog.text
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warnings == [
+            "selection line 3: skipping 'hollow': transcript has no usable sentences"]
+
+    def test_selection_of_an_absent_episode_left_out(self, tmp_path, caplog):
+        source, selections = self.prepare(tmp_path)
+        with open(selections, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps({"id": "elsewhere", "indices": [0], "tokens": 1}) + "\n")
+        out = tmp_path / "summ.jsonl"
+        assert main(["summarize", "--input", str(selections), "--episodes", str(source),
+                     "--output", str(out), "--jobs", "1"]) == 0
+        assert [r["id"] for r in read_jsonl(out)] == ["tiny-00", "tiny-01"]
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warnings == ["selection line 3: no episode 'elsewhere'"]
 
     def test_zero_budget_exits_two(self, tmp_path):
         source, selections = self.prepare(tmp_path, count=1)
@@ -833,8 +853,10 @@ class TestEvaluateCommand:
         ('{"id": "tiny-00", "summary": "text", "backend": "null"}', "duplicate id 'tiny-00'"),
         (b'{"id": "tiny-01", "summary": "caf\xe9"}', "not valid UTF-8"),
         ("[" * 200_000, "invalid JSON (nested too deeply)"),
+        ('{"id": "tiny-01", "summary": "text", "backend": ["x"]}', "'backend' must be a string"),
+        ('{"id": "tiny-01", "summary": "text", "backend": 0}', "'backend' must be a string"),
     ], ids=["not-json", "not-an-object", "missing-id", "summary-not-a-string",
-            "duplicate-id", "not-utf8", "nested-too-deeply"])
+            "duplicate-id", "not-utf8", "nested-too-deeply", "backend-list", "backend-number"])
     def test_malformed_summary_line_exits_one(self, tmp_path, bad_line, reason):
         source = tmp_path / "eps.jsonl"
         tiny_corpus(source, count=1)

@@ -46,6 +46,9 @@ class TestCleanDescription:
 
     def test_whitespace_collapsed(self):
         assert clean_description("Too   many\n\nspaces here.") == "Too many spaces here."
+        # the separators and non-ASCII spaces are whitespace too
+        assert (clean_description("\x1cUnit\x85 sep\xa0and\u3000wide. \x1c")
+                == "Unit sep and wide.")
 
     def test_email_like_text_survives(self):
         raw = "Reach the desk at mailbag all week."

@@ -4,12 +4,15 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from podselect.errors import ConfigError, InsufficientContentError
 from podselect.selection import SelectorConfig
 from podselect.topics import (TopicConfig, TopicModel, fit_and_select, fit_lda,
                               select_by_topics, sentence_topic_relevance)
 from conftest import make_doc
+from oracles import oracle_topic_picks
 
 FRUIT = [f"fruit{i:02d}" for i in range(20)]
 ENGINE = [f"metal{i:02d}" for i in range(20)]
@@ -281,3 +284,41 @@ class TestSelectByTopics:
         assert result.sentence_indices == tuple(sorted(set(result.sentence_indices)))
         picked_topics = [topic for topic, _ in result.diagnostics["picks"][:2]]
         assert picked_topics[0] == result.diagnostics["topic_order"][0]
+
+
+def tied_model(rng):
+    """A hand-built model over few distinct probabilities and weights, so
+    topic weights and sentence relevances tie often."""
+    num_topics = rng.randint(1, 4)
+    vocabulary = {word: w for w, word in enumerate("abcde"[:rng.randint(1, 5)])}
+    return TopicModel(
+        vocabulary=vocabulary,
+        topic_word=tuple(tuple(rng.choice([0.05, 0.1, 0.2, 0.4]) for _ in vocabulary)
+                         for _ in range(num_topics)),
+        doc_topic_weight=tuple(rng.choice([0.2, 0.3, 0.5]) for _ in range(num_topics)),
+        assignments=(),
+        oov_probability=tuple(rng.choice([0.001, 0.05]) for _ in range(num_topics)),
+        seed=0,
+    )
+
+
+class TestSelectByTopicsOracle:
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_rescanning_oracle_at_every_budget(self, seed):
+        rng = random.Random(seed)
+        model = tied_model(rng)
+        words = list(model.vocabulary) + ["unseen"]
+        doc = make_doc([rng.choices(words, k=rng.randint(1, 4))
+                        for _ in range(rng.randint(1, 8))])
+        sentence_tokens = [s.tokens for s in doc.sentences]
+        for budget in range(1, doc.total_tokens + 2):
+            result = select_by_topics(doc, model, SelectorConfig(token_budget=budget))
+            want = oracle_topic_picks(sentence_tokens, model.vocabulary, model.topic_word,
+                                      model.doc_topic_weight, model.oov_probability, budget)
+            assert result.sentence_indices == want["sentence_indices"]
+            assert result.selected_token_count == want["selected_token_count"]
+            assert result.diagnostics["picks"] == want["picks"]
+            assert result.diagnostics["topic_order"] == want["topic_order"]
+            assert result.diagnostics.get("budget_too_small", False) == \
+                want["budget_too_small"]
