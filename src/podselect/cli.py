@@ -10,8 +10,8 @@ _SETTINGS table, before any stage runs.
 
 from __future__ import annotations
 
-# Modules only some runs need (topics, hashlib, csv, concurrent.futures,
-# http.client) are imported where they are used, so no launch pays for them.
+# Modules only some runs need (topics, hashlib, csv, pickle, http.client) are
+# imported where they are used, so no launch pays for them.
 import argparse
 import functools
 import json
@@ -20,11 +20,11 @@ import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from time import perf_counter
 
 from . import abstractive, corpus, evalharness, preprocess, selection
 from .errors import (BackendError, ConfigError, EmptyDocumentError,
                      InsufficientContentError, PodselectError, RecordParseError)
+from .forkjoin import map_in_order
 
 logger = logging.getLogger("podselect")
 
@@ -130,6 +130,11 @@ def _read_records(path: str, what: str, parse) -> list:
         raise PodselectError(f"{what} {err}") from None
 
 
+def _jobs(settings: dict) -> int:
+    """The worker processes select and evaluate may fork up to."""
+    return settings["jobs"] or os.cpu_count() or 1
+
+
 def _derive_seed(base_seed: int, episode_id: str) -> int:
     """Stable per-episode seed so parallel runs stay reproducible."""
     import hashlib
@@ -185,8 +190,8 @@ def _select_one(episode: corpus.Episode, strategy: str,
                 ) -> tuple[str, dict | None, abstractive.BackendInput | None, str | None]:
     """Worker: build the document, run one selection strategy and cap the pick.
 
-    Takes a picklable Episode and returns (id, record, capped input, error),
-    plain values that can cross a process boundary. The capped input is
+    Returns (id, record, capped input, error), plain values that pickle, so
+    a forked worker can send them back through its pipe. The capped input is
     enforce_budget at the selector's token budget, so pipeline's summarize
     stage needs no second build of the document. The head strategy reads no
     further than its budget, so only that prefix of the transcript is built.
@@ -211,63 +216,6 @@ def _select_one(episode: corpus.Episode, strategy: str,
         return episode.id, None, None, str(exc)
 
 
-# Seconds of in-process selection before a process pool is considered for the
-# rest of the episodes: about what a pool costs. On a 2-core host (Python 3.11,
-# fork; medians of 15 launches, each after importing podselect.cli) a process's
-# first pool took 26 ms to import concurrent.futures and multiprocessing,
-# 12-15 ms to start 2 workers and run a first map, and 3-4 ms to shut down;
-# and on 30 novelty episodes a warm pool's map took 22-31 ms for
-# 27 ms of in-process work, its pickling eating the gain. Selecting in-process
-# until the pool's price has been paid (ski rental), and forking only while the
-# pool is projected to save more than that price, needs no guess about the
-# corpus: against all in-process or all pooled, whichever is faster, it costs
-# at most about this plus one episode more.
-_POOL_AFTER_S = 0.05
-
-
-def _pool_pays(elapsed: float, done: int, rest: int, jobs: int) -> bool:
-    """Whether a pool should take the rest, done episodes having taken elapsed seconds.
-
-    Not before _POOL_AFTER_S. Then only when the rest, projected from the mean
-    time per episode so far, would finish sooner on min(jobs, rest) workers by
-    more than _POOL_AFTER_S: the projection times (1 - 1 / workers).
-    """
-    if elapsed < _POOL_AFTER_S:
-        return False
-    if not done:  # only a zero _POOL_AFTER_S gets here: nothing to project from
-        return True
-    return elapsed / done * rest * (1 - 1 / min(jobs, rest)) > _POOL_AFTER_S
-
-
-def _select_all(select_one, episodes: list[corpus.Episode], jobs: int) -> list[tuple]:
-    """select_one over every episode, in input order.
-
-    Selects in-process, and before each episode asks _pool_pays whether to
-    hand the rest to a pool of min(jobs, len(rest)) worker processes. So a
-    small corpus never pays for a pool, nor does a large one whose remaining
-    work is too short to repay it. With jobs == 1 everything runs in-process.
-    """
-    outcomes = []
-    started = perf_counter()
-    for done, episode in enumerate(episodes):
-        if jobs > 1 and _pool_pays(perf_counter() - started, done, len(episodes) - done, jobs):
-            break
-        outcomes.append(select_one(episode))
-    rest = episodes[len(outcomes):]
-    if rest:
-        # a pool starts all of its workers at once (under fork, when it opens)
-        from concurrent import futures
-
-        workers = min(jobs, len(rest))
-        try:
-            with futures.ProcessPoolExecutor(max_workers=workers) as pool:
-                outcomes += pool.map(select_one, rest,
-                                     chunksize=max(1, len(rest) // (workers * 4)))
-        except futures.BrokenExecutor:  # a worker died, e.g. killed for memory
-            raise PodselectError("select pool: a worker process died") from None
-    return outcomes
-
-
 def _run_select(episodes: list[corpus.Episode], output_path: Path, settings: dict,
                 diagnostics: bool) -> list[abstractive.BackendInput]:
     """Write the selections file; return the capped inputs in its line order."""
@@ -276,14 +224,20 @@ def _run_select(episodes: list[corpus.Episode], output_path: Path, settings: dic
         novelty_top_k=settings["top_k"],
         token_budget=settings["budget"],
     )
+    if settings["strategy"] == "topic":
+        # imported before the map's clock starts: timed as the first episode's
+        # work, the imports would tip the projection into forking
+        import hashlib  # noqa: F401 (for _derive_seed)
+
+        from . import topics  # noqa: F401
     select_one = functools.partial(
         _select_one, strategy=settings["strategy"], selector=selector,
         num_topics=settings["topics"], seed=settings["seed"], diagnostics=diagnostics)
-    jobs = settings["jobs"] or os.cpu_count() or 1
     skipped = 0
     results: list[dict] = []
     inputs: list[abstractive.BackendInput] = []
-    for episode_id, payload, capped, error in _select_all(select_one, episodes, jobs):
+    outcomes = map_in_order(select_one, episodes, _jobs(settings), "select")
+    for episode_id, payload, capped, error in outcomes:
         if error is not None:
             logger.warning("skipping %s: %s", episode_id, error)
             skipped += 1
@@ -319,7 +273,9 @@ def _read_capped_inputs(selections_path: str, episodes_path: str,
                         budget: int) -> list[abstractive.BackendInput]:
     """Rebuild the capped backend inputs from a selections file and its episodes.
 
-    Builds only the documents a selection line names, one at a time.
+    Builds only the documents a selection line names, one at a time. A line's
+    `tokens`, when present, must be what its indexed sentences hold, so a
+    selections file stops at the first line that does not fit its episodes.
     """
     episodes = {episode.id: episode for episode in corpus.load_episodes(episodes_path)}
 
@@ -351,7 +307,14 @@ def _read_capped_inputs(selections_path: str, episodes_path: str,
             sentence_indices=tuple(indices),
             selected_token_count=tokens,
         )
-        return abstractive.enforce_budget(result, doc, budget)
+        capped = abstractive.enforce_budget(result, doc, budget)  # checks every index
+        if "tokens" in record:
+            held = sum(len(doc.sentences[i].tokens) for i in indices)
+            if tokens != held:
+                raise ValueError(f"'tokens' is {tokens}, but the indexed sentences of "
+                                 f"{episode_id!r} hold {held}: not selected from this "
+                                 "episodes file")
+        return capped
 
     return _read_records(selections_path, "selection", capped_input)
 
@@ -403,7 +366,7 @@ def _load_references(path: str, raw: bool) -> dict[str, str]:
 
 
 def _run_evaluate(summaries_path: str, references_path: str, output_path: Path,
-                  method_id: str, fmt: str, raw_references: bool,
+                  method_id: str, settings: dict, raw_references: bool,
                   references: dict[str, str] | None = None) -> int:
     """Score the summaries; references, when given, are the file's cleaned descriptions,
     already in memory."""
@@ -412,8 +375,8 @@ def _run_evaluate(summaries_path: str, references_path: str, output_path: Path,
         raise PodselectError(f"no summaries to evaluate in {summaries_path!r}")
     if references is None:
         references = _load_references(references_path, raw_references)
-    row = evalharness.evaluate_run(summaries, references, method_id)
-    rendered = evalharness.render_table([row], fmt)
+    row = evalharness.evaluate_run(summaries, references, method_id, jobs=_jobs(settings))
+    rendered = evalharness.render_table([row], settings["format"])
     with atomic_write(output_path) as handle:
         handle.write(rendered)
     logger.info("evaluate: %s P=%.2f R=%.2f F=%.2f",
@@ -424,7 +387,7 @@ def _run_evaluate(summaries_path: str, references_path: str, output_path: Path,
 def cmd_evaluate(ns) -> int:
     settings = _settings(ns)
     return _run_evaluate(ns.input, ns.references, Path(ns.output),
-                         ns.method_id or "run", settings["format"], ns.raw_references)
+                         ns.method_id or "run", settings, ns.raw_references)
 
 
 # --- pipeline -----------------------------------------------------------------
@@ -473,7 +436,7 @@ def cmd_pipeline(ns) -> int:
         logger.info("pipeline: report exists, skipping")
     else:
         _run_evaluate(str(summaries_path), str(kept_path), report_path,
-                      settings["strategy"], settings["format"], raw_references=False,
+                      settings["strategy"], settings, raw_references=False,
                       references=references)
     return 0
 
@@ -491,13 +454,15 @@ def _add_shared_flags(parser):
                         help="random seed for anything stochastic "
                              f"(default: {_default('seed')})")
     parser.add_argument("--jobs", type=int, default=None,
-                        help="worker count; selection starts in-process and, once "
-                             "it has run longer than a pool costs to start and a "
-                             "pool is projected to save more than that, hands "
-                             "the rest to at most this many worker processes "
-                             "(default: the CPU count); backend calls default to 4 "
-                             "concurrent requests, and a retry waits out its "
-                             "backoff without holding one")
+                        help="worker count; select and evaluate start in-process "
+                             "and, once they have run longer than a fork costs and "
+                             "forking is projected to save more than that, split "
+                             "the rest between this process and forked children, "
+                             "at most this many in all (default: the CPU count; "
+                             "no fork where os.fork is missing or other threads "
+                             "run); backend calls default to 4 concurrent "
+                             "requests, and a retry waits out its backoff without "
+                             "holding one")
     parser.add_argument("--config", default=None,
                         help="JSON config file; PODSELECT_CONFIG is the fallback")
 

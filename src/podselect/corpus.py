@@ -16,7 +16,7 @@ import re
 import string
 import unicodedata
 from importlib import resources
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import EmptyDocumentError, RecordParseError
@@ -319,10 +319,18 @@ def token_texts(text: str) -> list[str]:
 
     The same rule: str.split() cuts at the str.isspace characters that end
     tokenize's units, and strip() removes what its lstrip and rstrip do.
+    Lowering the whole text first gives the same tokens: lower() maps
+    whitespace to whitespace and P*/S* characters to P*/S* characters, and
+    every other character to neither (tests/test_corpus.py checks every code
+    point). Only a capital sigma lowers by its context, which stripping
+    would change.
     """
-    strip_chars = _edge_chars(text)
-    return [core.lower() for core in (unit.strip(strip_chars) for unit in text.split())
-            if core]
+    if not text.isascii() and "\u03a3" in text:
+        strip_chars = _edge_chars(text)
+        return [core.lower() for core in (unit.strip(strip_chars) for unit in text.split())
+                if core]
+    text = text.lower()
+    return [core for core in map(str.strip, text.split(), repeat(_edge_chars(text))) if core]
 
 
 def tokenize(text: str) -> list[Token]:

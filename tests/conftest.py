@@ -1,3 +1,4 @@
+import os
 import random
 import sys
 from pathlib import Path
@@ -34,6 +35,31 @@ def random_sentences(rng: random.Random, sentence_count: int, vocab: list[str],
 @pytest.fixture
 def fixtures_dir() -> Path:
     return FIXTURES
+
+
+@pytest.fixture
+def forked(monkeypatch) -> list[int]:
+    """Pids of the children os.fork makes in this process, in order."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def reaped(pid: int) -> bool:
+    """Whether the child pid is gone, already waited for."""
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
 
 
 def pytest_terminal_summary(terminalreporter):

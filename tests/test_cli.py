@@ -4,25 +4,24 @@ import logging
 import os
 import pickle
 import random
+import signal
 import subprocess
 import sys
 import tempfile
 import threading
 import time
 from collections import deque
-from concurrent import futures
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from podselect import abstractive, cli, corpus, preprocess, selection, topics
+from podselect import abstractive, cli, corpus, forkjoin, preprocess, selection, topics
 from podselect.cli import _derive_seed, _select_one, atomic_write, main
 from podselect.errors import BackendError, InsufficientContentError
 from podselect.preprocess import clean_description
-from conftest import random_sentences
+from conftest import random_sentences, reaped
 from test_abstractive import FakeBackend, stub_server  # noqa: F401 (a fixture)
 
 
@@ -43,26 +42,15 @@ def built(monkeypatch):
 
 @pytest.fixture
 def pools(monkeypatch):
-    """(size, episode ids mapped) of each ProcessPoolExecutor built; none is started."""
+    """(workers, episode ids) of each share handed to a fork-join; nothing forks,
+    the share is mapped in-process."""
     made = []
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            self.record = (max_workers, [])
-            made.append(self.record)
+    def recording_fork_join(fn, items, workers, stage):
+        made.append((workers, [item.id for item in items]))
+        return list(map(fn, items))
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            return False
-
-        def map(self, fn, iterable, chunksize=1):
-            episodes = list(iterable)
-            self.record[1].extend(episode.id for episode in episodes)
-            return map(fn, episodes)
-
-    monkeypatch.setattr(futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(forkjoin, "_fork_join", recording_fork_join)
     return made
 
 
@@ -293,7 +281,7 @@ class TestSelectCommand:
         tiny_corpus(source, count=6)
         serial = tmp_path / "serial.jsonl"
         parallel = tmp_path / "parallel.jsonl"
-        monkeypatch.setattr(cli, "_POOL_AFTER_S", 0)  # every episode goes to the pool
+        monkeypatch.setattr(forkjoin, "_POOL_AFTER_S", 0)  # every episode goes to a fork-join
         for out, jobs in ((serial, "1"), (parallel, "2")):
             assert main(["select", "--input", str(source), "--output", str(out),
                          "--strategy", "novelty", "--window-size", "2",
@@ -309,37 +297,35 @@ class TestSelectCommand:
         serial = tmp_path / "serial.jsonl"
         assert main(["select", "--input", str(source), "--output", str(serial),
                      "--jobs", "1"]) == 0
-        monkeypatch.setattr(cli, "_POOL_AFTER_S", 0)
+        monkeypatch.setattr(forkjoin, "_POOL_AFTER_S", 0)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         out = tmp_path / "sel.jsonl"
         assert main(["select", "--input", str(source), "--output", str(out), *jobs]) == 0
         assert [size for size, _ in pools] == [3]
         assert out.read_bytes() == serial.read_bytes()
 
-    def test_dead_pool_worker_exits_one(self, tmp_path, monkeypatch, caplog):
-        class BrokenPool:
-            def __init__(self, max_workers):
-                pass
+    def test_dead_pool_worker_exits_one(self, tmp_path, monkeypatch, caplog, forked):
+        parent = os.getpid()
+        select_one = cli._select_one
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, iterable, chunksize=1):
-                raise BrokenProcessPool("a process was terminated abruptly")
+        def dying_in_a_child(episode, **kwargs):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            time.sleep(0.2)  # leaves the child episodes to take
+            return select_one(episode, **kwargs)
 
         source = tmp_path / "eps.jsonl"
         tiny_corpus(source, count=3)
-        monkeypatch.setattr(cli, "_POOL_AFTER_S", 0)
-        monkeypatch.setattr(futures, "ProcessPoolExecutor", BrokenPool)
+        monkeypatch.setattr(forkjoin, "_POOL_AFTER_S", 0)
+        monkeypatch.setattr(cli, "_select_one", dying_in_a_child)
         out = tmp_path / "sel.jsonl"
         assert main(["select", "--input", str(source), "--output", str(out),
                      "--jobs", "2"]) == 1
         assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
             "select pool: a worker process died"]
         assert not out.exists()
+        assert len(forked) == 1 and reaped(forked[0])
+        assert os.listdir(tmp_path) == ["eps.jsonl"]  # no .partial either
 
     def select_with_clock(self, tmp_path, monkeypatch, built, count, pool_after, jobs,
                           costs=None):
@@ -354,8 +340,8 @@ class TestSelectCommand:
                      "--strategy", "novelty", "--jobs", "1"]) == 0
         costs = costs or [1] * count
         built.clear()
-        monkeypatch.setattr(cli, "perf_counter", lambda: float(sum(costs[:len(built)])))
-        monkeypatch.setattr(cli, "_POOL_AFTER_S", pool_after)
+        monkeypatch.setattr(forkjoin, "perf_counter", lambda: float(sum(costs[:len(built)])))
+        monkeypatch.setattr(forkjoin, "_POOL_AFTER_S", pool_after)
         out = tmp_path / "sel.jsonl"
         assert main(["select", "--input", str(source), "--output", str(out),
                      "--strategy", "novelty", "--jobs", str(jobs)]) == 0
@@ -393,7 +379,7 @@ class TestSelectCommand:
     def test_one_job_never_builds_a_pool(self, tmp_path, monkeypatch, pools):
         source = tmp_path / "eps.jsonl"
         tiny_corpus(source, count=3)
-        monkeypatch.setattr(cli, "_POOL_AFTER_S", 0)
+        monkeypatch.setattr(forkjoin, "_POOL_AFTER_S", 0)
         assert main(["select", "--input", str(source), "--output",
                      str(tmp_path / "sel.jsonl"), "--jobs", "1"]) == 0
         assert pools == []
@@ -462,7 +448,7 @@ class TestSelectCommand:
         assert [r["id"] for r in read_jsonl(out)] == ["good"]
 
     def test_outcome_survives_pickle(self):
-        """A pool worker's episode and outcome cross a pipe."""
+        """A forked worker's outcome crosses a pipe; the episode pickles too."""
         episode = corpus.Episode(id="ep", transcript_text="One two three. Four five. Six.")
         outcome = _select_one(episode, "novelty", selection.SelectorConfig(), 5, 0, True)
         assert outcome[1] is not None
@@ -725,11 +711,16 @@ class TestSummarizeCommand:
         ('{"id": "tiny-01", "indices": [0], "tokens": "many"}', "'tokens' must be an integer"),
         ('{"id": "tiny-01", "indices": [0], "tokens": true}', "'tokens' must be an integer"),
         ('{"id": "tiny-01", "indices": [0], "tokens": 3.0}', "'tokens' must be an integer"),
+        ('{"id": "tiny-01", "indices": [0, 1], "tokens": 5}',
+         "'tokens' is 5, but the indexed sentences of 'tiny-01' hold 6: not selected from "
+         "this episodes file"),
+        ('{"id": "tiny-01", "indices": [], "tokens": 1}',
+         "'tokens' is 1, but the indexed sentences of 'tiny-01' hold 0"),
     ], ids=["not-json", "not-an-object", "missing-indices", "index-out-of-range",
             "duplicate-id", "not-utf8", "nested-too-deeply", "repeated-index",
             "indices-out-of-order", "boolean-indices", "float-indices", "indices-string",
             "id-number", "id-list", "strategy-number", "strategy-null", "tokens-string",
-            "tokens-boolean", "tokens-float"])
+            "tokens-boolean", "tokens-float", "tokens-not-held", "tokens-for-no-sentence"])
     def test_malformed_selection_line_exits_one(self, tmp_path, bad_line, reason):
         source, selections = self.prepare(tmp_path)
         first_line = selections.read_bytes().splitlines()[0]
@@ -743,6 +734,21 @@ class TestSummarizeCommand:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert f"selection line 2: {reason}" in proc.stderr
+        assert not out.exists()
+
+    def test_selections_of_other_episodes_stop_the_run(self, tmp_path, caplog):
+        source, selections = self.prepare(tmp_path)
+        other = tmp_path / "other.jsonl"
+        records = tiny_records(count=2)
+        for record in records:  # the same ids and sentence count, 4 tokens a sentence
+            record["transcript"] = record["transcript"].replace(".", " more.")
+        write_jsonl(other, records)
+        out = tmp_path / "summ.jsonl"
+        assert main(["summarize", "--input", str(selections), "--episodes", str(other),
+                     "--output", str(out), "--jobs", "1"]) == 1
+        assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+            "selection line 1: 'tokens' is 6, but the indexed sentences of 'tiny-00' hold 8: "
+            "not selected from this episodes file"]
         assert not out.exists()
 
     def test_builds_only_the_selected_documents(self, tmp_path, built):
@@ -949,7 +955,7 @@ class TestPipelineCommand:
                  "from podselect.cli import main\n"
                  "code = main(sys.argv[1:])\n"
                  "added = set(sys.modules) - before\n"
-                 "print(code, sorted({'http.client', 'multiprocessing'} & added))\n")
+                 "print(code, sorted({'http.client', 'multiprocessing', 'pickle'} & added))\n")
         proc = subprocess.run(
             [sys.executable, "-c", probe, "pipeline",
              "--input", str(fixtures_dir / "mini_corpus.jsonl"), "--output", str(tmp_path / "run"),
@@ -968,7 +974,7 @@ class TestPipelineCommand:
         # newer Pythons may import inspect itself: load it before the count
         probe = ("import importlib.resources, sys\n"
                  "optional = {'dataclasses', 'inspect', 'hashlib', 'csv',\n"
-                 "            'concurrent.futures', 'podselect.topics'}\n"
+                 "            'concurrent.futures', 'pickle', 'podselect.topics'}\n"
                  "before = set(sys.modules)\n"
                  "from podselect import cli\n"
                  "cli.build_parser()\n"
@@ -1220,12 +1226,23 @@ class TestGoldenDigests:
 
     @pytest.mark.parametrize("case", list(GOLDEN_PIPELINE_DIGESTS))
     def test_parallel_pipeline_artifacts_unchanged(self, fixtures_dir, tmp_path, monkeypatch,
-                                                   case):
-        monkeypatch.setattr(cli, "_POOL_AFTER_S", 0)  # every episode goes to the pool
+                                                   forked, case):
+        monkeypatch.setattr(forkjoin, "_POOL_AFTER_S", 0)  # every episode goes to a fork-join
         out = tmp_path / "run"
         args, expected = pipeline_args(fixtures_dir, out, case, "2")
         assert main(args) == 0
         assert {p.name: sha256_of(p) for p in out.iterdir()} == expected
+        assert len(forked) == 2 and all(map(reaped, forked))  # one for select, one for evaluate
+
+    @pytest.mark.parametrize("case", list(GOLDEN_PIPELINE_DIGESTS))
+    def test_three_workers_write_the_golden_artifacts(self, fixtures_dir, tmp_path,
+                                                      monkeypatch, forked, case):
+        monkeypatch.setattr(forkjoin, "_POOL_AFTER_S", 0)
+        out = tmp_path / "run"
+        args, expected = pipeline_args(fixtures_dir, out, case, "3")
+        assert main(args) == 0
+        assert {p.name: sha256_of(p) for p in out.iterdir()} == expected
+        assert len(forked) == 4 and all(map(reaped, forked))
 
     def test_resume_rebuilds_summaries_from_kept(self, fixtures_dir, tmp_path, built):
         out = tmp_path / "run"
@@ -1236,22 +1253,6 @@ class TestGoldenDigests:
         built.clear()
         assert main([*args, "--resume"]) == 0
         assert sorted(built) == sorted(r["id"] for r in read_jsonl(out / "kept.jsonl"))
-        assert {p.name: sha256_of(p) for p in out.iterdir()} == expected
-
-    def test_spawned_workers_write_the_golden_artifacts(self, fixtures_dir, tmp_path):
-        """Workers and their returns pickle, as the spawn and forkserver methods need."""
-        out = tmp_path / "run"
-        args, expected = pipeline_args(fixtures_dir, out, "topic-budget-250", "2")
-        script = ("import multiprocessing, sys\n"
-                  "from podselect import cli\n"
-                  "if __name__ == '__main__':\n"
-                  "    multiprocessing.set_start_method('spawn')\n"
-                  "    cli._POOL_AFTER_S = 0\n"
-                  "    sys.exit(cli.main(sys.argv[1:]))\n")
-        proc = subprocess.run([sys.executable, "-c", script, *args],
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert "Traceback" not in proc.stderr
         assert {p.name: sha256_of(p) for p in out.iterdir()} == expected
 
     def test_window_diagnostics_unchanged(self, fixtures_dir, tmp_path):

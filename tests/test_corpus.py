@@ -2,7 +2,9 @@ import json
 import pickle
 import random
 import string
+import sys
 import time
+import unicodedata
 
 import pytest
 from hypothesis import given, settings
@@ -275,6 +277,34 @@ class TestTokenize:
     @settings(max_examples=300)
     def test_token_texts_match_character_oracle(self, text):
         assert token_texts(text) == [value for value, _ in oracle_tokenize(text)]
+
+    def test_lower_keeps_whitespace_and_edge_characters_apart_on_every_code_point(self):
+        """token_texts lowers a whole text before splitting and stripping it, which
+        gives the same tokens only if lower() maps whitespace to whitespace and P*/S*
+        characters to P*/S* characters, and every other character to neither."""
+        def edge(ch):
+            return unicodedata.category(ch)[0] in "PS"
+
+        crossing = [hex(point) for point, ch in enumerate(map(chr, range(sys.maxunicode + 1)))
+                    if any(low.isspace() != ch.isspace() or edge(low) != edge(ch)
+                           for low in ch.lower())]
+        assert crossing == []
+
+    @pytest.mark.parametrize("text, expected", [
+        ("ΑΣⒶ", ["ας"]),   # a stripped, cased circled letter ends the word: final sigma
+        ("ⒶΣ!", ["σ"]),    # the stripped letter made the lowered text's sigma final
+        ("ΑΣ. ΑΣΑ", ["ας", "ασα"]),
+        ("İstanbul \u212aelvin", ["i\u0307stanbul", "kelvin"]),
+    ])
+    def test_token_texts_lower_a_sigma_after_stripping(self, text, expected):
+        assert token_texts(text) == expected == [value for value, _ in oracle_tokenize(text)]
+
+    def test_token_texts_match_character_oracle_on_seeded_strings(self):
+        alphabet = MIXED_CHARS + "ΣΑσςⒶⓐİ\u212a\u2160"  # sigma contexts, cased symbols
+        rng = random.Random(19)
+        for _ in range(200_000):
+            text = "".join(rng.choices(alphabet, k=rng.randrange(9)))
+            assert token_texts(text) == [value for value, _ in oracle_tokenize(text)], text
 
     @given(MIXED_TEXT | ASCII_TEXT)
     @settings(max_examples=300)
