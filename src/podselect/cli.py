@@ -131,8 +131,13 @@ def _read_records(path: str, what: str, parse) -> list:
 
 
 def _jobs(settings: dict) -> int:
-    """The worker processes select and evaluate may fork up to."""
-    return settings["jobs"] or os.cpu_count() or 1
+    """The worker processes select and evaluate may fork up to: --jobs, or else
+    the CPUs this process may run on."""
+    if settings["jobs"]:
+        return settings["jobs"]
+    if hasattr(os, "sched_getaffinity"):  # not on macOS or Windows
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _derive_seed(base_seed: int, episode_id: str) -> int:
@@ -449,20 +454,26 @@ def _add_io_flags(parser, output_help: str):
     parser.add_argument("--output", required=True, help=output_help)
 
 
-def _add_shared_flags(parser):
+def _add_seed_flag(parser):
     parser.add_argument("--seed", type=int, default=None,
                         help="random seed for anything stochastic "
                              f"(default: {_default('seed')})")
+
+
+def _add_jobs_flag(parser):
     parser.add_argument("--jobs", type=int, default=None,
                         help="worker count; select and evaluate start in-process "
                              "and, once they have run longer than a fork costs and "
                              "forking is projected to save more than that, split "
                              "the rest between this process and forked children, "
-                             "at most this many in all (default: the CPU count; "
-                             "no fork where os.fork is missing or other threads "
-                             "run); backend calls default to 4 concurrent "
-                             "requests, and a retry waits out its backoff without "
-                             "holding one")
+                             "at most this many in all (default: the CPUs this "
+                             "process may run on; no fork where os.fork is missing "
+                             "or other threads run); backend calls default to 4 "
+                             "concurrent requests, and a retry waits out its "
+                             "backoff without holding one")
+
+
+def _add_config_flag(parser):
     parser.add_argument("--config", default=None,
                         help="JSON config file; PODSELECT_CONFIG is the fallback")
 
@@ -505,13 +516,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("preprocess", help="filter a corpus and emit the dataset split")
     _add_io_flags(p, "output directory for kept.jsonl, filter_report.json, split.jsonl")
-    _add_shared_flags(p)
+    _add_seed_flag(p)
+    _add_config_flag(p)
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("select", help="run extractive selection over episodes")
     _add_io_flags(p, "selections JSONL path")
     _add_strategy_flags(p)
-    _add_shared_flags(p)
+    _add_seed_flag(p)
+    _add_jobs_flag(p)
+    _add_config_flag(p)
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("summarize", help="cap selections and run them through a backend")
@@ -522,7 +536,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="token budget enforced before the backend call "
                         f"(default: {_default('budget')})")
     _add_backend_flags(p)
-    _add_shared_flags(p)
+    _add_jobs_flag(p)
+    _add_config_flag(p)
     p.set_defaults(func=cmd_summarize)
 
     p = sub.add_parser("evaluate", help="score summaries against reference descriptions")
@@ -535,7 +550,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="row label in the report (default: run)")
     p.add_argument("--raw-references", action="store_true",
                    help="score against raw descriptions instead of cleaned ones")
-    _add_shared_flags(p)
+    _add_jobs_flag(p)
+    _add_config_flag(p)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("pipeline", help="preprocess, select, summarize, and evaluate")
@@ -546,7 +562,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"report format (default: {_default('format')})")
     p.add_argument("--resume", action="store_true",
                    help="skip stages whose outputs already exist")
-    _add_shared_flags(p)
+    _add_seed_flag(p)
+    _add_jobs_flag(p)
+    _add_config_flag(p)
     p.set_defaults(func=cmd_pipeline)
 
     return parser
@@ -568,6 +586,9 @@ def main(argv=None) -> int:
     except (PodselectError, OSError) as exc:
         logger.error("%s", exc)
         return 1
+    except KeyboardInterrupt:  # Ctrl-C; a fork-join has reaped its children by now
+        logger.error("interrupted")
+        return 130
 
 
 if __name__ == "__main__":

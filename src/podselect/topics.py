@@ -14,7 +14,7 @@ import random
 from itertools import cycle
 from typing import NamedTuple
 
-from .corpus import Document, Frozen, Sentence
+from .corpus import Document, Frozen
 from .errors import ConfigError, InsufficientContentError
 from .selection import DEFAULT_NUM_TOPICS, SelectionResult, SelectorConfig
 
@@ -106,8 +106,6 @@ def fit_lda(doc: Document, config: TopicConfig = TopicConfig()) -> TopicModel:
         n_k[k] += 1
 
     acc_wk = [[0] * K for _ in range(V)]
-    acc_k = [0] * K
-    samples = 0
     topic_range = range(K)
     weights = [0.0] * K
 
@@ -134,11 +132,13 @@ def fit_lda(doc: Document, config: TopicConfig = TopicConfig()) -> TopicModel:
             nd[k] += 1
             n_k[k] += 1
         if iteration >= config.burn_in:
-            samples += 1
             for w, k in zip(token_word, z):
                 acc_wk[w][k] += 1
-            for j in topic_range:
-                acc_k[j] += n_k[j]
+
+    samples = config.gibbs_iterations - config.burn_in
+    # each sample adds every token to one topic's column, so a column sums to
+    # that topic's size summed over the samples: an exact integer
+    acc_k = [sum(row[j] for row in acc_wk) for j in topic_range]
 
     topic_word_rows: list[tuple[float, ...]] = []
     oov: list[float] = []
@@ -163,40 +163,15 @@ def fit_lda(doc: Document, config: TopicConfig = TopicConfig()) -> TopicModel:
     )
 
 
-class TopicRelevance(NamedTuple):
-    sentence_index: int
-    topic_id: int
-    score: float  # mean per-token log probability under the topic
-
-
-def sentence_topic_relevance(sentence: Sentence, model: TopicModel,
-                             topic_id: int) -> TopicRelevance:
-    """How strongly a sentence's tokens belong to one topic.
-
-    Mean log probability per token keeps long and short sentences
-    comparable; words the model never saw get the topic's smoothing floor
-    instead of a zero.
-    """
-    if not 0 <= topic_id < model.num_topics:
-        raise ValueError(f"topic_id {topic_id} outside [0, {model.num_topics})")
-    if not sentence.tokens:
-        raise ValueError(f"sentence {sentence.index} has no tokens")
-    row = model.topic_word[topic_id]
-    floor = model.oov_probability[topic_id]
-    total = 0.0
-    for token in sentence.tokens:
-        word_id = model.vocabulary.get(token)
-        total += math.log(row[word_id] if word_id is not None else floor)
-    return TopicRelevance(
-        sentence_index=sentence.index,
-        topic_id=topic_id,
-        score=total / len(sentence.tokens),
-    )
-
-
 def select_by_topics(doc: Document, model: TopicModel,
                      config: SelectorConfig = SelectorConfig()) -> SelectionResult:
     """Round-robin sentence picks across topics ordered by document weight.
+
+    A sentence's relevance to a topic is the mean log probability of its
+    tokens under the topic's word row: the mean keeps long and short
+    sentences comparable, and a word the model never saw gets the topic's
+    smoothing floor instead of a zero. Raises ValueError for a sentence
+    with no tokens.
 
     Topics take turns (heaviest topic first) claiming their most relevant
     unselected sentence. Selection stops the moment the next pick would
@@ -209,9 +184,18 @@ def select_by_topics(doc: Document, model: TopicModel,
                    key=lambda j: (-model.doc_topic_weight[j], j))
     ranked: dict[int, list[int]] = {}
     for j in order:
-        scored = [sentence_topic_relevance(s, model, j) for s in doc.sentences]
-        scored.sort(key=lambda r: (-r.score, r.sentence_index))
-        ranked[j] = [r.sentence_index for r in scored]
+        logs = [math.log(p) for p in model.topic_word[j]]
+        floor = math.log(model.oov_probability[j])
+        scores = []
+        for sentence in doc.sentences:
+            if not sentence.tokens:
+                raise ValueError(f"sentence {sentence.index} has no tokens")
+            total = 0.0
+            for token in sentence.tokens:
+                word_id = model.vocabulary.get(token)
+                total += logs[word_id] if word_id is not None else floor
+            scores.append(total / len(sentence.tokens))
+        ranked[j] = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
 
     selected: set[int] = set()
     picks: list[tuple[int, int]] = []  # (topic_id, sentence_index) in pick order

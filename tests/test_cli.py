@@ -215,7 +215,8 @@ class TestPreprocessCommand:
         lines = source.read_text("utf-8").splitlines()
         source.write_text("\n".join([lines[0], "[" * 200_000, *lines[1:]]) + "\n", "utf-8")
         out = tmp_path / "stage"
-        assert main([command, "--input", str(source), "--output", str(out), "--jobs", "1"]) == 0
+        jobs = ["--jobs", "1"] if command == "pipeline" else []  # preprocess has no --jobs
+        assert main([command, "--input", str(source), "--output", str(out), *jobs]) == 0
         assert "line 2: invalid JSON (nested too deeply)" in caplog.text
         assert [r["id"] for r in read_jsonl(out / "kept.jsonl")] == [r["id"] for r in records]
 
@@ -299,10 +300,20 @@ class TestSelectCommand:
                      "--jobs", "1"]) == 0
         monkeypatch.setattr(forkjoin, "_POOL_AFTER_S", 0)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
         out = tmp_path / "sel.jsonl"
         assert main(["select", "--input", str(source), "--output", str(out), *jobs]) == 0
         assert [size for size, _ in pools] == [3]
         assert out.read_bytes() == serial.read_bytes()
+
+    def test_default_jobs_count_the_cpus_this_process_may_run_on(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert cli._jobs({"jobs": None}) == 1
+        assert cli._jobs({"jobs": 3}) == 3
+        monkeypatch.delattr(os, "sched_getaffinity")  # as on macOS and Windows
+        assert cli._jobs({"jobs": None}) == 64
 
     def test_dead_pool_worker_exits_one(self, tmp_path, monkeypatch, caplog, forked):
         parent = os.getpid()
@@ -606,6 +617,25 @@ class TestConfigPrecedence:
         assert named in proc.stderr
         assert len(proc.stderr.splitlines()) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, required, flag", [
+        ("preprocess", [], "--jobs"),
+        ("summarize", ["--episodes", "eps.jsonl"], "--seed"),
+        ("evaluate", ["--references", "eps.jsonl"], "--seed"),
+    ])
+    def test_no_command_takes_a_flag_it_never_reads(self, capsys, command, required, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--input", "in.jsonl", "--output", "out", *required, flag, "1"])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+    def test_config_key_without_a_flag_is_still_accepted(self, tmp_path):
+        source = tmp_path / "eps.jsonl"
+        tiny_corpus(source, count=3)
+        config = tmp_path / "conf.json"
+        config.write_text(json.dumps({"jobs": 1, "seed": 3}))
+        assert main(["preprocess", "--input", str(source), "--output", str(tmp_path / "pre"),
+                     "--config", str(config)]) == 0
 
     def test_bad_strategy_in_config_exits_two(self, tmp_path):
         source = tmp_path / "eps.jsonl"
@@ -1191,6 +1221,12 @@ GOLDEN_PIPELINE_DIGESTS = {
         "selections.jsonl": "36bbdcce7d43c8f127df770d845128552b896fc056bcac14ea1209202167f72b",
         "summaries.jsonl": "7df7da7e356fc0d0f98c9e401f81f54c99ff9c4d175a88f301e410dd7f6bd23c",
         "report.json": "5dc23eca17260d38fe908af5b4b052898d0fcb9cb7385ec2e7de8c01fed37188",
+    }),
+    # no mini transcript fits this budget, so every episode is fitted and ranked
+    "topic-budget-120": (["--budget", "120"], {
+        "selections.jsonl": "b1abbe77bf51660487394026bf983c13eae9e34e27c6560346852952c3d60aff",
+        "summaries.jsonl": "ae64650a1e7ee017a02c47ba5ae4b4c6d38cb73527a26b3076933ffee30c8ded",
+        "report.json": "2fe25338b9c12756deaaf53e541d68f17c2f588047703378795ea0c74631d2b5",
     }),
     # mini-06 opens with a 9-token sentence, so this run cuts it mid-sentence
     "none-budget-8": (["--budget", "8"], {

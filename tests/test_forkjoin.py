@@ -135,7 +135,9 @@ class TestMapInOrder:
 
 
 # A pipeline whose select episodes sleep in the processes argv[2] names
-# ("all" or "children"), each first touching argv[1]/<its pid>.
+# ("all" or "children"), each first touching argv[1]/<its pid>. A parent that
+# does not sleep holds its first episode until a child has touched its mark:
+# else it could take every episode before the child reads one.
 SLEEPY_PIPELINE = """
 import os, sys, time
 from pathlib import Path
@@ -150,6 +152,8 @@ def sleepy(episode, **kwargs):
     if sleepers == "all" or os.getpid() != parent:
         (marks / str(os.getpid())).touch()
         time.sleep(60)
+    while not any(marks.iterdir()):
+        time.sleep(0.01)
     return select_one(episode, **kwargs)
 
 cli._select_one = sleepy
@@ -171,7 +175,7 @@ def test_interrupt_mid_select_leaves_no_process_and_no_partial(
         [sys.executable, "-c", SLEEPY_PIPELINE, str(marks), sleepers, "pipeline",
          "--input", str(fixtures_dir / "mini_corpus.jsonl"), "--output", str(out),
          "--strategy", "none", "--jobs", "2"],
-        start_new_session=True, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        start_new_session=True, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
     try:
         deadline = time.monotonic() + 60
         while len(os.listdir(marks)) < (2 if sleepers == "all" else 1):
@@ -183,11 +187,16 @@ def test_interrupt_mid_select_leaves_no_process_and_no_partial(
             os.kill(proc.pid, signal.SIGINT)
         else:
             os.killpg(proc.pid, signal.SIGINT)
-        assert proc.wait(timeout=30) != 0
+        stderr = proc.communicate(timeout=30)[1]
     finally:
         if proc.poll() is None:
             os.killpg(proc.pid, signal.SIGKILL)
-            proc.wait()
+            proc.communicate()
+    assert proc.returncode == 130
+    assert "Traceback" not in stderr
+    # preprocess logs its counts; the interrupt adds one line
+    assert [line.split(" ", 2)[2] for line in stderr.splitlines()] == [
+        "INFO podselect: preprocess: 10 in, 10 kept", "ERROR podselect: interrupted"]
     with pytest.raises(ProcessLookupError):  # nothing is left in the run's process group
         os.killpg(proc.pid, 0)
     assert sorted(p.name for p in out.iterdir()) == [

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import pickle
 import random
@@ -9,8 +10,7 @@ from hypothesis import strategies as st
 
 from podselect.errors import ConfigError, InsufficientContentError
 from podselect.selection import SelectorConfig
-from podselect.topics import (TopicConfig, TopicModel, fit_and_select, fit_lda,
-                              select_by_topics, sentence_topic_relevance)
+from podselect.topics import TopicConfig, TopicModel, fit_and_select, fit_lda, select_by_topics
 from conftest import make_doc
 from oracles import oracle_topic_picks
 
@@ -152,75 +152,92 @@ def hand_model():
     )
 
 
+def single_topic_model(row, oov=0.001):
+    """A one-topic model whose word row is the dict `row`, in insertion order."""
+    return TopicModel(
+        vocabulary={word: w for w, word in enumerate(row)},
+        topic_word=(tuple(row.values()),),
+        doc_topic_weight=(1.0,),
+        assignments=(),
+        oov_probability=(oov,),
+        seed=0,
+    )
+
+
+def relevance_order(sentences, model):
+    """Sentence indices in the order select_by_topics claims them under a
+    one-topic model, with a budget that holds them all: the relevance ranking."""
+    doc = make_doc(sentences)
+    result = select_by_topics(doc, model, SelectorConfig(token_budget=doc.total_tokens))
+    return [index for _, index in result.diagnostics["picks"]]
+
+
 class TestSentenceTopicRelevance:
+    """The relevance rule, seen through the ranking select_by_topics makes.
+
+    A one-word sentence of a probe word with probability p scores log(p), so
+    a probe a hair above and a hair below a score pins that score down."""
+
+    @staticmethod
+    def assert_scores(tokens, expected, **row):
+        for shift, order in ((1e-12, [1, 0]), (-1e-12, [0, 1])):
+            probe = math.exp(expected + shift)
+            model = single_topic_model({**row, "probe": probe}, oov=0.002)
+            assert relevance_order([tokens, ["probe"]], model) == order
+
     def test_mean_log_probability(self):
-        doc = make_doc([["x", "y"]])
-        rel = sentence_topic_relevance(doc.sentences[0], hand_model(), 0)
-        assert rel.score == pytest.approx((math.log(0.8) + math.log(0.1)) / 2, abs=1e-12)
-        assert (rel.sentence_index, rel.topic_id) == (0, 0)
+        self.assert_scores(["x", "y"], (math.log(0.8) + math.log(0.1)) / 2, x=0.8, y=0.1)
 
     def test_unknown_word_uses_floor(self):
-        doc = make_doc([["x", "unseen"]])
-        rel = sentence_topic_relevance(doc.sentences[0], hand_model(), 1)
-        assert rel.score == pytest.approx((math.log(0.1) + math.log(0.002)) / 2, abs=1e-12)
+        self.assert_scores(["x", "unseen"], (math.log(0.1) + math.log(0.002)) / 2, x=0.1)
 
     def test_duplicating_tokens_leaves_score_unchanged(self):
-        model = hand_model()
-        short = make_doc([["x", "y"]]).sentences[0]
-        doubled = make_doc([["x", "y", "x", "y"]]).sentences[0]
-        for topic in (0, 1):
-            assert sentence_topic_relevance(short, model, topic).score == pytest.approx(
-                sentence_topic_relevance(doubled, model, topic).score, abs=1e-12)
+        # doubling one sentence leaves the ranking as it was; a summed score
+        # would drop a doubled ["x", "y"] below ["y", "y"]
+        model = single_topic_model({"x": 0.8, "y": 0.15, "z": 0.05})
+        sentences = [["x", "x"], ["y", "y"], ["x", "y"], ["z", "z"], ["x", "unseen"]]
+        assert relevance_order(sentences, model) == [0, 2, 1, 3, 4]
+        for i in range(len(sentences)):
+            doubled = [s * 2 if k == i else s for k, s in enumerate(sentences)]
+            assert relevance_order(doubled, model) == [0, 2, 1, 3, 4]
 
-    def test_bad_topic_id_rejected(self):
-        doc = make_doc([["x"]])
-        with pytest.raises(ValueError):
-            sentence_topic_relevance(doc.sentences[0], hand_model(), 2)
-        with pytest.raises(ValueError):
-            sentence_topic_relevance(doc.sentences[0], hand_model(), -1)
+    def test_sentence_without_tokens_rejected(self):
+        doc = make_doc([["x"], []])
+        with pytest.raises(ValueError, match="^sentence 1 has no tokens$"):
+            select_by_topics(doc, single_topic_model({"x": 1.0}))
 
     def test_on_topic_sentence_beats_off_topic_sentence(self):
+        # each fitted topic, alone, ranks every sentence of one planted
+        # vocabulary ahead of every sentence of the other, and the two topics
+        # favour different vocabularies
         doc = planted_doc(seed=5)
         model = fit_lda(doc, fast_config(seed=1))
-        fruit_sentence = doc.sentences[0]   # drawn entirely from FRUIT
-        metal_sentence = doc.sentences[1]   # drawn entirely from ENGINE
-        for topic in range(model.num_topics):
-            fruit = sentence_topic_relevance(fruit_sentence, model, topic).score
-            metal = sentence_topic_relevance(metal_sentence, model, topic).score
-            assert fruit != metal
-        best_for_fruit = max(range(2), key=lambda j: sentence_topic_relevance(
-            fruit_sentence, model, j).score)
-        best_for_metal = max(range(2), key=lambda j: sentence_topic_relevance(
-            metal_sentence, model, j).score)
-        assert best_for_fruit != best_for_metal
+        sentences = [list(s.tokens) for s in doc.sentences]
+        favoured = set()
+        for j in range(model.num_topics):
+            alone = model._replace(topic_word=(model.topic_word[j],), doc_topic_weight=(1.0,),
+                                   oov_probability=(model.oov_probability[j],))
+            parities = [i % 2 for i in relevance_order(sentences, alone)]
+            assert parities == [parities[0]] * 20 + [1 - parities[0]] * 20
+            favoured.add(parities[0])
+        assert favoured == {0, 1}
 
     def test_uniform_corpus_single_topic_ties_everything(self):
-        # every word appears once, so the lone topic is uniform over words
-        doc = make_doc([["a", "b"], ["c", "d"], ["e", "f"]])
-        model = fit_lda(doc, TopicConfig(num_topics=1, gibbs_iterations=5,
-                                         burn_in=1, seed=0))
-        scores = [sentence_topic_relevance(s, model, 0).score for s in doc.sentences]
-        assert scores[0] == pytest.approx(scores[1], abs=1e-12)
-        assert scores[1] == pytest.approx(scores[2], abs=1e-12)
+        # every word appears once, so the lone topic is uniform over words and
+        # index order breaks the tie, however the sentences are arranged
+        for arrangement in itertools.permutations([["a", "b"], ["c", "d"], ["e", "f"]]):
+            doc = make_doc(list(arrangement))
+            model = fit_lda(doc, TopicConfig(num_topics=1, gibbs_iterations=5,
+                                             burn_in=1, seed=0))
+            assert relevance_order(list(arrangement), model) == [0, 1, 2]
 
     def test_rescaling_rows_preserves_ranking(self):
-        doc = make_doc([["x", "x"], ["y", "y"], ["x", "y"], ["z", "z"]])
-        base = hand_model()
-        scaled = TopicModel(
-            vocabulary=base.vocabulary,
-            topic_word=tuple(tuple(p * 3.0 for p in row) for row in base.topic_word),
-            doc_topic_weight=base.doc_topic_weight,
-            assignments=base.assignments,
-            oov_probability=tuple(p * 3.0 for p in base.oov_probability),
-            seed=base.seed,
-        )
-        for topic in (0, 1):
-            rank = [sentence_topic_relevance(s, base, topic).score for s in doc.sentences]
-            rank_scaled = [sentence_topic_relevance(s, scaled, topic).score
-                           for s in doc.sentences]
-            order = sorted(range(4), key=lambda i: (-rank[i], i))
-            order_scaled = sorted(range(4), key=lambda i: (-rank_scaled[i], i))
-            assert order == order_scaled
+        sentences = [["x", "x"], ["y", "y"], ["x", "y"], ["z", "z"], ["unseen"]]
+        row = {"x": 0.8, "y": 0.15, "z": 0.05}
+        base = single_topic_model(row, oov=0.001)
+        scaled = single_topic_model({w: p * 3.0 for w, p in row.items()}, oov=0.003)
+        assert relevance_order(sentences, base) == [0, 2, 1, 3, 4]
+        assert relevance_order(sentences, scaled) == [0, 2, 1, 3, 4]
 
 
 class TestSelectByTopics:
