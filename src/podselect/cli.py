@@ -4,8 +4,8 @@ Subcommands map one-to-one onto pipeline stages (preprocess, select,
 summarize, evaluate) plus a ``pipeline`` command that chains them. Flag
 values beat config-file values, which beat built-in defaults; the config
 file is JSON, named by --config or the PODSELECT_CONFIG environment
-variable. Every command resolves and checks all of its settings, from the
-_SETTINGS table, before any stage runs.
+variable. main resolves and checks every setting, from the _SETTINGS table,
+once and before any stage runs, and hands them to the command.
 """
 
 from __future__ import annotations
@@ -181,9 +181,8 @@ def _run_preprocess(input_path: str, out_dir: Path,
     return kept, report.cleaned_descriptions
 
 
-def cmd_preprocess(ns) -> int:
-    _run_preprocess(ns.input, Path(ns.output), _settings(ns))
-    return 0
+def cmd_preprocess(ns, settings: dict) -> None:
+    _run_preprocess(ns.input, Path(ns.output), settings)
 
 
 # --- select -------------------------------------------------------------------
@@ -257,10 +256,8 @@ def _run_select(episodes: list[corpus.Episode], output_path: Path, settings: dic
     return inputs
 
 
-def cmd_select(ns) -> int:
-    settings = _settings(ns)
+def cmd_select(ns, settings: dict) -> None:
     _run_select(list(corpus.load_episodes(ns.input)), Path(ns.output), settings, ns.diagnostics)
-    return 0
 
 
 # --- summarize ----------------------------------------------------------------
@@ -325,8 +322,9 @@ def _read_capped_inputs(selections_path: str, episodes_path: str,
 
 
 def _run_summarize(inputs: list[abstractive.BackendInput], output_path: Path,
-                   backend, budget: int, jobs: int | None) -> None:
-    outcomes = abstractive.summarize_all(inputs, backend, budget, jobs or 4)
+                   backend, settings: dict) -> None:
+    outcomes = abstractive.summarize_all(inputs, backend, settings["budget"],
+                                         settings["jobs"] or 4)
     failures = 0
     with atomic_write(output_path) as handle:
         for backend_input, outcome in zip(inputs, outcomes):
@@ -343,12 +341,10 @@ def _run_summarize(inputs: list[abstractive.BackendInput], output_path: Path,
     logger.info("summarize: %d written", len(inputs))
 
 
-def cmd_summarize(ns) -> int:
-    settings = _settings(ns)
+def cmd_summarize(ns, settings: dict) -> None:
     backend = _make_backend(settings)
     inputs = _read_capped_inputs(ns.input, ns.episodes, settings["budget"])
-    _run_summarize(inputs, Path(ns.output), backend, settings["budget"], settings["jobs"])
-    return 0
+    _run_summarize(inputs, Path(ns.output), backend, settings)
 
 
 # --- evaluate -----------------------------------------------------------------
@@ -370,80 +366,75 @@ def _load_references(path: str, raw: bool) -> dict[str, str]:
     return {episode.id: clean(episode.description) for episode in corpus.load_episodes(path)}
 
 
-def _run_evaluate(summaries_path: str, references_path: str, output_path: Path,
-                  method_id: str, settings: dict, raw_references: bool,
-                  references: dict[str, str] | None = None) -> int:
-    """Score the summaries; references, when given, are the file's cleaned descriptions,
-    already in memory."""
+def _run_evaluate(summaries_path: str, references: dict[str, str], output_path: Path,
+                  method_id: str, settings: dict) -> None:
+    """Score the summaries against the reference descriptions, keyed by episode id."""
     summaries = _read_records(summaries_path, "summary", _summary)
     if not summaries:
         raise PodselectError(f"no summaries to evaluate in {summaries_path!r}")
-    if references is None:
-        references = _load_references(references_path, raw_references)
     row = evalharness.evaluate_run(summaries, references, method_id, jobs=_jobs(settings))
     rendered = evalharness.render_table([row], settings["format"])
     with atomic_write(output_path) as handle:
         handle.write(rendered)
     logger.info("evaluate: %s P=%.2f R=%.2f F=%.2f",
                 method_id, row.rouge_l_p, row.rouge_l_r, row.rouge_l_f)
-    return 0
 
 
-def cmd_evaluate(ns) -> int:
-    settings = _settings(ns)
-    return _run_evaluate(ns.input, ns.references, Path(ns.output),
-                         ns.method_id or "run", settings, ns.raw_references)
+def cmd_evaluate(ns, settings: dict) -> None:
+    _run_evaluate(ns.input, _load_references(ns.references, ns.raw_references),
+                  Path(ns.output), ns.method_id or "run", settings)
 
 
 # --- pipeline -----------------------------------------------------------------
 
 
-def cmd_pipeline(ns) -> int:
-    # Resolve every setting and build the backend before the first write,
-    # so a bad setting leaves nothing behind.
-    settings = _settings(ns)
+def cmd_pipeline(ns, settings: dict) -> None:
+    # build the backend before the first write, so a bad setting leaves nothing behind
     backend = _make_backend(settings)
     out_dir = Path(ns.output)
-
     kept_path = out_dir / "kept.jsonl"
-    preprocess_outputs = [kept_path, out_dir / "filter_report.json", out_dir / "split.jsonl"]
-    # the kept episodes and their cleaned descriptions, when preprocess runs in this process
-    kept = references = None
+    selections_path = out_dir / "selections.jsonl"
+    summaries_path = out_dir / "summaries.jsonl"
+    report_path = out_dir / f"report.{_REPORT_EXT[settings['format']]}"
+    # what a stage that ran in this process hands the later ones: the kept
+    # episodes and their cleaned descriptions, then the capped backend inputs
+    held = {}
+
+    def run_preprocess():
+        held["kept"], held["references"] = _run_preprocess(ns.input, out_dir, settings)
+
+    def run_select():
+        episodes = held["kept"] if "kept" in held else list(corpus.load_episodes(kept_path))
+        held["inputs"] = _run_select(episodes, selections_path, settings, ns.diagnostics)
+
+    def run_summarize():
+        # no inputs held: select ran in an earlier process, so rebuild them from its file
+        inputs = (held["inputs"] if "inputs" in held
+                  else _read_capped_inputs(str(selections_path), str(kept_path),
+                                           settings["budget"]))
+        _run_summarize(inputs, summaries_path, backend, settings)
+
+    def run_evaluate():
+        references = (held["references"] if "references" in held
+                      else _load_references(str(kept_path), raw=False))
+        _run_evaluate(str(summaries_path), references, report_path,
+                      settings["strategy"], settings)
+
+    stages = (
+        ("preprocess", run_preprocess,
+         (kept_path, out_dir / "filter_report.json", out_dir / "split.jsonl")),
+        ("select", run_select, (selections_path,)),
+        ("summarize", run_summarize, (summaries_path,)),
+        ("evaluate", run_evaluate, (report_path,)),
+    )
     # the first stage that runs clears resume: its outputs make every later one stale
     resume = ns.resume
-    if resume and all(p.exists() for p in preprocess_outputs):
-        logger.info("pipeline: preprocess outputs exist, skipping")
-    else:
-        resume = False
-        kept, references = _run_preprocess(ns.input, out_dir, settings)
-
-    selections_path = out_dir / "selections.jsonl"
-    inputs = None
-    if resume and selections_path.exists():
-        logger.info("pipeline: selections exist, skipping")
-    else:
-        resume = False
-        episodes = list(corpus.load_episodes(kept_path)) if kept is None else kept
-        inputs = _run_select(episodes, selections_path, settings, ns.diagnostics)
-
-    summaries_path = out_dir / "summaries.jsonl"
-    if resume and summaries_path.exists():
-        logger.info("pipeline: summaries exist, skipping")
-    else:
-        resume = False
-        if inputs is None:  # select ran in an earlier process: rebuild from its file
-            inputs = _read_capped_inputs(str(selections_path), str(kept_path),
-                                         settings["budget"])
-        _run_summarize(inputs, summaries_path, backend, settings["budget"], settings["jobs"])
-
-    report_path = out_dir / f"report.{_REPORT_EXT[settings['format']]}"
-    if resume and report_path.exists():
-        logger.info("pipeline: report exists, skipping")
-    else:
-        _run_evaluate(str(summaries_path), str(kept_path), report_path,
-                      settings["strategy"], settings, raw_references=False,
-                      references=references)
-    return 0
+    for name, run, outputs in stages:
+        if resume and all(path.exists() for path in outputs):
+            logger.info("pipeline: %s outputs exist, skipping", name)
+        else:
+            resume = False
+            run()
 
 
 # --- parser and entry point ---------------------------------------------------
@@ -579,7 +570,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        return ns.func(ns)
+        ns.func(ns, _settings(ns))
     except ConfigError as exc:
         logger.error("%s", exc)
         return 2
@@ -589,6 +580,7 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:  # Ctrl-C; a fork-join has reaped its children by now
         logger.error("interrupted")
         return 130
+    return 0
 
 
 if __name__ == "__main__":

@@ -637,6 +637,35 @@ class TestConfigPrecedence:
         assert main(["preprocess", "--input", str(source), "--output", str(tmp_path / "pre"),
                      "--config", str(config)]) == 0
 
+    # valid inputs for each command, so only the config check stops a write
+    @pytest.mark.parametrize("command, input_name, extra", [
+        ("preprocess", "eps.jsonl", []),
+        ("select", "eps.jsonl", []),
+        ("summarize", "sel.jsonl", ["--episodes", "eps.jsonl"]),
+        ("evaluate", "summ.jsonl", ["--references", "eps.jsonl"]),
+        ("pipeline", "eps.jsonl", []),
+    ])
+    def test_every_command_checks_its_config_before_any_write(self, tmp_path, command,
+                                                               input_name, extra):
+        records = tiny_corpus(tmp_path / "eps.jsonl", count=3)
+        write_jsonl(tmp_path / "sel.jsonl", [
+            {"id": r["id"], "strategy": "window", "indices": [1, 2], "tokens": 6}
+            for r in records])
+        write_jsonl(tmp_path / "summ.jsonl", [
+            {"id": r["id"], "summary": "golf hotel", "backend": "null"} for r in records])
+        config = tmp_path / "conf.json"
+        config.write_text(json.dumps({"windowsize": 3}))
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "podselect", command, "--input", str(tmp_path / input_name),
+             "--output", str(out), "--config", str(config),
+             *(str(tmp_path / arg) if arg.endswith(".jsonl") else arg for arg in extra)],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert "unknown config key 'windowsize'" in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+        assert not out.exists()
+
     def test_bad_strategy_in_config_exits_two(self, tmp_path):
         source = tmp_path / "eps.jsonl"
         tiny_corpus(source, count=1)
@@ -1239,6 +1268,15 @@ GOLDEN_WINDOW_DIAGNOSTICS_DIGEST = (
     "7335badc8519fa65ccc46aaf8fb267f71a2927fd2220002db33110f55ff99adb")
 
 
+# each pipeline stage and its outputs, in the order the stages run
+PIPELINE_STAGES = (
+    ("preprocess", ("kept.jsonl", "filter_report.json", "split.jsonl")),
+    ("select", ("selections.jsonl",)),
+    ("summarize", ("summaries.jsonl",)),
+    ("evaluate", ("report.json",)),
+)
+
+
 def sha256_of(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -1290,6 +1328,27 @@ class TestGoldenDigests:
         assert main([*args, "--resume"]) == 0
         assert sorted(built) == sorted(r["id"] for r in read_jsonl(out / "kept.jsonl"))
         assert {p.name: sha256_of(p) for p in out.iterdir()} == expected
+
+    @pytest.mark.parametrize("deleted", ["split.jsonl", "selections.jsonl",
+                                         "summaries.jsonl", "report.json"])
+    def test_resume_at_every_stage_boundary(self, fixtures_dir, tmp_path, caplog, deleted):
+        out = tmp_path / "run"
+        args, expected = pipeline_args(fixtures_dir, out, "novelty", "1")
+        assert main(args) == 0
+        stage = next(i for i, (_, outputs) in enumerate(PIPELINE_STAGES) if deleted in outputs)
+        skipped = PIPELINE_STAGES[:stage]
+        untouched = [name for _, outputs in skipped for name in outputs]
+        before = {name: (out / name).stat().st_mtime_ns for name in untouched}
+        (out / deleted).unlink()
+        time.sleep(0.01)
+        caplog.set_level(logging.INFO, logger="podselect")
+        caplog.clear()
+        assert main([*args, "--resume"]) == 0
+        assert {name: (out / name).stat().st_mtime_ns for name in untouched} == before
+        assert {p.name: sha256_of(p) for p in out.iterdir()} == expected
+        assert [r.getMessage() for r in caplog.records
+                if r.getMessage().startswith("pipeline:")] == [
+            f"pipeline: {name} outputs exist, skipping" for name, _ in skipped]
 
     def test_window_diagnostics_unchanged(self, fixtures_dir, tmp_path):
         out = tmp_path / "sel.jsonl"
