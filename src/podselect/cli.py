@@ -4,8 +4,9 @@ Subcommands map one-to-one onto pipeline stages (preprocess, select,
 summarize, evaluate) plus a ``pipeline`` command that chains them. Flag
 values beat config-file values, which beat built-in defaults; the config
 file is JSON, named by --config or the PODSELECT_CONFIG environment
-variable. main resolves and checks every setting, from the _SETTINGS table,
-once and before any stage runs, and hands them to the command.
+variable. Each setting is declared once, in the _SETTINGS table: the parser
+builds its flag from there, and main resolves and checks every setting once,
+before any stage runs, and hands them to the command.
 """
 
 from __future__ import annotations
@@ -35,26 +36,36 @@ REPORT_FORMATS = tuple(_REPORT_EXT)
 PARTIAL_SUFFIX = ".partial"
 
 # Every setting a flag or the config file can give: key -> (type, default,
-# limit), the limit being an int's minimum or a str's allowed values (None: no
-# limit). A None window_size or jobs leaves the choice to each strategy or stage.
+# limit, help). The limit is an int's minimum or a str's allowed values (None:
+# no limit). The help's {} is filled with the default; a setting with no help
+# has no flag. A None window_size or jobs leaves the choice to each strategy or
+# stage.
 _SETTINGS = {
-    "strategy": (str, "window", STRATEGIES),
-    "window_size": (int, None, 1),
-    "top_k": (int, selection.DEFAULT_TOP_K, 0),
-    "topics": (int, selection.DEFAULT_NUM_TOPICS, 1),
-    "budget": (int, selection.DEFAULT_TOKEN_BUDGET, 1),
-    "seed": (int, 0, None),
-    "jobs": (int, None, 1),
-    "backend": (str, "null", BACKENDS),
-    "endpoint": (str, None, None),
-    "format": (str, "text", REPORT_FORMATS),
-    "profanity_list_path": (str, None, None),
+    "strategy": (str, "window", STRATEGIES,
+                 "selection strategy (default: {}); 'none' passes the transcript head "
+                 "straight through"),
+    "window_size": (int, None, 1,
+                    f"sentences per window (default: {selection.DEFAULT_WINDOW_SIZE}; the "
+                    f"novelty strategy defaults to {selection.NOVELTY_WINDOW_SIZE})"),
+    "top_k": (int, selection.DEFAULT_TOP_K, 0,
+              "extra top-scoring sentences merged by the novelty strategy (default: {})"),
+    "topics": (int, selection.DEFAULT_NUM_TOPICS, 1,
+               "topic count for the topic strategy (default: {})"),
+    "budget": (int, selection.DEFAULT_TOKEN_BUDGET, 1,
+               "token budget handed to the backend (default: {})"),
+    "seed": (int, 0, None, "random seed for anything stochastic (default: {})"),
+    "jobs": (int, None, 1,
+             "worker count; select and evaluate start in-process and, once they have run "
+             "longer than a fork costs and forking is projected to save more than that, "
+             "split the rest between this process and forked children, at most this many "
+             "in all (default: the CPUs this process may run on; no fork where os.fork is "
+             "missing or other threads run); backend calls default to 4 concurrent "
+             "requests, and a retry waits out its backoff without holding one"),
+    "backend": (str, "null", BACKENDS, "summarization backend (default: {})"),
+    "endpoint": (str, None, None, "base URL of the remote backend, e.g. http://host:8080"),
+    "format": (str, "text", REPORT_FORMATS, "report format (default: {})"),
+    "profanity_list_path": (str, None, None, None),
 }
-
-
-def _default(key: str):
-    """The default of a setting, for help texts."""
-    return _SETTINGS[key][1]
 
 
 @contextmanager
@@ -103,7 +114,7 @@ def _settings(ns) -> dict:
             raise ConfigError(
                 f"unknown config key {key!r}; known keys: {', '.join(_SETTINGS)}")
     resolved = {}
-    for key, (kind, default, limit) in _SETTINGS.items():
+    for key, (kind, default, limit, _) in _SETTINGS.items():
         flag = getattr(ns, key, None)
         if flag is None and key not in config:
             resolved[key] = default
@@ -440,61 +451,41 @@ def cmd_pipeline(ns, settings: dict) -> None:
 # --- parser and entry point ---------------------------------------------------
 
 
-def _add_io_flags(parser, output_help: str):
-    parser.add_argument("--input", required=True, help="input path")
-    parser.add_argument("--output", required=True, help=output_help)
+# The flags that are not settings: key -> add_argument keywords.
+_FLAGS = {
+    "episodes": {"required": True, "help": "episodes JSONL the selections refer to"},
+    "references": {"required": True,
+                   "help": "episodes JSONL providing reference descriptions"},
+    "diagnostics": {"action": "store_true",
+                    "help": "include per-window scores in the selections file"},
+    "method_id": {"help": "row label in the report (default: run)"},
+    "raw_references": {"action": "store_true",
+                       "help": "score against raw descriptions instead of cleaned ones"},
+    "resume": {"action": "store_true", "help": "skip stages whose outputs already exist"},
+    "config": {"help": "JSON config file; PODSELECT_CONFIG is the fallback"},
+}
 
+_STRATEGY_FLAGS = ("strategy", "window_size", "top_k", "topics", "budget", "diagnostics")
 
-def _add_seed_flag(parser):
-    parser.add_argument("--seed", type=int, default=None,
-                        help="random seed for anything stochastic "
-                             f"(default: {_default('seed')})")
-
-
-def _add_jobs_flag(parser):
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="worker count; select and evaluate start in-process "
-                             "and, once they have run longer than a fork costs and "
-                             "forking is projected to save more than that, split "
-                             "the rest between this process and forked children, "
-                             "at most this many in all (default: the CPUs this "
-                             "process may run on; no fork where os.fork is missing "
-                             "or other threads run); backend calls default to 4 "
-                             "concurrent requests, and a retry waits out its "
-                             "backoff without holding one")
-
-
-def _add_config_flag(parser):
-    parser.add_argument("--config", default=None,
-                        help="JSON config file; PODSELECT_CONFIG is the fallback")
-
-
-def _add_strategy_flags(parser):
-    parser.add_argument("--strategy", choices=STRATEGIES, default=None,
-                        help=f"selection strategy (default: {_default('strategy')}); "
-                             "'none' passes the transcript head straight through")
-    parser.add_argument("--window-size", dest="window_size", type=int, default=None,
-                        help="sentences per window (default: "
-                             f"{selection.DEFAULT_WINDOW_SIZE}; the novelty strategy "
-                             f"defaults to {selection.NOVELTY_WINDOW_SIZE})")
-    parser.add_argument("--top-k", dest="top_k", type=int, default=None,
-                        help="extra top-scoring sentences merged by the novelty "
-                             f"strategy (default: {_default('top_k')})")
-    parser.add_argument("--topics", type=int, default=None,
-                        help="topic count for the topic strategy "
-                             f"(default: {_default('topics')})")
-    parser.add_argument("--budget", type=int, default=None,
-                        help="token budget handed to the backend "
-                             f"(default: {_default('budget')})")
-    parser.add_argument("--diagnostics", action="store_true",
-                        help="include per-window scores in the selections file")
-
-
-def _add_backend_flags(parser):
-    parser.add_argument("--backend", choices=BACKENDS, default=None,
-                        help=f"summarization backend (default: {_default('backend')})")
-    parser.add_argument("--endpoint", default=None,
-                        help="base URL of the remote backend, e.g. http://host:8080")
+# command -> (function, help, --output help, its flags after --input and
+# --output, in help order; each a _SETTINGS or a _FLAGS key)
+_COMMANDS = {
+    "preprocess": (cmd_preprocess, "filter a corpus and emit the dataset split",
+                   "output directory for kept.jsonl, filter_report.json, split.jsonl",
+                   ("seed", "config")),
+    "select": (cmd_select, "run extractive selection over episodes",
+               "selections JSONL path", (*_STRATEGY_FLAGS, "seed", "jobs", "config")),
+    "summarize": (cmd_summarize, "cap selections and run them through a backend",
+                  "summaries JSONL path",
+                  ("episodes", "budget", "backend", "endpoint", "jobs", "config")),
+    "evaluate": (cmd_evaluate, "score summaries against reference descriptions",
+                 "report path",
+                 ("references", "format", "method_id", "raw_references", "jobs", "config")),
+    "pipeline": (cmd_pipeline, "preprocess, select, summarize, and evaluate",
+                 "output directory for all stage artifacts",
+                 (*_STRATEGY_FLAGS, "backend", "endpoint", "format", "resume", "seed", "jobs",
+                  "config")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -504,60 +495,19 @@ def build_parser() -> argparse.ArgumentParser:
                     "followed by an abstractive backend.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("preprocess", help="filter a corpus and emit the dataset split")
-    _add_io_flags(p, "output directory for kept.jsonl, filter_report.json, split.jsonl")
-    _add_seed_flag(p)
-    _add_config_flag(p)
-    p.set_defaults(func=cmd_preprocess)
-
-    p = sub.add_parser("select", help="run extractive selection over episodes")
-    _add_io_flags(p, "selections JSONL path")
-    _add_strategy_flags(p)
-    _add_seed_flag(p)
-    _add_jobs_flag(p)
-    _add_config_flag(p)
-    p.set_defaults(func=cmd_select)
-
-    p = sub.add_parser("summarize", help="cap selections and run them through a backend")
-    _add_io_flags(p, "summaries JSONL path")
-    p.add_argument("--episodes", required=True,
-                   help="episodes JSONL the selections refer to")
-    p.add_argument("--budget", type=int, default=None,
-                   help="token budget enforced before the backend call "
-                        f"(default: {_default('budget')})")
-    _add_backend_flags(p)
-    _add_jobs_flag(p)
-    _add_config_flag(p)
-    p.set_defaults(func=cmd_summarize)
-
-    p = sub.add_parser("evaluate", help="score summaries against reference descriptions")
-    _add_io_flags(p, "report path")
-    p.add_argument("--references", required=True,
-                   help="episodes JSONL providing reference descriptions")
-    p.add_argument("--format", choices=REPORT_FORMATS, default=None,
-                   help=f"report format (default: {_default('format')})")
-    p.add_argument("--method-id", dest="method_id", default=None,
-                   help="row label in the report (default: run)")
-    p.add_argument("--raw-references", action="store_true",
-                   help="score against raw descriptions instead of cleaned ones")
-    _add_jobs_flag(p)
-    _add_config_flag(p)
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("pipeline", help="preprocess, select, summarize, and evaluate")
-    _add_io_flags(p, "output directory for all stage artifacts")
-    _add_strategy_flags(p)
-    _add_backend_flags(p)
-    p.add_argument("--format", choices=REPORT_FORMATS, default=None,
-                   help=f"report format (default: {_default('format')})")
-    p.add_argument("--resume", action="store_true",
-                   help="skip stages whose outputs already exist")
-    _add_seed_flag(p)
-    _add_jobs_flag(p)
-    _add_config_flag(p)
-    p.set_defaults(func=cmd_pipeline)
-
+    for command, (func, summary, output_help, keys) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        p.add_argument("--input", required=True, help="input path")
+        p.add_argument("--output", required=True, help=output_help)
+        for key in keys:
+            flag = "--" + key.replace("_", "-")
+            if key in _FLAGS:
+                p.add_argument(flag, **_FLAGS[key])
+            else:  # default None: _settings tells a flag left out from one given
+                kind, default, limit, text = _SETTINGS[key]
+                p.add_argument(flag, type=kind, default=None, help=text.format(default),
+                               choices=limit if kind is str else None)
+        p.set_defaults(func=func)
     return parser
 
 

@@ -92,7 +92,9 @@ def _self_score(length: int, total: int) -> float:
     unigram = RougeScore.from_counts(length, length, total).f1
     bigrams = max(0, length - 1)
     bigram = RougeScore.from_counts(bigrams, bigrams, max(0, total - 1)).f1
-    return sum([unigram, bigram, unigram]) / 3
+    # not sum(): from Python 3.12 it adds floats with compensation, so the last
+    # bit would differ from the oracle's left-to-right mean across versions
+    return (unigram + bigram + unigram) / 3
 
 
 def score_windows(doc: Document, window_size: int) -> list[WindowScore]:
@@ -155,18 +157,18 @@ def select_novelty(doc: Document, config: SelectorConfig = SelectorConfig()) -> 
     """Window selection plus the top-k single sentences, merged in document order.
 
     The extra sentences inject high-overlap material that sits outside the
-    best window. Ties on sentence score go to the lower index.
+    best window. A single's score (score_single_sentences) rises strictly
+    with its token count, so the top k are the longest sentences, the lower
+    index first on ties.
     """
     window_size = config.window_size or NOVELTY_WINDOW_SIZE
     base = select_window(doc, SelectorConfig(window_size, config.novelty_top_k,
                                              config.token_budget))
-    singles = score_single_sentences(doc)
-    ranked = sorted(singles, key=lambda pair: (-pair[1], pair[0]))
-    top_k = [index for index, _ in ranked[:config.novelty_top_k]]
+    ranked = sorted(doc.sentences, key=lambda sentence: (-len(sentence.tokens), sentence.index))
+    top_k = [sentence.index for sentence in ranked[:config.novelty_top_k]]
     merged = tuple(sorted(set(base.sentence_indices) | set(top_k)))
     token_count = sum(len(doc.sentences[i].tokens) for i in merged)
     diagnostics = dict(base.diagnostics)
-    diagnostics["sentence_scores"] = singles
     diagnostics["top_k"] = top_k
     return SelectionResult(
         episode_id=doc.episode_id,
