@@ -226,7 +226,7 @@ def _select_one(episode: corpus.Episode, strategy: str,
         else:
             result = selection.select_head(doc, selector.token_budget)
         capped = abstractive.enforce_budget(result, doc, selector.token_budget)
-        return episode.id, result.to_record(diagnostics), capped, None
+        return episode.id, result.to_record(doc if diagnostics else None), capped, None
     except (EmptyDocumentError, InsufficientContentError) as exc:
         return episode.id, None, None, str(exc)
 

@@ -252,18 +252,19 @@ def filter_corpus(
     tokens = [token_texts(episode.description) for episode in survivors]
     shingles = [_shingles(description_tokens) for description_tokens in tokens]
     index = _DuplicateIndex(shingles)
-    deduped: list[tuple[Episode, list[str]]] = []
+    deduped: list[tuple[Episode, list[str], frozenset]] = []
     for episode, description_tokens, episode_shingles in zip(survivors, tokens, shingles):
         if index.add_unless_duplicate(episode_shingles):
-            deduped.append((episode, description_tokens))
+            deduped.append((episode, description_tokens, episode_shingles))
         else:
             add_rejection(episode.id, RULE_DUPLICATE)
 
     # rules 3..6, evaluated per episode in order
     kept: list[Episode] = []
-    for episode, description_tokens in deduped:
+    for episode, description_tokens, episode_shingles in deduped:
         show_tokens = token_texts(episode.show_description)
-        if description_similarity(description_tokens, show_tokens) >= SHOW_DESC_SIM_THRESHOLD:
+        # description_similarity, on the shingles that rule 2 built
+        if _jaccard(episode_shingles, _shingles(show_tokens)) >= SHOW_DESC_SIM_THRESHOLD:
             add_rejection(episode.id, RULE_SHOW_SIMILAR)
             continue
         if contains_profanity(description_tokens, wordlist) \

@@ -8,11 +8,13 @@ overlaps are its own gram counts and its LCS is its own length. Every score
 is therefore a closed-form function of the slice's token count and the
 document's, read off one prefix sum of sentence token counts. The score
 rises strictly with the slice's length: the window with the most tokens
-wins (earliest on ties), and the top singles are the longest sentences.
+wins (earliest on ties), and the top singles are the longest sentences, so
+the picks compare token counts and only the --diagnostics records score.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import NamedTuple
 
 from .corpus import Document, Frozen
@@ -64,16 +66,18 @@ class SelectionResult(Frozen):
         return (self.episode_id, self.strategy, self.sentence_indices,
                 self.selected_token_count)
 
-    def to_record(self, include_diagnostics: bool = False) -> dict:
+    def to_record(self, doc: Document | None = None) -> dict:
+        """The pick's selections-file line. Given the document it was picked
+        from, a window or novelty pick also lists every window's score."""
         record = {
             "id": self.episode_id,
             "strategy": self.strategy,
             "indices": list(self.sentence_indices),
             "tokens": self.selected_token_count,
         }
-        if include_diagnostics and "window_scores" in self.diagnostics:
+        if doc is not None and "window_size" in self.diagnostics:
             record["window_scores"] = [
-                [w.start, w.end, w.score] for w in self.diagnostics["window_scores"]
+                list(row) for row in score_windows(doc, self.diagnostics["window_size"])
             ]
         return record
 
@@ -97,52 +101,46 @@ def _self_score(length: int, total: int) -> float:
     return (unigram + bigram + unigram) / 3
 
 
-def score_windows(doc: Document, window_size: int) -> list[WindowScore]:
-    """Score every window start against the whole document.
+def _windows(doc: Document, window_size: int) -> tuple[list[tuple[int, int, int]], int]:
+    """(start, end, token count) of every window, and the document's token count.
 
-    One WindowScore per start in [0, max(1, N - w + 1)); when the document
-    has fewer sentences than the window, the single window covers it all.
-    The score is the mean of the ROUGE-1, ROUGE-2 and ROUGE-L F1 values.
+    One window per start in [0, max(1, N - w + 1)); when the document has
+    fewer sentences than the window, the single window covers it all.
     """
     if window_size < 1:
         raise ConfigError(f"window_size must be >= 1, got {window_size}")
     n = len(doc.sentences)
     if n == 0:
         raise ConfigError("cannot score an empty document")
-
-    offsets = [0]
-    for sentence in doc.sentences:
-        offsets.append(offsets[-1] + len(sentence.tokens))
-    total = offsets[-1]
-
-    results: list[WindowScore] = []
+    offsets = list(accumulate((len(sentence.tokens) for sentence in doc.sentences), initial=0))
+    windows = []
     for start in range(max(1, n - window_size + 1)):
         end = min(start + window_size, n)
-        results.append(WindowScore(start=start, end=end,
-                                   score=_self_score(offsets[end] - offsets[start], total)))
-    return results
+        windows.append((start, end, offsets[end] - offsets[start]))
+    return windows, offsets[-1]
+
+
+def score_windows(doc: Document, window_size: int) -> list[WindowScore]:
+    """Score every window (see _windows) against the whole document: the
+    mean of its ROUGE-1, ROUGE-2 and ROUGE-L F1 values."""
+    windows, total = _windows(doc, window_size)
+    return [WindowScore(start, end, _self_score(tokens, total)) for start, end, tokens in windows]
 
 
 def select_window(doc: Document, config: SelectorConfig = SelectorConfig()) -> SelectionResult:
-    """Pick the contiguous sentence window that best matches the document.
-
-    Ties go to the lowest start index. All window scores are kept in the
-    result diagnostics.
+    """Pick the contiguous sentence window that best matches the document:
+    the one with the most tokens, the lowest start on ties. The diagnostics
+    keep the window size, from which to_record rebuilds every window's score.
     """
     window_size = config.window_size or DEFAULT_WINDOW_SIZE
-    scores = score_windows(doc, window_size)
-    best = scores[0]
-    for candidate in scores[1:]:
-        if candidate.score > best.score:
-            best = candidate
-    indices = tuple(range(best.start, best.end))
-    token_count = sum(len(doc.sentences[i].tokens) for i in indices)
+    windows, _ = _windows(doc, window_size)
+    start, end, tokens = max(windows, key=lambda window: window[2])  # max keeps the first
     return SelectionResult(
         episode_id=doc.episode_id,
         strategy="window",
-        sentence_indices=indices,
-        selected_token_count=token_count,
-        diagnostics={"window_scores": scores, "best": best},
+        sentence_indices=tuple(range(start, end)),
+        selected_token_count=tokens,
+        diagnostics={"window_size": window_size},
     )
 
 

@@ -490,7 +490,7 @@ class TestTopicFitSkip:
         picked = topics.select_by_topics(doc, model, selector)
         capped = abstractive.enforce_budget(picked, doc, selector.token_budget)
         assert _select_one(episode, "topic", selector, num_topics, seed, diagnostics) == (
-            episode.id, picked.to_record(diagnostics), capped, None)
+            episode.id, picked.to_record(), capped, None)
 
     def test_fit_runs_only_at_a_binding_budget(self, monkeypatch):
         def no_fit(doc, config):
@@ -1303,6 +1303,19 @@ GOLDEN_PIPELINE_DIGESTS = {
         "selections.jsonl": "58d81046bfdd9fabb07a406df7a5840968ba53327cd5a784b919d9d94de1e8b9",
         "summaries.jsonl": "ca9d13a86e2bd7fc81e6e0ccfbcc742bde7347cb6f5435074318b272d5115f6d",
         "report.json": "2c32973772e83e52a92e3774c2f2b84d3a15c068639abc629552c772c651e88e",
+    }),
+    # mini transcripts hold 24-36 sentences, so the default window is their
+    # only one: at 3 sentences the pick is a real argmax, and the selections
+    # carry every window's score
+    "window-3": (["--window-size", "3", "--diagnostics"], {
+        "selections.jsonl": "a95d20d34039a9d52a381eb587b83888a8e5c63c9d870ebf2c82707df979a6bc",
+        "summaries.jsonl": "170bdd82481ed4b1a2aad4ae43057a5a6287021e15e32617b7ec36a290acb6e0",
+        "report.json": "1a6682d61bfe55d74c32b3470d39f31c74df6ef2c575d0f363b1c606adc29086",
+    }),
+    "novelty-3": (["--window-size", "3", "--diagnostics"], {
+        "selections.jsonl": "b8e999050bcd55ec065844e49cbb7a1a63dede901a049855380ef4fd52495e88",
+        "summaries.jsonl": "9b139cae99eb67d20a20862c07c2aededcb8cc24afd191c503b1041b4735fb78",
+        "report.json": "ea1401a038c7c349b78e103686fe169943fae4fd9b40c29538714b1182bbfd9d",
     }),
 }
 GOLDEN_WINDOW_DIAGNOSTICS_DIGEST = (

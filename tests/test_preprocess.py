@@ -206,6 +206,23 @@ class TestFilterCorpus:
             '    "desc_too_short": 1,\n    "profanity": 1\n  },\n  "reasons": {\n'
             '    "é": "profanity",\n    "a": "desc_too_short"\n  }\n}')
 
+    def test_each_description_is_shingled_once(self, fixtures_dir, monkeypatch):
+        shingled = []
+        shingles = preprocess._shingles
+        monkeypatch.setattr(preprocess, "_shingles",
+                            lambda tokens: shingled.append(tuple(tokens)) or shingles(tokens))
+        episodes = load_fixture_episodes(fixtures_dir)
+        _, report = filter_corpus(episodes)
+        assert json.loads(report.to_json()) == EXPECTED_REPORT
+        survivors = [e for e in episodes if preprocess.DESC_MIN_CHARS <= len(e.description)
+                     <= preprocess.DESC_MAX_CHARS]
+        deduped = len(survivors) - report.rejected_by_rule["duplicate_description"]
+        # rule 2 shingles every length survivor's description; rule 3 only the
+        # show descriptions of those it kept
+        assert shingled[:len(survivors)] == [tuple(token_texts(e.description))
+                                             for e in survivors]
+        assert len(shingled) == len(survivors) + deduped
+
     def test_report_holds_each_kept_cleaned_description(self, fixtures_dir):
         kept, report = filter_corpus(load_fixture_episodes(fixtures_dir))
         assert report.cleaned_descriptions == {

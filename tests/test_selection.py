@@ -2,11 +2,14 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from podselect import selection, topics
 from podselect.errors import ConfigError
-from podselect.selection import (SelectionResult, SelectorConfig, score_single_sentences,
-                                 score_windows, select_head, select_novelty,
-                                 select_window)
+from podselect.selection import (DEFAULT_WINDOW_SIZE, NOVELTY_WINDOW_SIZE, SelectionResult,
+                                 SelectorConfig, score_single_sentences, score_windows,
+                                 select_head, select_novelty, select_window)
 from conftest import make_doc, random_sentences
 from oracles import (oracle_rouge_avg, oracle_rouge_n, oracle_window_argmax,
                      oracle_window_scores)
@@ -114,10 +117,11 @@ class TestSelectWindow:
     def test_diagnostics_carry_all_windows(self):
         doc = make_doc([["a"], ["b"], ["c"], ["d"]])
         result = select_window(doc, SelectorConfig(window_size=2))
-        scores = result.diagnostics["window_scores"]
+        assert result.diagnostics == {"window_size": 2}
+        scores = score_windows(doc, 2)
         assert len(scores) == 3
-        best = result.diagnostics["best"]
-        assert best.score == max(row.score for row in scores)
+        assert result.to_record(doc)["window_scores"] == [list(row) for row in scores]
+        best = max(scores, key=lambda row: row.score)
         assert result.sentence_indices == tuple(range(best.start, best.end))
 
     def test_to_record_shape(self):
@@ -127,8 +131,52 @@ class TestSelectWindow:
         assert record == {"id": "ep-9", "strategy": "window",
                           "indices": list(result.sentence_indices),
                           "tokens": result.selected_token_count}
-        with_diag = result.to_record(include_diagnostics=True)
-        assert "window_scores" in with_diag
+        with_diag = result.to_record(doc)
+        expected = oracle_window_scores([s.tokens for s in doc.sentences], 1)
+        assert with_diag == {**record, "window_scores": [list(row) for row in expected]}
+
+    def test_picks_without_scoring(self, monkeypatch):
+        def no_score(*args):
+            raise AssertionError("a pick scored its windows")
+
+        monkeypatch.setattr(selection, "score_windows", no_score)
+        monkeypatch.setattr(selection, "_self_score", no_score)
+        rng = random.Random(53)
+        for _ in range(40):
+            doc = random_doc(rng)
+            w = rng.randint(1, len(doc.sentences) + 1)
+            top_k = rng.randint(0, 3)
+            start, end = oracle_window_argmax([s.tokens for s in doc.sentences], w)
+            longest = sorted(doc.sentences, key=lambda s: (-len(s.tokens), s.index))[:top_k]
+            config = SelectorConfig(window_size=w, novelty_top_k=top_k)
+            assert select_window(doc, config).sentence_indices == tuple(range(start, end))
+            assert select_novelty(doc, config).sentence_indices == tuple(
+                sorted(set(range(start, end)) | {s.index for s in longest}))
+
+    # few words, short sentences: many windows tie on their token count
+    @given(st.lists(st.lists(st.sampled_from(VOCAB[:3]), min_size=1, max_size=3),
+                    min_size=1, max_size=10), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_pick_is_first_best_score_and_records_rescore(self, words, data):
+        doc = make_doc(words)
+        w = data.draw(st.integers(1, len(words) + 2))
+        best = max(score_windows(doc, w), key=lambda row: row.score)
+        picked = select_window(doc, SelectorConfig(window_size=w))
+        assert picked.sentence_indices == tuple(range(best.start, best.end))
+        assert picked.selected_token_count == sum(map(len, words[best.start:best.end]))
+        for select, default in ((select_window, DEFAULT_WINDOW_SIZE),
+                                (select_novelty, NOVELTY_WINDOW_SIZE)):
+            for size in (None, w):
+                result = select(doc, SelectorConfig(window_size=size))
+                rows = [list(row) for row in score_windows(doc, size or default)]
+                assert result.to_record(doc)["window_scores"] == rows
+                assert "window_scores" not in result.to_record()
+        budget = data.draw(st.integers(1, doc.total_tokens + 1))
+        unscored = [select_head(doc, budget),
+                    topics.fit_and_select(doc, topics.TopicConfig(1, 4, 1),
+                                          SelectorConfig(token_budget=budget))]
+        for result in unscored:
+            assert "window_scores" not in result.to_record(doc)
 
 
 class TestScoreSingleSentences:
@@ -185,8 +233,8 @@ class TestSelectNovelty:
         result = select_novelty(doc, SelectorConfig(window_size=2, novelty_top_k=1))
         top_single = result.diagnostics["top_k"]
         assert top_single == [4]
-        window_range = set(range(result.diagnostics["best"].start,
-                                 result.diagnostics["best"].end))
+        start, end, _ = max(result.to_record(doc)["window_scores"], key=lambda row: row[2])
+        window_range = set(range(start, end))
         assert 4 not in window_range
         assert 4 in result.sentence_indices
         assert set(result.sentence_indices) == window_range | {4}
