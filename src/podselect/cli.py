@@ -201,15 +201,16 @@ def cmd_preprocess(ns, settings: dict) -> None:
 
 def _select_one(episode: corpus.Episode, strategy: str,
                 selector: selection.SelectorConfig, num_topics: int, seed: int,
-                diagnostics: bool
+                diagnostics: bool, cap: bool = True
                 ) -> tuple[str, dict | None, abstractive.BackendInput | None, str | None]:
     """Worker: build the document, run one selection strategy and cap the pick.
 
     Returns (id, record, capped input, error), plain values that pickle, so
     a forked worker can send them back through its pipe. The capped input is
     enforce_budget at the selector's token budget, so pipeline's summarize
-    stage needs no second build of the document. The head strategy reads no
-    further than its budget, so only that prefix of the transcript is built.
+    stage needs no second build of the document; without cap it is None. The
+    head strategy reads no further than its budget, so only that prefix of
+    the transcript is built.
     """
     try:
         limit = selector.token_budget if strategy == "none" else None
@@ -225,15 +226,16 @@ def _select_one(episode: corpus.Episode, strategy: str,
                 num_topics=num_topics, seed=_derive_seed(seed, episode.id)), selector)
         else:
             result = selection.select_head(doc, selector.token_budget)
-        capped = abstractive.enforce_budget(result, doc, selector.token_budget)
+        capped = abstractive.enforce_budget(result, doc, selector.token_budget) if cap else None
         return episode.id, result.to_record(doc if diagnostics else None), capped, None
     except (EmptyDocumentError, InsufficientContentError) as exc:
         return episode.id, None, None, str(exc)
 
 
 def _run_select(episodes: list[corpus.Episode], output_path: Path, settings: dict,
-                diagnostics: bool) -> list[abstractive.BackendInput]:
-    """Write the selections file; return the capped inputs in its line order."""
+                diagnostics: bool, *, cap: bool) -> list[abstractive.BackendInput]:
+    """Write the selections file; with cap, return the capped inputs in its line
+    order (else an empty list)."""
     selector = selection.SelectorConfig(
         window_size=settings["window_size"],
         novelty_top_k=settings["top_k"],
@@ -247,7 +249,8 @@ def _run_select(episodes: list[corpus.Episode], output_path: Path, settings: dic
         from . import topics  # noqa: F401
     select_one = functools.partial(
         _select_one, strategy=settings["strategy"], selector=selector,
-        num_topics=settings["topics"], seed=settings["seed"], diagnostics=diagnostics)
+        num_topics=settings["topics"], seed=settings["seed"], diagnostics=diagnostics,
+        cap=cap)
     skipped = 0
     results: list[dict] = []
     inputs: list[abstractive.BackendInput] = []
@@ -258,7 +261,8 @@ def _run_select(episodes: list[corpus.Episode], output_path: Path, settings: dic
             skipped += 1
             continue
         results.append(payload)
-        inputs.append(capped)
+        if cap:
+            inputs.append(capped)
     with atomic_write(output_path) as handle:
         for payload in results:
             handle.write(json.dumps(payload, ensure_ascii=False) + "\n")
@@ -268,7 +272,8 @@ def _run_select(episodes: list[corpus.Episode], output_path: Path, settings: dic
 
 
 def cmd_select(ns, settings: dict) -> None:
-    _run_select(list(corpus.load_episodes(ns.input)), Path(ns.output), settings, ns.diagnostics)
+    _run_select(list(corpus.load_episodes(ns.input)), Path(ns.output), settings, ns.diagnostics,
+                cap=False)
 
 
 # --- summarize ----------------------------------------------------------------
@@ -408,25 +413,29 @@ def cmd_pipeline(ns, settings: dict) -> None:
     summaries_path = out_dir / "summaries.jsonl"
     report_path = out_dir / f"report.{_REPORT_EXT[settings['format']]}"
     # what a stage that ran in this process hands the later ones: the kept
-    # episodes and their cleaned descriptions, then the capped backend inputs
+    # episodes and their cleaned descriptions, then the capped backend inputs.
+    # The stage that reads a hand-off pops it, so the transcripts go once select
+    # has run and the capped texts once summarize has.
     held = {}
 
     def run_preprocess():
         held["kept"], held["references"] = _run_preprocess(ns.input, out_dir, settings)
 
     def run_select():
-        episodes = held["kept"] if "kept" in held else list(corpus.load_episodes(kept_path))
-        held["inputs"] = _run_select(episodes, selections_path, settings, ns.diagnostics)
+        episodes = (held.pop("kept") if "kept" in held
+                    else list(corpus.load_episodes(kept_path)))
+        held["inputs"] = _run_select(episodes, selections_path, settings, ns.diagnostics,
+                                     cap=True)
 
     def run_summarize():
         # no inputs held: select ran in an earlier process, so rebuild them from its file
-        inputs = (held["inputs"] if "inputs" in held
+        inputs = (held.pop("inputs") if "inputs" in held
                   else _read_capped_inputs(str(selections_path), str(kept_path),
                                            settings["budget"]))
         _run_summarize(inputs, summaries_path, backend, settings)
 
     def run_evaluate():
-        references = (held["references"] if "references" in held
+        references = (held.pop("references") if "references" in held
                       else _load_references(str(kept_path), raw=False))
         _run_evaluate(str(summaries_path), references, report_path,
                       settings["strategy"], settings)

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import logging
@@ -10,6 +11,7 @@ import sys
 import tempfile
 import threading
 import time
+import weakref
 from collections import deque
 from pathlib import Path
 
@@ -445,6 +447,25 @@ class TestSelectCommand:
         row = read_jsonl(out)[0]
         assert "window_scores" in row
         assert all(len(entry) == 3 for entry in row["window_scores"])
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_builds_no_backend_text(self, tmp_path, monkeypatch, forked, jobs):
+        """Standalone select writes the selections and never caps a pick."""
+        source = tmp_path / "eps.jsonl"
+        tiny_corpus(source, count=6)
+        monkeypatch.setattr(forkjoin, "_POOL_AFTER_S", 0)  # --jobs 2 forks from the start
+        plain, patched = tmp_path / "plain.jsonl", tmp_path / "patched.jsonl"
+        args = ["select", "--input", str(source), "--strategy", "novelty",
+                "--window-size", "2", "--top-k", "2", "--jobs", jobs]
+        assert main([*args, "--output", str(plain)]) == 0
+
+        def no_cap(*args):
+            raise AssertionError("enforce_budget called")
+
+        monkeypatch.setattr(abstractive, "enforce_budget", no_cap)
+        assert main([*args, "--output", str(patched)]) == 0
+        assert patched.read_bytes() == plain.read_bytes()
+        assert len(forked) == (2 if jobs == "2" else 0)
 
     def test_empty_transcript_skipped(self, tmp_path):
         source = tmp_path / "eps.jsonl"
@@ -1143,6 +1164,46 @@ class TestPipelineCommand:
         assert self.run_pipeline(fixtures_dir, out, "--resume") == 0
         assert reads == ["kept.jsonl", "kept.jsonl"]  # select, then evaluate
         assert {name: (out / name).read_bytes() for name in PIPELINE_ARTIFACTS} == fresh
+
+    def test_each_hand_off_goes_once_its_stage_has_read_it(self, fixtures_dir, tmp_path,
+                                                          monkeypatch):
+        """Summarize runs with the kept episodes gone, evaluate with the capped inputs."""
+        class Tracked(list):
+            pass
+
+        handed, alive = {}, {}
+        filter_corpus, run_select = preprocess.filter_corpus, cli._run_select
+        run_summarize, run_evaluate = cli._run_summarize, cli._run_evaluate
+
+        def tracked_filter(*args, **kwargs):
+            kept, report = filter_corpus(*args, **kwargs)
+            kept = Tracked(kept)
+            handed["kept"] = weakref.ref(kept)
+            return kept, report
+
+        def tracked_select(*args, **kwargs):
+            inputs = Tracked(run_select(*args, **kwargs))
+            handed["inputs"] = weakref.ref(inputs)
+            return inputs
+
+        def summarize(inputs, *args):
+            gc.collect()
+            alive["kept at summarize"] = handed["kept"]() is not None
+            alive["inputs at summarize"] = handed["inputs"]() is inputs
+            return run_summarize(inputs, *args)
+
+        def evaluate(*args):
+            gc.collect()
+            alive["inputs at evaluate"] = handed["inputs"]() is not None
+            return run_evaluate(*args)
+
+        monkeypatch.setattr(preprocess, "filter_corpus", tracked_filter)
+        monkeypatch.setattr(cli, "_run_select", tracked_select)
+        monkeypatch.setattr(cli, "_run_summarize", summarize)
+        monkeypatch.setattr(cli, "_run_evaluate", evaluate)
+        assert self.run_pipeline(fixtures_dir, tmp_path / "run") == 0
+        assert alive == {"kept at summarize": False, "inputs at summarize": True,
+                         "inputs at evaluate": False}
 
     def test_json_report_format(self, fixtures_dir, tmp_path):
         out = tmp_path / "run"
