@@ -16,7 +16,7 @@ import logging
 import threading
 import time
 from typing import NamedTuple, Protocol
-from urllib.parse import urlsplit, urlunsplit
+from urllib.parse import urlsplit
 
 from .corpus import Document, tokenize
 from .errors import BackendError, ConfigError, ProtocolError
@@ -45,6 +45,19 @@ class Summary(NamedTuple):
 
     def to_record(self) -> dict:
         return {"id": self.episode_id, "summary": self.text, "backend": self.backend_id}
+
+    @classmethod
+    def from_record(cls, record: dict) -> Summary:
+        """Read a summaries-file line back, without a latency. 'summary'
+        defaults to empty and 'backend' to unknown; the first bad field raises
+        KeyError or ValueError."""
+        episode_id, text = record["id"], record.get("summary", "")
+        backend_id = record.get("backend", "unknown")
+        if not isinstance(episode_id, str) or not isinstance(text, str):
+            raise ValueError("'id' and 'summary' must be strings")
+        if not isinstance(backend_id, str):
+            raise ValueError("'backend' must be a string")
+        return cls(episode_id, text, backend_id)
 
 
 def enforce_budget(selection: SelectionResult, doc: Document,
@@ -123,8 +136,10 @@ class RemoteBackend:
     ``/summarize``, its query kept and its fragment dropped, on a new
     connection per call, and expects ``{"id", "summary"}`` back. Each call
     is one attempt: a non-2xx response raises BackendError with its status, a
-    connection or timeout failure raises one without, and a malformed body
-    raises ProtocolError. summarize_all decides which of them to retry.
+    connection or timeout failure raises one without, and a malformed body or
+    a summary that is not valid Unicode text raises ProtocolError.
+    summarize_all decides which of them to retry. An endpoint that no
+    request could be sent to is refused when the backend is built.
 
     http.client is imported here rather than at module level: it pulls in
     ssl, socket and email, which no other backend needs.
@@ -135,22 +150,25 @@ class RemoteBackend:
     def __init__(self, endpoint: str, timeout: float = 30.0):
         from http.client import HTTPConnection, HTTPSConnection, InvalidURL
 
-        # refused: an unclosed [ in the host, a port that is not a number, and a
-        # host http.client cannot use
+        # refused here, not on each attempt: an unclosed [ in the host, a port
+        # that is not a number, a host http.client cannot use or the socket
+        # cannot IDNA-encode (an empty label, one over 63 characters), and a
+        # path or query with whitespace, control or non-ASCII characters
         try:
             parts = urlsplit(endpoint)
             if parts.scheme not in ("http", "https") or not parts.hostname:
                 raise ConfigError(f"endpoint {endpoint!r} is not an http(s):// URL with a host")
+            # the query goes with every request; the fragment is never sent
+            self._target = (parts.path.rstrip("/") + "/summarize"
+                            + (f"?{parts.query}" if parts.query else ""))
             connection_type = HTTPSConnection if parts.scheme == "https" else HTTPConnection
             self._connect = functools.partial(connection_type, parts.hostname, parts.port,
                                               timeout=timeout)
-            self._connect()  # only checks: a connection opens on its first request
-        except (ValueError, InvalidURL) as exc:
+            # only checks: a connection opens on its first request
+            self._connect().putrequest("POST", self._target)
+            parts.hostname.encode("idna")
+        except (ValueError, InvalidURL) as exc:  # UnicodeError is a ValueError
             raise ConfigError(f"endpoint {endpoint!r}: {exc}") from exc
-        # the query goes with every request; the fragment is never sent
-        parts = parts._replace(path=parts.path.rstrip("/") + "/summarize", fragment="")
-        self.url = urlunsplit(parts)
-        self._target = parts.path + (f"?{parts.query}" if parts.query else "")
 
     def generate(self, episode_id: str, text: str, max_length: int | None = None) -> str:
         from http.client import HTTPException
@@ -180,11 +198,18 @@ class RemoteBackend:
             raise ProtocolError(
                 f"backend returned non-JSON body for {episode_id!r}: {exc}"
             ) from exc
-        if not isinstance(data, dict) or not isinstance(data.get("summary"), str):
+        summary = data.get("summary") if isinstance(data, dict) else None
+        if not isinstance(summary, str):
             raise ProtocolError(
                 f"backend response for {episode_id!r} lacks a string 'summary' field"
             )
-        return data["summary"]
+        # JSON escapes such as \ud800 parse, and could not be written out
+        try:
+            summary.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ProtocolError(
+                f"backend summary for {episode_id!r} is not valid Unicode text") from None
+        return summary
 
 
 def _retry_delay(error: BackendError, attempt: int) -> float | None:

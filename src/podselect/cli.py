@@ -251,23 +251,20 @@ def _run_select(episodes: list[corpus.Episode], output_path: Path, settings: dic
         _select_one, strategy=settings["strategy"], selector=selector,
         num_topics=settings["topics"], seed=settings["seed"], diagnostics=diagnostics,
         cap=cap)
-    skipped = 0
     results: list[dict] = []
     inputs: list[abstractive.BackendInput] = []
     outcomes = map_in_order(select_one, episodes, _jobs(settings), "select")
     for episode_id, payload, capped, error in outcomes:
         if error is not None:
             logger.warning("skipping %s: %s", episode_id, error)
-            skipped += 1
             continue
         results.append(payload)
         if cap:
             inputs.append(capped)
     with atomic_write(output_path) as handle:
-        for payload in results:
-            handle.write(json.dumps(payload, ensure_ascii=False) + "\n")
+        corpus.write_records(handle, results)
     logger.info("select(%s): %d selected, %d skipped",
-                settings["strategy"], len(results), skipped)
+                settings["strategy"], len(results), len(episodes) - len(results))
     return inputs
 
 
@@ -292,23 +289,14 @@ def _read_capped_inputs(selections_path: str, episodes_path: str,
     """Rebuild the capped backend inputs from a selections file and its episodes.
 
     Builds only the documents a selection line names, one at a time. A line's
-    `tokens`, when present, must be what its indexed sentences hold, so a
-    selections file stops at the first line that does not fit its episodes.
+    token count, when it has one, must be what its indexed sentences hold, so
+    a selections file stops at the first line that does not fit its episodes.
     """
     episodes = {episode.id: episode for episode in corpus.load_episodes(episodes_path)}
 
     def capped_input(record: dict, line_number: int) -> abstractive.BackendInput | None:
-        episode_id, indices = record["id"], record["indices"]
-        strategy, tokens = record.get("strategy", "window"), record.get("tokens", 0)
-        if not isinstance(episode_id, str):
-            raise ValueError("'id' must be a string")
-        if not (type(indices) is list and all(type(i) is int for i in indices)  # as select writes
-                and all(a < b for a, b in zip(indices, indices[1:]))):
-            raise ValueError("'indices' must be a list of strictly increasing integers")
-        if not isinstance(strategy, str):
-            raise ValueError("'strategy' must be a string")
-        if type(tokens) is not int:
-            raise ValueError("'tokens' must be an integer")
+        result = selection.SelectionResult.from_record(record)
+        episode_id, tokens = result.episode_id, result.selected_token_count
         episode = episodes.get(episode_id)
         if episode is None:
             logger.warning("selection line %d: no episode %r", line_number, episode_id)
@@ -319,15 +307,9 @@ def _read_capped_inputs(selections_path: str, episodes_path: str,
             logger.warning("selection line %d: skipping %r: transcript has no usable "
                            "sentences", line_number, episode_id)
             return None
-        result = selection.SelectionResult(
-            episode_id=episode_id,
-            strategy=strategy,
-            sentence_indices=tuple(indices),
-            selected_token_count=tokens,
-        )
         capped = abstractive.enforce_budget(result, doc, budget)  # checks every index
-        if "tokens" in record:
-            held = sum(len(doc.sentences[i].tokens) for i in indices)
+        if tokens is not None:
+            held = sum(len(doc.sentences[i].tokens) for i in result.sentence_indices)
             if tokens != held:
                 raise ValueError(f"'tokens' is {tokens}, but the indexed sentences of "
                                  f"{episode_id!r} hold {held}: not selected from this "
@@ -341,14 +323,13 @@ def _run_summarize(inputs: list[abstractive.BackendInput], output_path: Path,
                    backend, settings: dict) -> None:
     outcomes = abstractive.summarize_all(inputs, backend, settings["budget"],
                                          settings["jobs"] or 4)
-    failures = 0
+    summaries = [outcome for outcome in outcomes if not isinstance(outcome, BackendError)]
+    for backend_input, outcome in zip(inputs, outcomes):
+        if isinstance(outcome, BackendError):
+            logger.error("backend failure for %s: %s", backend_input.episode_id, outcome)
+    failures = len(inputs) - len(summaries)
     with atomic_write(output_path) as handle:
-        for backend_input, outcome in zip(inputs, outcomes):
-            if isinstance(outcome, BackendError):
-                failures += 1
-                logger.error("backend failure for %s: %s", backend_input.episode_id, outcome)
-            else:
-                handle.write(json.dumps(outcome.to_record(), ensure_ascii=False) + "\n")
+        corpus.write_records(handle, (summary.to_record() for summary in summaries))
         if failures:  # raised before the rename, so --resume runs this stage again
             raise PodselectError(
                 f"summarize: {failures} of {len(inputs)} episodes failed; "
@@ -366,16 +347,6 @@ def cmd_summarize(ns, settings: dict) -> None:
 # --- evaluate -----------------------------------------------------------------
 
 
-def _summary(record: dict, line_number: int) -> abstractive.Summary:
-    episode_id, text = record["id"], record.get("summary", "")
-    backend_id = record.get("backend", "unknown")
-    if not isinstance(episode_id, str) or not isinstance(text, str):
-        raise ValueError("'id' and 'summary' must be strings")
-    if not isinstance(backend_id, str):
-        raise ValueError("'backend' must be a string")
-    return abstractive.Summary(episode_id=episode_id, text=text, backend_id=backend_id)
-
-
 def _load_references(path: str, raw: bool) -> dict[str, str]:
     """Reference descriptions by episode id, read from the episodes file at path."""
     clean = str if raw else preprocess.clean_description
@@ -385,7 +356,8 @@ def _load_references(path: str, raw: bool) -> dict[str, str]:
 def _run_evaluate(summaries_path: str, references: dict[str, str], output_path: Path,
                   method_id: str, settings: dict) -> None:
     """Score the summaries against the reference descriptions, keyed by episode id."""
-    summaries = _read_records(summaries_path, "summary", _summary)
+    summaries = _read_records(summaries_path, "summary",
+                              lambda record, _: abstractive.Summary.from_record(record))
     if not summaries:
         raise PodselectError(f"no summaries to evaluate in {summaries_path!r}")
     row = evalharness.evaluate_run(summaries, references, method_id, jobs=_jobs(settings))

@@ -106,6 +106,41 @@ class Episode(NamedTuple):
             record["duration_seconds"] = self.duration_seconds
         return record
 
+    @classmethod
+    def from_record(cls, record: dict) -> Episode:
+        """Read an episodes-file line (see load_episodes). The first bad field
+        raises ValueError; read_records adds the line number."""
+        episode_id = record.get("id")
+        if not isinstance(episode_id, str) or not episode_id:
+            raise ValueError("missing or empty 'id'")
+        transcript = record.get("transcript")
+        if not isinstance(transcript, str):
+            raise ValueError("missing 'transcript'")
+        texts = {}
+        for key in ("show_id", "description", "show_description"):
+            texts[key] = "" if record.get(key) is None else record[key]
+            if not isinstance(texts[key], str):
+                raise ValueError(f"{key!r} is not a string")
+        duration = record.get("duration_seconds")
+        if duration is not None:
+            if isinstance(duration, bool):  # float() would take a JSON true as 1.0
+                raise ValueError("duration_seconds is not a number")
+            try:
+                duration = float(duration)
+            except OverflowError:  # an integer past the float range
+                duration = math.inf
+            except (TypeError, ValueError):
+                raise ValueError("duration_seconds is not a number")
+            # NaN and the infinities would be written back as invalid JSON
+            if not math.isfinite(duration):
+                raise ValueError("duration_seconds is not finite")
+            if duration < 0:
+                raise ValueError("duration_seconds is negative")
+        # JSON escapes such as \ud800 pass read_records' UTF-8 check, and fail to
+        # write: the UnicodeEncodeError reads as "not valid UTF-8" there too
+        "".join((episode_id, transcript, *texts.values())).encode("utf-8")
+        return cls(episode_id, transcript_text=transcript, duration_seconds=duration, **texts)
+
 
 class Token(NamedTuple):
     """A normalized token plus the byte span it was cut from."""
@@ -128,48 +163,13 @@ class Document(NamedTuple):
     total_tokens: int
 
 
-def _parse_record(record: dict, line_number: int) -> Episode:
-    episode_id = record.get("id")
-    if not isinstance(episode_id, str) or not episode_id:
-        raise RecordParseError(line_number, "missing or empty 'id'")
-    transcript = record.get("transcript")
-    if not isinstance(transcript, str):
-        raise RecordParseError(line_number, "missing 'transcript'")
-    texts = {}
-    for key in ("show_id", "description", "show_description"):
-        texts[key] = "" if record.get(key) is None else record[key]
-        if not isinstance(texts[key], str):
-            raise RecordParseError(line_number, f"{key!r} is not a string")
-    duration = record.get("duration_seconds")
-    if duration is not None:
-        if isinstance(duration, bool):  # float() would take a JSON true as 1.0
-            raise RecordParseError(line_number, "duration_seconds is not a number")
-        try:
-            duration = float(duration)
-        except OverflowError:  # an integer past the float range
-            duration = math.inf
-        except (TypeError, ValueError):
-            raise RecordParseError(line_number, "duration_seconds is not a number")
-        # NaN and the infinities would be written back as invalid JSON
-        if not math.isfinite(duration):
-            raise RecordParseError(line_number, "duration_seconds is not finite")
-        if duration < 0:
-            raise RecordParseError(line_number, "duration_seconds is negative")
-    # JSON escapes such as \ud800 pass read_records' UTF-8 check, and fail to write
-    try:
-        "".join((episode_id, transcript, *texts.values())).encode("utf-8")
-    except UnicodeEncodeError:
-        raise RecordParseError(line_number, "not valid UTF-8") from None
-    return Episode(episode_id, transcript_text=transcript, duration_seconds=duration, **texts)
-
-
 def read_records(path, parse, errors: list[RecordParseError] | None = None) -> Iterator:
     """Lazily yield parse(record, line_number) for each line of a JSONL file.
 
     Blank lines are skipped. A line that is not UTF-8, not JSON (nesting too
     deep to read included) or not an object, that parse rejects by raising
-    RecordParseError, KeyError, TypeError or ValueError, or that repeats an
-    earlier 'id' (parse must check that it is a string) is a RecordParseError.
+    KeyError, TypeError or ValueError, or that repeats an earlier 'id' (parse
+    must check that it is a string) is a RecordParseError.
     With errors None the first one is raised; with a list each one is logged,
     appended to it and its line skipped, so the first of a repeated id wins.
     """
@@ -199,8 +199,6 @@ def read_records(path, parse, errors: list[RecordParseError] | None = None) -> I
                 err = RecordParseError(line_number, f"missing key {exc}")
             except (TypeError, ValueError) as exc:  # ValueError: also an int too long to read
                 err = RecordParseError(line_number, str(exc))
-            except RecordParseError as exc:
-                err = exc
             else:
                 yield item
                 continue
@@ -217,7 +215,8 @@ def load_episodes(path, errors: list[RecordParseError] | None = None) -> Iterato
     wins), are never silently dropped: each one is logged with its line
     number and, when ``errors`` is given, appended to it.
     """
-    return read_records(path, _parse_record, [] if errors is None else errors)
+    return read_records(path, lambda record, _: Episode.from_record(record),
+                        [] if errors is None else errors)
 
 
 # --- sentence segmentation ---------------------------------------------------
@@ -383,10 +382,13 @@ def build_document(episode: Episode, token_limit: int | None = None) -> Document
     return Document(episode_id=episode.id, sentences=tuple(sentences), total_tokens=total)
 
 
-def write_episodes(episodes: Iterable[Episode], handle) -> int:
-    """Serialize episodes as JSONL onto an open text handle. Returns count."""
-    count = 0
-    for episode in episodes:
-        handle.write(json.dumps(episode.to_record(), ensure_ascii=False) + "\n")
-        count += 1
-    return count
+def write_records(handle, records: Iterable[dict]) -> None:
+    """Write each record as one line of JSON onto an open text handle, non-ASCII
+    characters as themselves: the mirror of read_records."""
+    for record in records:
+        handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+
+
+def write_episodes(episodes: Iterable[Episode], handle) -> None:
+    """Write episodes as JSONL onto an open text handle, the lines load_episodes reads."""
+    write_records(handle, (episode.to_record() for episode in episodes))

@@ -58,7 +58,7 @@ class SelectionResult(Frozen):
                  "diagnostics")
 
     def __init__(self, episode_id: str, strategy: str, sentence_indices: tuple[int, ...],
-                 selected_token_count: int, diagnostics: dict | None = None):
+                 selected_token_count: int | None, diagnostics: dict | None = None):
         super().__init__(episode_id, strategy, sentence_indices, selected_token_count,
                          {} if diagnostics is None else diagnostics)
 
@@ -80,6 +80,27 @@ class SelectionResult(Frozen):
                 list(row) for row in score_windows(doc, self.diagnostics["window_size"])
             ]
         return record
+
+    @classmethod
+    def from_record(cls, record: dict) -> SelectionResult:
+        """Read a selections-file line back (window scores are left out).
+
+        'strategy' defaults to window, and a line without 'tokens' reads as
+        selected_token_count None. The first bad field raises KeyError or
+        ValueError; the indices are not checked against any document.
+        """
+        episode_id, indices = record["id"], record["indices"]
+        strategy, tokens = record.get("strategy", "window"), record.get("tokens")
+        if not isinstance(episode_id, str):
+            raise ValueError("'id' must be a string")
+        if not (type(indices) is list and all(type(i) is int for i in indices)  # no bools
+                and all(a < b for a, b in zip(indices, indices[1:]))):
+            raise ValueError("'indices' must be a list of strictly increasing integers")
+        if not isinstance(strategy, str):
+            raise ValueError("'strategy' must be a string")
+        if "tokens" in record and type(tokens) is not int:
+            raise ValueError("'tokens' must be an integer")
+        return cls(episode_id, strategy, tuple(indices), tokens)
 
 
 def _self_score(length: int, total: int) -> float:

@@ -123,6 +123,16 @@ class TestBackendInput:
         assert pickle.loads(pickle.dumps(capped)) == capped
 
 
+class TestSummary:
+    @given(st.builds(Summary, st.text(), st.text(), st.text(),
+                     st.none() | st.floats(allow_nan=False)))
+    def test_from_record_reads_to_record_back_without_latency(self, summary):
+        assert Summary.from_record(summary.to_record()) == summary._replace(latency_ms=None)
+
+    def test_from_record_defaults(self):
+        assert Summary.from_record({"id": "ep"}) == Summary("ep", "", "unknown")
+
+
 class TestNullBackend:
     def test_identity(self):
         backend = NullBackend()
@@ -291,6 +301,34 @@ class TestRemoteBackend:
         with pytest.raises(ProtocolError, match="non-JSON body for 'e'"):
             RemoteBackend(endpoint).generate("e", "t")
 
+    # a lone surrogate as a JSON escape, and as the bytes json.loads decodes to one
+    @pytest.mark.parametrize("body", [b'{"id": "e", "summary": "\\ud800"}',
+                                      b'{"id": "e", "summary": "\xed\xa0\x80"}'],
+                             ids=["escaped", "encoded"])
+    def test_summary_that_is_not_unicode_text_is_protocol_error(self, stub_server, delays,
+                                                                body):
+        server, endpoint = stub_server
+        server.script.append((200, body))
+        with pytest.raises(BackendError) as excinfo:
+            summarize(capped(), RemoteBackend(endpoint))
+        assert "backend summary for 'e' is not valid Unicode text" in str(excinfo.value)
+        assert excinfo.value.attempts == 1
+        assert delays == []
+
+    @settings(max_examples=300)
+    @given(st.one_of(
+        st.binary(),
+        st.builds(lambda text, escape: json.dumps({"summary": text}, ensure_ascii=escape)
+                  .encode("utf-8", "surrogatepass"),
+                  st.text(st.characters(exclude_categories=())), st.booleans())))
+    def test_parse_returns_writable_text_or_raises_protocol_error(self, body):
+        try:
+            summary = RemoteBackend._parse(body, "e")
+        except ProtocolError:
+            return
+        assert isinstance(summary, str)
+        summary.encode("utf-8")
+
     def test_missing_summary_field_is_protocol_error(self, stub_server):
         server, endpoint = stub_server
         server.script.append((200, {"id": "e", "result": "wrong key"}))
@@ -325,18 +363,18 @@ class TestRemoteBackend:
         assert len(server.requests) == 2
         assert delays == [0.5]
 
-    def test_endpoint_trailing_slash_normalized(self):
-        backend = RemoteBackend("http://host:9/")
-        assert backend.url == "http://host:9/summarize"
+    def test_endpoint_trailing_slash_normalized(self, stub_server):
+        server, endpoint = stub_server
+        server.script.append((200, {"id": "e", "summary": "s"}))
+        RemoteBackend(endpoint + "/").generate("e", "t")
+        assert server.requests[0][0] == "/summarize"
 
     @pytest.mark.parametrize("suffix", ["/api?key=abc", "/api/?key=abc#x"],
                              ids=["query", "slash-query-fragment"])
     def test_endpoint_query_kept_and_fragment_dropped(self, stub_server, suffix):
         server, endpoint = stub_server
         server.script.append((200, {"id": "e", "summary": "s"}))
-        backend = RemoteBackend(endpoint + suffix)
-        assert backend.url == endpoint + "/api/summarize?key=abc"
-        backend.generate("e", "t")
+        RemoteBackend(endpoint + suffix).generate("e", "t")
         assert server.requests[0][0] == "/api/summarize?key=abc"
 
     def test_summarize_uses_backend_id(self, stub_server):

@@ -616,12 +616,21 @@ class TestConfigPrecedence:
         ({"profanity_list_path": "nul\x00.txt"}, "cannot read profanity list"),
         ({"backend": "remote", "endpoint": "http://[::1:80"},
          "endpoint 'http://[::1:80': Invalid IPv6 URL"),
+        ({"backend": "remote", "endpoint": "http://127.0.0.1:9/a b"},
+         "endpoint 'http://127.0.0.1:9/a b': URL can't contain control characters"),
+        ({"backend": "remote", "endpoint": "http://127.0.0.1:9/\u00e4"},
+         "'ascii' codec can't encode character '\\xe4'"),
+        ({"backend": "remote", "endpoint": "http://" + "a" * 64 + ":80"},
+         "endpoint 'http://" + "a" * 64 + ":80': "),
+        ({"backend": "remote", "endpoint": "http://a..b:80"}, "endpoint 'http://a..b:80': "),
     ], ids=["budget-string", "budget-bool", "topics-string", "endpoint-number",
             "filter-threshold-key", "misspelled-key", "missing-profanity-list",
             "endpoint-no-scheme", "endpoint-ftp", "endpoint-no-host",
             "endpoint-bad-port", "endpoint-space-in-host", "config-not-utf8",
             "config-nested-too-deeply", "profanity-list-path-with-nul",
-            "endpoint-unclosed-bracket"])
+            "endpoint-unclosed-bracket", "endpoint-space-in-path",
+            "endpoint-non-ascii-path", "endpoint-host-label-too-long",
+            "endpoint-empty-host-label"])
     def test_bad_config_exits_two_and_writes_nothing(self, fixtures_dir, tmp_path,
                                                      config, named):
         config_path = tmp_path / "conf.json"
@@ -1228,6 +1237,28 @@ class TestPipelineCommand:
         assert self.run_remote(source, out, endpoint) == 1
         assert (out / "selections.jsonl").exists()
         assert not (out / "report.txt").exists()
+
+    def test_reply_that_is_not_unicode_text_exits_one_without_traceback(self, tmp_path,
+                                                                        stub_server):
+        server, endpoint = stub_server
+        source = tmp_path / "eps.jsonl"
+        tiny_corpus(source, count=3, sentences=25)
+        server.script.append((200, {"id": "x", "summary": "served summary"}))
+        for _ in range(2):  # a protocol error is not retried
+            server.script.append((200, b'{"id": "x", "summary": "\\ud800"}'))
+        out = tmp_path / "run"
+        proc = subprocess.run(
+            [sys.executable, "-m", "podselect", "pipeline", "--input", str(source),
+             "--output", str(out), "--strategy", "window", "--window-size", "2",
+             "--backend", "remote", "--endpoint", endpoint, "--jobs", "1"],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "backend summary for 'tiny-01' is not valid Unicode text" in proc.stderr
+        assert len(server.requests) == 3
+        assert read_jsonl(out / "summaries.jsonl.partial") == [
+            {"id": "tiny-00", "summary": "served summary", "backend": "remote"}]
+        assert not (out / "summaries.jsonl").exists()
 
     def run_remote(self, source, out, endpoint, *extra):
         return main(["pipeline", "--input", str(source), "--output", str(out),

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from podselect.corpus import (Document, Episode, Sentence, build_document, load_episodes,
                               read_records, segment_sentences, segment_spans, token_texts,
-                              tokenize)
+                              tokenize, write_records)
 from podselect.abstractive import enforce_budget
 from podselect.errors import EmptyDocumentError, RecordParseError
 from podselect.selection import select_head
@@ -180,6 +180,15 @@ class TestReadRecords:
         assert next(reader) == (3, "b")
         with pytest.raises(RecordParseError, match="^line 4: duplicate id 'a'$"):
             next(reader)
+
+    def test_write_records_writes_lines_read_records_reads_back(self, tmp_path):
+        path = tmp_path / "recs.jsonl"
+        records = [{"id": "a", "text": "caf\u00e9 \u2615"}, {"id": "b", "n": [1, 2.5, None]}]
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            write_records(handle, records)
+        assert path.read_text("utf-8") == (
+            '{"id": "a", "text": "caf\u00e9 \u2615"}\n{"id": "b", "n": [1, 2.5, null]}\n')
+        assert list(read_records(path, lambda record, line_number: record)) == records
 
 
 class TestSegmentation:
@@ -415,6 +424,11 @@ class TestRecords:
     def test_fields_cannot_be_assigned(self, record, field):
         with pytest.raises(AttributeError):
             setattr(record, field, getattr(record, field))
+
+    @given(st.builds(Episode, st.text(min_size=1), st.text(), st.text(), st.text(), st.text(),
+                     st.none() | st.floats(min_value=0, allow_infinity=False)))
+    def test_episode_from_record_reads_to_record_back(self, episode):
+        assert Episode.from_record(episode.to_record()) == episode
 
     def test_episode_survives_pickle(self):
         episode = Episode(id="ep", show_id="s", transcript_text="One. Two.",

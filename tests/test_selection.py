@@ -135,6 +135,16 @@ class TestSelectWindow:
         expected = oracle_window_scores([s.tokens for s in doc.sentences], 1)
         assert with_diag == {**record, "window_scores": [list(row) for row in expected]}
 
+    @given(st.builds(SelectionResult, st.text(), st.text(),
+                     st.lists(st.integers(), unique=True).map(sorted).map(tuple),
+                     st.integers()))
+    def test_from_record_reads_to_record_back(self, result):
+        assert SelectionResult.from_record(result.to_record()) == result
+
+    def test_from_record_defaults(self):
+        result = SelectionResult.from_record({"id": "ep", "indices": [0, 2]})
+        assert result == SelectionResult("ep", "window", (0, 2), None)
+
     def test_picks_without_scoring(self, monkeypatch):
         def no_score(*args):
             raise AssertionError("a pick scored its windows")
