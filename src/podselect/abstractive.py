@@ -41,16 +41,15 @@ class Summary(NamedTuple):
     episode_id: str
     text: str
     backend_id: str
-    latency_ms: float | None = None  # the successful attempt's request alone
 
     def to_record(self) -> dict:
         return {"id": self.episode_id, "summary": self.text, "backend": self.backend_id}
 
     @classmethod
     def from_record(cls, record: dict) -> Summary:
-        """Read a summaries-file line back, without a latency. 'summary'
-        defaults to empty and 'backend' to unknown; the first bad field raises
-        KeyError or ValueError."""
+        """Read a summaries-file line back. 'summary' defaults to empty and
+        'backend' to unknown; the first bad field raises KeyError or
+        ValueError."""
         episode_id, text = record["id"], record.get("summary", "")
         backend_id = record.get("backend", "unknown")
         if not isinstance(episode_id, str) or not isinstance(text, str):
@@ -70,7 +69,7 @@ def enforce_budget(selection: SelectionResult, doc: Document,
     flagged. Applying the cap to text that already fits changes nothing, so
     the operation is idempotent.
 
-    The cut re-tokenizes that one sentence for its byte spans, so each
+    The cut re-tokenizes that one sentence for its character spans, so each
     sentence's tokens must equal token_texts(sentence.raw_text), as
     build_document guarantees.
     """
@@ -95,11 +94,10 @@ def enforce_budget(selection: SelectionResult, doc: Document,
     if not kept and selection.sentence_indices:
         # single oversized sentence: hard cut after max_tokens tokens
         sentence = doc.sentences[selection.sentence_indices[0]]
-        cut = tokenize(sentence.raw_text)[max_tokens - 1].byte_span[1]
-        text = sentence.raw_text.encode("utf-8")[:cut].decode("utf-8")
+        cut = tokenize(sentence.raw_text)[max_tokens - 1].span[1]
         return BackendInput(
             episode_id=selection.episode_id,
-            text=text,
+            text=sentence.raw_text[:cut],
             token_count=max_tokens,
             truncated_mid_sentence=True,
         )
@@ -155,6 +153,9 @@ class RemoteBackend:
         # cannot IDNA-encode (an empty label, one over 63 characters), and a
         # path or query with whitespace, control or non-ASCII characters
         try:
+            # urlsplit deletes these wherever they stand, so they are refused first
+            if any(ch in endpoint for ch in "\t\r\n"):
+                raise ValueError("URL can't contain control characters")
             parts = urlsplit(endpoint)
             if parts.scheme not in ("http", "https") or not parts.hostname:
                 raise ConfigError(f"endpoint {endpoint!r} is not an http(s):// URL with a host")
@@ -260,7 +261,6 @@ def summarize_all(inputs: list[BackendInput], backend: Backend, max_length: int 
     def attempt_one(position: int, attempt: int) -> None:
         nonlocal unfinished
         item = inputs[position]
-        started = time.perf_counter()
         try:
             text = backend.generate(item.episode_id, item.text, max_length)
         except BackendError as exc:
@@ -273,13 +273,13 @@ def summarize_all(inputs: list[BackendInput], backend: Backend, max_length: int 
                     heapq.heappush(due, (failed_at + delay, position, attempt + 1))
                     changed.notify_all()
                 return
+            tries = "1 attempt" if attempt == 1 else f"{attempt} attempts"
             outcome = BackendError(
-                f"backend failed for {item.episode_id!r} after {attempt} attempts ({exc})",
+                f"backend failed for {item.episode_id!r} after {tries} ({exc})",
                 attempts=attempt, status=exc.status)
         else:
             outcome = Summary(episode_id=item.episode_id, text=text,
-                              backend_id=backend.backend_id,
-                              latency_ms=(time.perf_counter() - started) * 1000.0)
+                              backend_id=backend.backend_id)
         with changed:
             outcomes[position] = outcome
             unfinished -= 1

@@ -324,9 +324,9 @@ def _run_summarize(inputs: list[abstractive.BackendInput], output_path: Path,
     outcomes = abstractive.summarize_all(inputs, backend, settings["budget"],
                                          settings["jobs"] or 4)
     summaries = [outcome for outcome in outcomes if not isinstance(outcome, BackendError)]
-    for backend_input, outcome in zip(inputs, outcomes):
-        if isinstance(outcome, BackendError):
-            logger.error("backend failure for %s: %s", backend_input.episode_id, outcome)
+    for outcome in outcomes:
+        if isinstance(outcome, BackendError):  # it names the episode
+            logger.error("%s", outcome)
     failures = len(inputs) - len(summaries)
     with atomic_write(output_path) as handle:
         corpus.write_records(handle, (summary.to_record() for summary in summaries))

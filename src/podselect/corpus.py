@@ -3,7 +3,7 @@
 Everything downstream (filtering, selection, scoring) consumes the types
 defined here, so the contracts are kept deliberately small: immutable
 records, lossless segmentation spans, and tokens as plain strings;
-tokenize also gives the byte span each token was cut from.
+tokenize also gives the character span each token was cut from.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import re
 import string
 import unicodedata
 from importlib import resources
-from itertools import accumulate, repeat
+from itertools import repeat
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import EmptyDocumentError, RecordParseError
@@ -143,10 +143,10 @@ class Episode(NamedTuple):
 
 
 class Token(NamedTuple):
-    """A normalized token plus the byte span it was cut from."""
+    """A normalized token plus the character span it was cut from."""
 
     text: str
-    byte_span: tuple[int, int]
+    span: tuple[int, int]
 
 
 class Sentence(NamedTuple):
@@ -300,21 +300,8 @@ def _edge_chars(text: str) -> str:
     return "".join(ch for ch in set(text) if _is_edge_strippable(ch))
 
 
-def _byte_offset_table(text: str) -> list[int] | None:
-    """Cumulative UTF-8 byte offsets per char index, or None for pure ASCII."""
-    if text.isascii():
-        return None
-    return list(accumulate(map(len, map(str.encode, text)), initial=0))
-
-
-def _to_byte_span(table: list[int] | None, start: int, end: int) -> tuple[int, int]:
-    if table is None:
-        return (start, end)
-    return (table[start], table[end])
-
-
 def token_texts(text: str) -> list[str]:
-    """The texts of tokenize(text), without the spans.
+    """The texts of tokenize(text), without their character spans.
 
     The same rule: str.split() cuts at the str.isspace characters that end
     tokenize's units, and strip() removes what its lstrip and rstrip do.
@@ -335,11 +322,9 @@ def token_texts(text: str) -> list[str]:
 def tokenize(text: str) -> list[Token]:
     """Whitespace tokenization with edge punctuation stripping and lowercasing.
 
-    Units that are all punctuation are dropped. Each token's byte_span
-    locates, in the given text, the characters the token was built from
-    (before case folding).
+    Units that are all punctuation are dropped. Each token's span is the
+    slice of the given text the token was built from (before case folding).
     """
-    table = _byte_offset_table(text)
     strip_chars = _edge_chars(text)
     tokens: list[Token] = []
     for match in _UNIT_RE.finditer(text):
@@ -352,7 +337,7 @@ def tokenize(text: str) -> list[Token]:
         start = match.end() - len(core)
         value = core.rstrip(strip_chars)
         end = start + len(value)
-        tokens.append(Token(text=value.lower(), byte_span=_to_byte_span(table, start, end)))
+        tokens.append(Token(text=value.lower(), span=(start, end)))
     return tokens
 
 

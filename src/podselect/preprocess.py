@@ -136,11 +136,6 @@ def _jaccard(a: frozenset, b: frozenset) -> float:
     return len(a & b) / len(a | b)
 
 
-def description_similarity(a: Sequence[str], b: Sequence[str]) -> float:
-    """Jaccard similarity over 3-token shingles of two token_texts outputs."""
-    return _jaccard(_shingles(a), _shingles(b))
-
-
 class FilterConfig(NamedTuple):
     # None uses the bundled placeholder list
     profanity_list_path: str | None = None
@@ -263,7 +258,7 @@ def filter_corpus(
     kept: list[Episode] = []
     for episode, description_tokens, episode_shingles in deduped:
         show_tokens = token_texts(episode.show_description)
-        # description_similarity, on the shingles that rule 2 built
+        # Jaccard over 3-token shingles; the description's were built by rule 2
         if _jaccard(episode_shingles, _shingles(show_tokens)) >= SHOW_DESC_SIM_THRESHOLD:
             add_rejection(episode.id, RULE_SHOW_SIMILAR)
             continue
@@ -295,14 +290,7 @@ def filter_corpus(
 
 
 class SplitAssignment(NamedTuple):
-    seed: int
     assignments: dict[str, str]  # episode id -> train | validation | test
-
-    def counts(self) -> dict[str, int]:
-        out = {"train": 0, "validation": 0, "test": 0}
-        for split in self.assignments.values():
-            out[split] += 1
-        return out
 
     def to_jsonl(self) -> str:
         lines = [
@@ -337,4 +325,4 @@ def split_dataset(episode_ids: Sequence[str], seed: int = 0) -> SplitAssignment:
             assignments[eid] = "validation"
         else:
             assignments[eid] = "test"
-    return SplitAssignment(seed=seed, assignments=assignments)
+    return SplitAssignment(assignments)

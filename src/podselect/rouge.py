@@ -100,11 +100,3 @@ def rouge_l(candidate: Sequence[str], reference: Sequence[str]) -> RougeScore:
     """Sequence-level LCS score with equally weighted precision and recall."""
     lcs = lcs_length(candidate, reference)
     return RougeScore.from_counts(lcs, len(candidate), len(reference))
-
-
-def rouge_avg(candidate: Sequence[str], reference: Sequence[str]) -> float:
-    """Arithmetic mean of the ROUGE-1, ROUGE-2, and ROUGE-L F1 scores."""
-    f1 = rouge_n(candidate, reference, 1).f1
-    f2 = rouge_n(candidate, reference, 2).f1
-    fl = rouge_l(candidate, reference).f1
-    return (f1 + f2 + fl) / 3.0

@@ -165,20 +165,13 @@ def select_window(doc: Document, config: SelectorConfig = SelectorConfig()) -> S
     )
 
 
-def score_single_sentences(doc: Document) -> list[tuple[int, float]]:
-    """Score each sentence alone against the whole document."""
-    total = sum(len(sentence.tokens) for sentence in doc.sentences)
-    return [(sentence.index, _self_score(len(sentence.tokens), total))
-            for sentence in doc.sentences]
-
-
 def select_novelty(doc: Document, config: SelectorConfig = SelectorConfig()) -> SelectionResult:
     """Window selection plus the top-k single sentences, merged in document order.
 
     The extra sentences inject high-overlap material that sits outside the
-    best window. A single's score (score_single_sentences) rises strictly
-    with its token count, so the top k are the longest sentences, the lower
-    index first on ties.
+    best window. A single sentence's score against the document (_self_score
+    of its token count) rises strictly with that count, so the top k are the
+    longest sentences, the lower index first on ties.
     """
     window_size = config.window_size or NOVELTY_WINDOW_SIZE
     base = select_window(doc, SelectorConfig(window_size, config.novelty_top_k,

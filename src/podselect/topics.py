@@ -43,7 +43,6 @@ class TopicModel(NamedTuple):
     doc_topic_weight: tuple[float, ...]        # K, sums to 1
     assignments: tuple[int, ...]               # final topic id per token, document order
     oov_probability: tuple[float, ...]         # per-topic floor for unseen words
-    seed: int
 
     @property
     def num_topics(self) -> int:
@@ -159,7 +158,6 @@ def fit_lda(doc: Document, config: TopicConfig = TopicConfig()) -> TopicModel:
         doc_topic_weight=doc_topic,
         assignments=tuple(z),
         oov_probability=tuple(oov),
-        seed=config.seed,
     )
 
 

@@ -19,8 +19,7 @@ from podselect.evalharness import EvalRow, evaluate_run
 from podselect.preprocess import filter_corpus
 from podselect.corpus import load_episodes
 from podselect.rouge import rouge_l, rouge_n
-from podselect.selection import (SelectionResult, SelectorConfig,
-                                 score_single_sentences, score_windows,
+from podselect.selection import (SelectionResult, SelectorConfig, score_windows,
                                  select_novelty, select_window)
 from podselect.topics import TopicConfig, fit_lda
 from podselect.abstractive import Summary
@@ -111,7 +110,8 @@ def test_criterion_4_novelty_containment_over_random_docs():
         config = SelectorConfig(window_size=window_size, novelty_top_k=top_k)
         result = select_novelty(doc, config)
         base = select_window(doc, SelectorConfig(window_size=window_size))
-        ranked = sorted(score_single_sentences(doc),
+        flat = [t for s in doc.sentences for t in s.tokens]
+        ranked = sorted(((s.index, oracle_rouge_avg(s.tokens, flat)) for s in doc.sentences),
                         key=lambda pair: (-pair[1], pair[0]))
         top = {index for index, _ in ranked[:top_k]}
         indices = result.sentence_indices

@@ -623,6 +623,12 @@ class TestConfigPrecedence:
         ({"backend": "remote", "endpoint": "http://" + "a" * 64 + ":80"},
          "endpoint 'http://" + "a" * 64 + ":80': "),
         ({"backend": "remote", "endpoint": "http://a..b:80"}, "endpoint 'http://a..b:80': "),
+        ({"backend": "remote", "endpoint": "http://127.0.0.1:9/a\tb"},
+         "endpoint 'http://127.0.0.1:9/a\\tb': URL can't contain control characters"),
+        ({"backend": "remote", "endpoint": "http://127.0.0.1:9/a\rb"},
+         "endpoint 'http://127.0.0.1:9/a\\rb': URL can't contain control characters"),
+        ({"backend": "remote", "endpoint": "http://127.0.0.1:9/a\nb"},
+         "endpoint 'http://127.0.0.1:9/a\\nb': URL can't contain control characters"),
     ], ids=["budget-string", "budget-bool", "topics-string", "endpoint-number",
             "filter-threshold-key", "misspelled-key", "missing-profanity-list",
             "endpoint-no-scheme", "endpoint-ftp", "endpoint-no-host",
@@ -630,7 +636,8 @@ class TestConfigPrecedence:
             "config-nested-too-deeply", "profanity-list-path-with-nul",
             "endpoint-unclosed-bracket", "endpoint-space-in-path",
             "endpoint-non-ascii-path", "endpoint-host-label-too-long",
-            "endpoint-empty-host-label"])
+            "endpoint-empty-host-label", "endpoint-tab-in-path", "endpoint-cr-in-path",
+            "endpoint-lf-in-path"])
     def test_bad_config_exits_two_and_writes_nothing(self, fixtures_dir, tmp_path,
                                                      config, named):
         config_path = tmp_path / "conf.json"
@@ -795,6 +802,25 @@ class TestSummarizeCommand:
         assert code == 1
         assert not out.exists()
         assert (tmp_path / "summ.jsonl.partial").read_text("utf-8") == ""
+
+    def test_refused_episode_logged_once_by_its_final_error(self, tmp_path, stub_server):
+        server, endpoint = stub_server
+        source, selections = self.prepare(tmp_path, count=1)
+        for _ in range(abstractive.ATTEMPTS):  # every request is refused
+            server.script.append((400, {"error": "bad request"}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "podselect", "summarize", "--input", str(selections),
+             "--episodes", str(source), "--output", str(tmp_path / "summ.jsonl"),
+             "--backend", "remote", "--endpoint", endpoint, "--jobs", "1"],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        errors = [line.split(" ", 2)[2] for line in proc.stderr.splitlines()
+                  if " ERROR " in line]
+        assert errors == [
+            "ERROR podselect: backend failed for 'tiny-00' after 1 attempt (HTTP 400)",
+            "ERROR podselect: summarize: 1 of 1 episodes failed; "
+            "0 summaries left in summ.jsonl.partial"]
+        assert len(server.requests) == 1
 
     def test_dead_backend_exits_one_after_every_attempt(self, tmp_path, monkeypatch):
         monkeypatch.setattr(abstractive, "BACKOFF_SECONDS", 0.001)

@@ -7,7 +7,7 @@ import time
 import unicodedata
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from podselect.corpus import (Document, Episode, Sentence, build_document, load_episodes,
@@ -15,7 +15,7 @@ from podselect.corpus import (Document, Episode, Sentence, build_document, load_
                               tokenize, write_records)
 from podselect.abstractive import enforce_budget
 from podselect.errors import EmptyDocumentError, RecordParseError
-from podselect.selection import select_head
+from podselect.selection import SelectionResult, select_head
 
 from oracles import oracle_segment_spans, oracle_tokenize
 
@@ -248,6 +248,11 @@ class TestSegmentation:
         assert spans == [(0, 11), (12, len(text))]
 
 
+def char_offset(text, byte_offset):
+    """The character offset in text of a UTF-8 byte offset on a character boundary."""
+    return len(text.encode("utf-8")[:byte_offset].decode("utf-8"))
+
+
 class TestTokenize:
     def test_basic_normalization(self):
         assert [t.text for t in tokenize("The cat sat.")] == ["the", "cat", "sat"]
@@ -261,26 +266,44 @@ class TestTokenize:
     def test_internal_punctuation_kept(self):
         assert [t.text for t in tokenize("can't x-ray")] == ["can't", "x-ray"]
 
-    def test_byte_spans_point_at_sources(self):
+    def test_spans_point_at_sources(self):
         text = "Hello, WORLD!! again"
         for token in tokenize(text):
-            start, end = token.byte_span
-            assert text.encode("utf-8")[start:end].decode("utf-8").lower() == token.text
+            start, end = token.span
+            assert text[start:end].lower() == token.text
 
-    def test_byte_spans_with_multibyte_chars(self):
+    def test_spans_with_multibyte_chars(self):
         text = "café ouvert! déjà vu"
-        data = text.encode("utf-8")
         tokens = tokenize(text)
         assert [t.text for t in tokens] == ["café", "ouvert", "déjà", "vu"]
+        assert [t.span for t in tokens] == [(0, 4), (5, 11), (13, 17), (18, 20)]
         for token in tokens:
-            start, end = token.byte_span
-            assert data[start:end].decode("utf-8").lower() == token.text
+            start, end = token.span
+            assert text[start:end].lower() == token.text
 
     @given(MIXED_TEXT | ASCII_TEXT)
     @settings(max_examples=300)
     def test_matches_character_oracle_under_every_config(self, text):
         # the tokenizer has exactly one configuration: strip edges, lowercase
-        assert [(t.text, t.byte_span) for t in tokenize(text)] == oracle_tokenize(text)
+        assert [(t.text, t.span) for t in tokenize(text)] == [
+            (value, (char_offset(text, start), char_offset(text, end)))
+            for value, (start, end) in oracle_tokenize(text)]
+
+    @given(MIXED_TEXT)
+    @example("«Ça» va, naïve—über… 中文 ZÜRICH! ok😀.")
+    @settings(max_examples=300)
+    def test_budget_cut_is_the_source_up_to_the_oracle_end_of_a_token(self, raw):
+        """enforce_budget cuts a sentence over budget n at the end of its n-th
+        token, as the oracle's byte offsets locate it."""
+        oracle = oracle_tokenize(raw)
+        sentence = Sentence(index=0, tokens=tuple(token_texts(raw)), raw_text=raw)
+        doc = Document(episode_id="ep", sentences=(sentence,), total_tokens=len(oracle))
+        selection = SelectionResult("ep", "none", (0,), len(oracle))
+        for n in range(1, len(oracle)):
+            capped = enforce_budget(selection, doc, n)
+            assert capped.truncated_mid_sentence
+            end = oracle[n - 1][1][1]
+            assert capped.text == raw.encode("utf-8")[:end].decode("utf-8")
 
     @given(MIXED_TEXT | ASCII_TEXT)
     @settings(max_examples=300)

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -10,9 +11,9 @@ from podselect import preprocess
 from podselect.corpus import Episode, load_episodes, token_texts
 from podselect.errors import ConfigError, InsufficientContentError
 from podselect.preprocess import (DUPLICATE_SIM_THRESHOLD, FilterConfig, FilterReport,
-                                  _DuplicateIndex, _shingles, clean_description,
-                                  contains_profanity, description_similarity, detect_english,
-                                  filter_corpus, load_profanity_list, split_dataset)
+                                  _DuplicateIndex, _jaccard, _shingles, clean_description,
+                                  contains_profanity, detect_english, filter_corpus,
+                                  load_profanity_list, split_dataset)
 
 from oracles import oracle_near_duplicates
 
@@ -20,8 +21,9 @@ PLACEHOLDER_LIST = load_profanity_list()
 
 
 def similarity(a, b):
-    """description_similarity of two texts, tokenized as filter_corpus tokenizes them."""
-    return description_similarity(token_texts(a), token_texts(b))
+    """Jaccard similarity of two texts' 3-token shingles, tokenized as filter_corpus
+    tokenizes them: the measure of its duplicate and show-description rules."""
+    return _jaccard(_shingles(token_texts(a)), _shingles(token_texts(b)))
 
 
 class TestCleanDescription:
@@ -403,7 +405,8 @@ class TestSplitDataset:
     def test_ten_episodes_split_8_1_1(self):
         ids = [f"ep{i}" for i in range(10)]
         assignment = split_dataset(ids, seed=3)
-        assert assignment.counts() == {"train": 8, "validation": 1, "test": 1}
+        assert Counter(assignment.assignments.values()) == {
+            "train": 8, "validation": 1, "test": 1}
         assert set(assignment.assignments) == set(ids)
 
     def test_deterministic_per_seed(self):
@@ -418,14 +421,14 @@ class TestSplitDataset:
 
     def test_remainder_goes_to_train(self):
         ids = [f"ep{i}" for i in range(12)]
-        counts = split_dataset(ids, seed=0).counts()
+        counts = Counter(split_dataset(ids, seed=0).assignments.values())
         assert counts == {"train": 10, "validation": 1, "test": 1}
 
     def test_partition_is_exact_for_many_sizes(self):
         for n in range(3, 40):
             ids = [f"ep{i}" for i in range(n)]
             assignment = split_dataset(ids, seed=n)
-            counts = assignment.counts()
+            counts = Counter(assignment.assignments.values())
             assert sum(counts.values()) == n
             assert counts["validation"] == n // 10
             assert counts["test"] == n // 10

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from podselect import selection, topics
 from podselect.errors import ConfigError
 from podselect.selection import (DEFAULT_WINDOW_SIZE, NOVELTY_WINDOW_SIZE, SelectionResult,
-                                 SelectorConfig, score_single_sentences, score_windows,
-                                 select_head, select_novelty, select_window)
+                                 SelectorConfig, WindowScore, score_windows, select_head,
+                                 select_novelty, select_window)
 from conftest import make_doc, random_sentences
 from oracles import (oracle_rouge_avg, oracle_rouge_n, oracle_window_argmax,
                      oracle_window_scores)
@@ -190,18 +190,22 @@ class TestSelectWindow:
 
 
 class TestScoreSingleSentences:
+    """Windows of one sentence: each sentence scored alone against the document."""
+
     def test_single_sentence_doc_scores_one(self):
         doc = make_doc([["a", "b", "c"]])
-        assert score_single_sentences(doc) == [(0, 1.0)]
+        assert score_windows(doc, 1) == [WindowScore(0, 1, 1.0)]
 
     def test_matches_direct_computation(self):
         rng = random.Random(37)
         for _ in range(30):
             doc = random_doc(rng)
             flat = [t for s in doc.sentences for t in s.tokens]
-            for index, score in score_single_sentences(doc):
-                tokens = doc.sentences[index].tokens
-                assert score == oracle_rouge_avg(tokens, flat)
+            rows = score_windows(doc, 1)
+            assert [(row.start, row.end) for row in rows] == [
+                (i, i + 1) for i in range(len(doc.sentences))]
+            for row in rows:
+                assert row.score == oracle_rouge_avg(doc.sentences[row.start].tokens, flat)
 
 
 class TestSelectNovelty:
@@ -212,7 +216,8 @@ class TestSelectNovelty:
             config = SelectorConfig(window_size=2, novelty_top_k=2)
             result = select_novelty(doc, config)
             base = select_window(doc, SelectorConfig(window_size=2))
-            singles = score_single_sentences(doc)
+            flat = [t for s in doc.sentences for t in s.tokens]
+            singles = [(s.index, oracle_rouge_avg(s.tokens, flat)) for s in doc.sentences]
             ranked = sorted(singles, key=lambda pair: (-pair[1], pair[0]))
             top = {index for index, _ in ranked[:2]}
             expected = tuple(sorted(set(base.sentence_indices) | top))

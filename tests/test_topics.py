@@ -148,7 +148,6 @@ def hand_model():
         doc_topic_weight=(0.6, 0.4),
         assignments=(),
         oov_probability=(0.001, 0.002),
-        seed=0,
     )
 
 
@@ -160,7 +159,6 @@ def single_topic_model(row, oov=0.001):
         doc_topic_weight=(1.0,),
         assignments=(),
         oov_probability=(oov,),
-        seed=0,
     )
 
 
@@ -286,7 +284,6 @@ class TestSelectByTopics:
             doc_topic_weight=(1.0,),
             assignments=(),
             oov_probability=(0.001,),
-            seed=0,
         )
         # relevance order: s0 (x x), s2 (x y), s1 (y y), s3 (z z)
         result = select_by_topics(doc, model, SelectorConfig(token_budget=6))
@@ -315,7 +312,6 @@ def tied_model(rng):
         doc_topic_weight=tuple(rng.choice([0.2, 0.3, 0.5]) for _ in range(num_topics)),
         assignments=(),
         oov_probability=tuple(rng.choice([0.001, 0.05]) for _ in range(num_topics)),
-        seed=0,
     )
 
 
