@@ -18,7 +18,7 @@ import time
 from typing import NamedTuple, Protocol
 from urllib.parse import urlsplit
 
-from .corpus import Document, tokenize
+from .corpus import Document, token_end
 from .errors import BackendError, ConfigError, ProtocolError
 from .selection import DEFAULT_TOKEN_BUDGET, SelectionResult
 
@@ -69,9 +69,9 @@ def enforce_budget(selection: SelectionResult, doc: Document,
     flagged. Applying the cap to text that already fits changes nothing, so
     the operation is idempotent.
 
-    The cut re-tokenizes that one sentence for its character spans, so each
-    sentence's tokens must equal token_texts(sentence.raw_text), as
-    build_document guarantees.
+    The cut counts the tokens of that one sentence's text, so each sentence's
+    token_count must be len(token_texts(sentence.raw_text)), as
+    build_document makes it.
     """
     if max_tokens < 1:
         raise ValueError(f"max_tokens must be >= 1, got {max_tokens}")
@@ -85,7 +85,7 @@ def enforce_budget(selection: SelectionResult, doc: Document,
     kept: list[int] = []
     total = 0
     for index in selection.sentence_indices:
-        cost = len(doc.sentences[index].tokens)
+        cost = doc.sentences[index].token_count
         if total + cost > max_tokens:
             break
         kept.append(index)
@@ -94,7 +94,7 @@ def enforce_budget(selection: SelectionResult, doc: Document,
     if not kept and selection.sentence_indices:
         # single oversized sentence: hard cut after max_tokens tokens
         sentence = doc.sentences[selection.sentence_indices[0]]
-        cut = tokenize(sentence.raw_text)[max_tokens - 1].span[1]
+        cut = token_end(sentence.raw_text, max_tokens)
         return BackendInput(
             episode_id=selection.episode_id,
             text=sentence.raw_text[:cut],

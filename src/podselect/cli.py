@@ -309,7 +309,7 @@ def _read_capped_inputs(selections_path: str, episodes_path: str,
             return None
         capped = abstractive.enforce_budget(result, doc, budget)  # checks every index
         if tokens is not None:
-            held = sum(len(doc.sentences[i].tokens) for i in result.sentence_indices)
+            held = sum(doc.sentences[i].token_count for i in result.sentence_indices)
             if tokens != held:
                 raise ValueError(f"'tokens' is {tokens}, but the indexed sentences of "
                                  f"{episode_id!r} hold {held}: not selected from this "

@@ -2,8 +2,8 @@
 
 Everything downstream (filtering, selection, scoring) consumes the types
 defined here, so the contracts are kept deliberately small: immutable
-records, lossless segmentation spans, and tokens as plain strings;
-tokenize also gives the character span each token was cut from.
+records, lossless segmentation spans, tokens as plain strings, and each
+sentence as its token count and its text.
 """
 
 from __future__ import annotations
@@ -150,13 +150,14 @@ class Token(NamedTuple):
 
 
 class Sentence(NamedTuple):
-    index: int
-    tokens: tuple[str, ...]
+    """Its index is its position in Document.sentences; its tokens are token_texts(raw_text)."""
+
+    token_count: int
     raw_text: str
 
 
 class Document(NamedTuple):
-    """A segmented, tokenized transcript ready for selection."""
+    """A segmented transcript ready for selection."""
 
     episode_id: str
     sentences: tuple[Sentence, ...]
@@ -229,8 +230,17 @@ def load_episodes(path, errors: list[RecordParseError] | None = None) -> Iterato
 _BOUNDARY_RE = re.compile(r"""[.!?](?<![.!?]{2})[.!?]*(["'”’)\]]*)\s+""")
 
 
+# The length of the longest abbreviation. A word ending in more letters than
+# this is neither an abbreviation nor an initial: stripping never removes a
+# letter, and lower() never shortens a string.
+_ABBREVIATION_LENGTH = max(map(len, ABBREVIATIONS))
+
+
 def _is_abbreviation_guard(text: str, dot_index: int) -> bool:
     """True when the period at dot_index ends an abbreviation, not a sentence."""
+    letters_start = dot_index - _ABBREVIATION_LENGTH - 1
+    if letters_start >= 0 and text[letters_start:dot_index].isalpha():
+        return False
     # Linear over a transcript: every candidate period has whitespace after
     # it, so the words walked back over never overlap.
     start = dot_index
@@ -246,8 +256,16 @@ def _is_abbreviation_guard(text: str, dot_index: int) -> bool:
     return word.lower() in ABBREVIATIONS
 
 
-def _iter_spans(text: str) -> Iterator[tuple[int, int]]:
-    """segment_spans(text), one span at a time, so a caller can stop early."""
+def segment_spans(text: str) -> Iterator[tuple[int, int]]:
+    """Character spans of sentences, trimmed of surrounding whitespace, one
+    at a time, so a caller can stop early.
+
+    A boundary is a run of terminal punctuation (. ! ?), optionally followed
+    by closing quotes or brackets, followed by whitespace. Lone periods are
+    kept inside the sentence when the preceding word is a known abbreviation
+    or a single letter. The gaps between the spans are whitespace only, so
+    the original text can always be reassembled from them.
+    """
     start = len(text) - len(text.lstrip())
     for match in _BOUNDARY_RE.finditer(text):
         run_start, run_end = match.start(), match.start(1)
@@ -259,18 +277,6 @@ def _iter_spans(text: str) -> Iterator[tuple[int, int]]:
     end = len(text.rstrip())
     if start < end:
         yield (start, end)
-
-
-def segment_spans(text: str) -> list[tuple[int, int]]:
-    """Character spans of sentences, trimmed of surrounding whitespace.
-
-    A boundary is a run of terminal punctuation (. ! ?), optionally followed
-    by closing quotes or brackets, followed by whitespace. Lone periods are
-    kept inside the sentence when the preceding word is a known abbreviation
-    or a single letter. The gaps between returned spans are whitespace only,
-    so the original text can always be reassembled from them.
-    """
-    return list(_iter_spans(text))
 
 
 def segment_sentences(text: str) -> list[str]:
@@ -341,11 +347,26 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
-def build_document(episode: Episode, token_limit: int | None = None) -> Document:
-    """Segment and tokenize an episode transcript.
+def token_end(text: str, n: int) -> int:
+    """The character offset just past the n-th token of text, the end of
+    tokenize(text)[n - 1].span, found without building any token. Raises
+    ValueError when text has no n-th token."""
+    strip_chars = _edge_chars(text)
+    count = 0
+    for match in _UNIT_RE.finditer(text):
+        unit = match.group()
+        if unit.lstrip(strip_chars):  # as in tokenize: a unit not all edge characters
+            count += 1
+            if count == n:
+                return match.end() - (len(unit) - len(unit.rstrip(strip_chars)))
+    raise ValueError(f"text has no token {n}")
 
-    Sentences that tokenize to nothing are dropped; the survivors are
-    reindexed contiguously from zero. With a token_limit, segmentation and
+
+def build_document(episode: Episode, token_limit: int | None = None) -> Document:
+    """Segment an episode transcript and count each sentence's tokens.
+
+    Sentences that tokenize to nothing are dropped, so a sentence's index is
+    its position among the survivors. With a token_limit, segmentation and
     tokenization stop after the sentence that brings the token total to the
     limit, so the document is the prefix that select_head at that budget
     reads; None builds the whole transcript. Raises EmptyDocumentError when
@@ -354,12 +375,12 @@ def build_document(episode: Episode, token_limit: int | None = None) -> Document
     text = episode.transcript_text
     sentences: list[Sentence] = []
     total = 0
-    for start, end in _iter_spans(text):
+    for start, end in segment_spans(text):
         raw = text[start:end]
-        tokens = token_texts(raw)
-        if tokens:
-            sentences.append(Sentence(index=len(sentences), tokens=tuple(tokens), raw_text=raw))
-            total += len(tokens)
+        count = len(token_texts(raw))
+        if count:
+            sentences.append(Sentence(count, raw))
+            total += count
             if token_limit is not None and total >= token_limit:
                 break
     if not sentences:

@@ -133,7 +133,7 @@ def _windows(doc: Document, window_size: int) -> tuple[list[tuple[int, int, int]
     n = len(doc.sentences)
     if n == 0:
         raise ConfigError("cannot score an empty document")
-    offsets = list(accumulate((len(sentence.tokens) for sentence in doc.sentences), initial=0))
+    offsets = list(accumulate((sentence.token_count for sentence in doc.sentences), initial=0))
     windows = []
     for start in range(max(1, n - window_size + 1)):
         end = min(start + window_size, n)
@@ -176,10 +176,10 @@ def select_novelty(doc: Document, config: SelectorConfig = SelectorConfig()) -> 
     window_size = config.window_size or NOVELTY_WINDOW_SIZE
     base = select_window(doc, SelectorConfig(window_size, config.novelty_top_k,
                                              config.token_budget))
-    ranked = sorted(doc.sentences, key=lambda sentence: (-len(sentence.tokens), sentence.index))
-    top_k = [sentence.index for sentence in ranked[:config.novelty_top_k]]
+    ranked = sorted(range(len(doc.sentences)), key=lambda i: -doc.sentences[i].token_count)
+    top_k = ranked[:config.novelty_top_k]
     merged = tuple(sorted(set(base.sentence_indices) | set(top_k)))
-    token_count = sum(len(doc.sentences[i].tokens) for i in merged)
+    token_count = sum(doc.sentences[i].token_count for i in merged)
     diagnostics = dict(base.diagnostics)
     diagnostics["top_k"] = top_k
     return SelectionResult(
@@ -202,9 +202,9 @@ def select_head(doc: Document, token_budget: int = DEFAULT_TOKEN_BUDGET) -> Sele
         raise ConfigError(f"token_budget must be >= 1, got {token_budget}")
     indices: list[int] = []
     total = 0
-    for sentence in doc.sentences:
-        indices.append(sentence.index)
-        total += len(sentence.tokens)
+    for index, sentence in enumerate(doc.sentences):
+        indices.append(index)
+        total += sentence.token_count
         if total >= token_budget:
             break
     return SelectionResult(

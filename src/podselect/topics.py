@@ -14,7 +14,7 @@ import random
 from itertools import cycle
 from typing import NamedTuple
 
-from .corpus import Document, Frozen
+from .corpus import Document, Frozen, token_texts
 from .errors import ConfigError, InsufficientContentError
 from .selection import DEFAULT_NUM_TOPICS, SelectionResult, SelectorConfig
 
@@ -41,7 +41,6 @@ class TopicModel(NamedTuple):
     vocabulary: dict[str, int]
     topic_word: tuple[tuple[float, ...], ...]  # K x V, rows sum to 1
     doc_topic_weight: tuple[float, ...]        # K, sums to 1
-    assignments: tuple[int, ...]               # final topic id per token, document order
     oov_probability: tuple[float, ...]         # per-topic floor for unseen words
 
     @property
@@ -79,7 +78,7 @@ def fit_lda(doc: Document, config: TopicConfig = TopicConfig()) -> TopicModel:
     token_word: list[int] = []
     token_doc: list[int] = []
     for d, sentence in enumerate(doc.sentences):
-        for token in sentence.tokens:
+        for token in token_texts(sentence.raw_text):
             word_id = vocabulary.setdefault(token, len(vocabulary))
             token_word.append(word_id)
             token_doc.append(d)
@@ -156,7 +155,6 @@ def fit_lda(doc: Document, config: TopicConfig = TopicConfig()) -> TopicModel:
         vocabulary=vocabulary,
         topic_word=tuple(topic_word_rows),
         doc_topic_weight=doc_topic,
-        assignments=tuple(z),
         oov_probability=tuple(oov),
     )
 
@@ -180,19 +178,20 @@ def select_by_topics(doc: Document, model: TopicModel,
     budget = config.token_budget
     order = sorted(range(model.num_topics),
                    key=lambda j: (-model.doc_topic_weight[j], j))
+    sentence_tokens = [token_texts(sentence.raw_text) for sentence in doc.sentences]
     ranked: dict[int, list[int]] = {}
     for j in order:
         logs = [math.log(p) for p in model.topic_word[j]]
         floor = math.log(model.oov_probability[j])
         scores = []
-        for sentence in doc.sentences:
-            if not sentence.tokens:
-                raise ValueError(f"sentence {sentence.index} has no tokens")
+        for index, tokens in enumerate(sentence_tokens):
+            if not tokens:
+                raise ValueError(f"sentence {index} has no tokens")
             total = 0.0
-            for token in sentence.tokens:
+            for token in tokens:
                 word_id = model.vocabulary.get(token)
                 total += logs[word_id] if word_id is not None else floor
-            scores.append(total / len(sentence.tokens))
+            scores.append(total / len(tokens))
         ranked[j] = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
 
     selected: set[int] = set()
@@ -203,7 +202,7 @@ def select_by_topics(doc: Document, model: TopicModel,
         index = next((i for i in queue if i not in selected), None)
         if index is None:
             break
-        cost = len(doc.sentences[index].tokens)
+        cost = doc.sentences[index].token_count
         if total + cost > budget:
             break
         selected.add(index)

@@ -8,20 +8,35 @@ import pytest
 # make tests/oracles.py importable regardless of invocation directory
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from podselect.corpus import Document, Sentence
+from podselect.corpus import Document, Sentence, token_texts
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
-def make_sentence(index: int, words: list[str]) -> Sentence:
-    """Build a Sentence whose raw text is the words joined by single spaces."""
-    return Sentence(index=index, tokens=tuple(words), raw_text=" ".join(words))
+def make_sentence(words: list[str]) -> Sentence:
+    """A Sentence whose raw text is the words joined by single spaces, which
+    must tokenize back to the words, as build_document would count them."""
+    raw = " ".join(words)
+    assert token_texts(raw) == words, words
+    return Sentence(len(words), raw)
 
 
 def make_doc(sentence_words: list[list[str]], episode_id: str = "ep-test") -> Document:
-    sentences = tuple(make_sentence(index, words) for index, words in enumerate(sentence_words))
-    total = sum(len(s.tokens) for s in sentences)
+    sentences = tuple(map(make_sentence, sentence_words))
+    total = sum(s.token_count for s in sentences)
     return Document(episode_id=episode_id, sentences=sentences, total_tokens=total)
+
+
+def sentence_tokens(doc: Document) -> list[list[str]]:
+    """The tokens of each sentence of doc, in order."""
+    return [token_texts(s.raw_text) for s in doc.sentences]
+
+
+def token_topics(model, doc: Document) -> list[int]:
+    """Each token of doc in document order, labelled with the topic whose word
+    row gives its word the most probability, the lower topic id on ties."""
+    return [max(range(model.num_topics), key=lambda j: model.topic_word[j][word_id])
+            for tokens in sentence_tokens(doc) for word_id in map(model.vocabulary.get, tokens)]
 
 
 def random_sentences(rng: random.Random, sentence_count: int, vocab: list[str],

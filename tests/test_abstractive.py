@@ -25,7 +25,7 @@ def make_selection(indices, doc, strategy="window"):
         episode_id=doc.episode_id,
         strategy=strategy,
         sentence_indices=tuple(indices),
-        selected_token_count=sum(len(doc.sentences[i].tokens) for i in indices),
+        selected_token_count=sum(doc.sentences[i].token_count for i in indices),
     )
 
 
@@ -108,7 +108,7 @@ class TestEnforceBudget:
         budget = rng.randint(1, 30)
         capped = enforce_budget(make_selection(indices, doc), doc, budget)
         assert capped.token_count <= budget
-        should_flag = bool(indices) and len(doc.sentences[indices[0]].tokens) > budget
+        should_flag = bool(indices) and doc.sentences[indices[0]].token_count > budget
         assert capped.truncated_mid_sentence == should_flag
         if should_flag:
             assert capped.token_count == budget

@@ -23,7 +23,7 @@ from podselect.selection import (SelectionResult, SelectorConfig, score_windows,
                                  select_novelty, select_window)
 from podselect.topics import TopicConfig, fit_lda
 from podselect.abstractive import Summary
-from conftest import make_doc, random_sentences
+from conftest import make_doc, random_sentences, sentence_tokens, token_topics
 from oracles import (oracle_rouge_avg, oracle_rouge_l, oracle_rouge_n,
                      oracle_window_argmax)
 
@@ -78,8 +78,7 @@ def test_criterion_2_select_window_equals_exhaustive_argmax():
                                         min_len=2, max_len=4))
         window_size = rng.randint(1, sentence_count + 2)
         result = select_window(doc, SelectorConfig(window_size=window_size))
-        start, end = oracle_window_argmax(
-            [s.tokens for s in doc.sentences], window_size)
+        start, end = oracle_window_argmax(sentence_tokens(doc), window_size)
         assert result.sentence_indices == tuple(range(start, end))
 
 
@@ -89,14 +88,15 @@ def test_criterion_3_thousand_random_slides_stay_exact():
     for _ in range(1000):
         doc = make_doc(random_sentences(rng, rng.randint(1, 20), VOCAB,
                                         min_len=1, max_len=7))
-        flat = [t for s in doc.sentences for t in s.tokens]
+        tokens = sentence_tokens(doc)
+        flat = [t for s in tokens for t in s]
         count = len(doc.sentences)
         window_size = rng.randint(1, count + 2)
         rows = score_windows(doc, window_size)
         assert len(rows) == max(1, count - window_size + 1)
         row = rows[rng.randrange(len(rows))]
         assert row.end == min(row.start + window_size, count)
-        window = [t for s in doc.sentences[row.start:row.end] for t in s.tokens]
+        window = [t for s in tokens[row.start:row.end] for t in s]
         assert row.score == oracle_rouge_avg(window, flat)
 
 
@@ -110,8 +110,9 @@ def test_criterion_4_novelty_containment_over_random_docs():
         config = SelectorConfig(window_size=window_size, novelty_top_k=top_k)
         result = select_novelty(doc, config)
         base = select_window(doc, SelectorConfig(window_size=window_size))
-        flat = [t for s in doc.sentences for t in s.tokens]
-        ranked = sorted(((s.index, oracle_rouge_avg(s.tokens, flat)) for s in doc.sentences),
+        tokens = sentence_tokens(doc)
+        flat = [t for s in tokens for t in s]
+        ranked = sorted(((index, oracle_rouge_avg(s, flat)) for index, s in enumerate(tokens)),
                         key=lambda pair: (-pair[1], pair[0]))
         top = {index for index, _ in ranked[:top_k]}
         indices = result.sentence_indices
@@ -140,15 +141,16 @@ def test_criterion_5_lda_recovers_planted_topics_for_five_seeds():
         for row in model.topic_word:
             assert abs(sum(row) - 1.0) <= 1e-9
         assert abs(sum(model.doc_topic_weight) - 1.0) <= 1e-9
+        assignments = token_topics(model, doc)
         majority = {}
         for group in (0, 1):
-            votes = [z for z, g in zip(model.assignments, token_group)
+            votes = [z for z, g in zip(assignments, token_group)
                      if g == group]
             majority[group] = max(set(votes), key=votes.count)
         assert majority[0] != majority[1], f"seed {seed}: topics collapsed"
-        agree = sum(1 for z, g in zip(model.assignments, token_group)
+        agree = sum(1 for z, g in zip(assignments, token_group)
                     if z == majority[g])
-        purity = agree / len(model.assignments)
+        purity = agree / len(assignments)
         assert purity >= 0.9, f"seed {seed}: purity {purity:.3f}"
 
 

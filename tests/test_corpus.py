@@ -1,3 +1,4 @@
+import itertools
 import json
 import pickle
 import random
@@ -10,35 +11,44 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from podselect.corpus import (Document, Episode, Sentence, build_document, load_episodes,
-                              read_records, segment_sentences, segment_spans, token_texts,
-                              tokenize, write_records)
+from podselect.corpus import (ABBREVIATIONS, Document, Episode, Sentence, build_document,
+                              load_episodes, read_records, segment_sentences, segment_spans,
+                              token_end, token_texts, tokenize, write_records)
 from podselect.abstractive import enforce_budget
 from podselect.errors import EmptyDocumentError, RecordParseError
 from podselect.selection import SelectionResult, select_head
 
 from oracles import oracle_segment_spans, oracle_tokenize
 
+# The longest abbreviation, and words of one and two letters more: the
+# abbreviation guard decides a word of more letters than any abbreviation
+# without walking back over it.
+LONGEST_ABBREVIATION = max(sorted(ABBREVIATIONS), key=len)
+GUARD_LENGTH_WORDS = [LONGEST_ABBREVIATION, LONGEST_ABBREVIATION.capitalize() + "s",
+                      LONGEST_ABBREVIATION + "es"]
 # ASCII letters and punctuation, whitespace including NBSP and the rarer
 # separators str.isspace accepts, non-ASCII punctuation and symbols, accented
 # letters, a combining acute accent, CJK and an emoji; plus abbreviations,
-# mixed-case words and plurals.
+# mixed-case words and plurals, the guard's length words, and a capital
+# letter that lowers to two characters.
 MIXED_CHARS = (string.ascii_letters + string.punctuation + " \t\n\u00a0"
                + "\x1c\x1d\x1e\x1f\x85\u2028\u3000"
                + "“”‘’—…¿€™·" + "éÅñ" + "\u0301" + "中文" + "😀")
 MIXED_WORDS = ["Dr.", "e.g.", "J.", "The", "the", "and", "cats", "carries",
-               "classes", "focus", "café"]
+               "classes", "focus", "café", *GUARD_LENGTH_WORDS, "İ…"]
 MIXED_TEXT = st.lists(st.sampled_from(list(MIXED_CHARS)) | st.sampled_from(MIXED_WORDS),
                       max_size=60).map("".join)
 ASCII_TEXT = st.text(alphabet=string.ascii_letters + string.punctuation + " \t\n",
                      max_size=60)
 # Terminals, closers and whitespace packed together, with single letters,
-# abbreviations and runs of opening brackets before the periods.
+# abbreviations, the guard's length words and runs of opening brackets
+# before the periods, some long enough to fill the letters the guard reads.
 BOUNDARY_DENSE_TEXT = st.lists(
     st.sampled_from(list(".!?") + list("\"')]”’")
                     + list("\t\n\r\x0b\x0c\x1c\x85\xa0\u2028\u3000")
-                    + ["a", "J", "x", "Dr", "e.g"])
-    | st.integers(1, 5).map(lambda n: "(" * n),
+                    + ["a", "J", "x", "Dr", "e.g", *GUARD_LENGTH_WORDS, "İ", "İ…"])
+    | st.integers(1, 5).map(lambda n: "(" * n)
+    | st.integers(1, 20).map(lambda n: "(" * n + "Dr"),
     max_size=60).map("".join)
 
 
@@ -233,7 +243,31 @@ class TestSegmentation:
     @given(MIXED_TEXT | ASCII_TEXT | BOUNDARY_DENSE_TEXT)
     @settings(max_examples=300)
     def test_matches_character_oracle(self, text):
-        assert segment_spans(text) == oracle_segment_spans(text)
+        assert list(segment_spans(text)) == oracle_segment_spans(text)
+
+    def test_spans_come_one_at_a_time(self):
+        spans = segment_spans("One here. Two there!")
+        assert next(spans) == (0, 9)
+        assert list(spans) == [(10, 20)]
+
+    def test_period_after_the_longest_abbreviation_length(self):
+        words = [*GUARD_LENGTH_WORDS, LONGEST_ABBREVIATION.upper(), "x" + LONGEST_ABBREVIATION,
+                 "İ" * (len(LONGEST_ABBREVIATION) + 1)]
+        for before, word in itertools.product(["", " ", "\n", "(", "(((", "“", "a. "], words):
+            text = f"{before}{word}. next one. And {word}. ({word}. end"
+            assert list(segment_spans(text)) == oracle_segment_spans(text), text
+
+    def test_guard_premises_hold_on_every_code_point(self):
+        """The abbreviation guard calls a period after more letters than the
+        longest abbreviation a sentence end without looking at the word: that
+        needs every letter to survive tokenize's edge stripping, and lower()
+        to map every character to at least one."""
+        letters_stripped = [hex(point) for point in range(sys.maxunicode + 1)
+                            if chr(point).isalpha()
+                            and unicodedata.category(chr(point))[0] in "PS"]
+        shortened = [hex(point) for point in range(sys.maxunicode + 1)
+                     if not chr(point).lower()]
+        assert letters_stripped == shortened == []
 
     @pytest.mark.parametrize("run", ["(", ".", "!.", '."'])
     def test_linear_in_a_million_character_run(self, run):
@@ -243,7 +277,7 @@ class TestSegmentation:
         filler = run * (1_000_000 // len(run))
         text = "Start here. " + filler + "a. b"
         started = time.perf_counter()
-        spans = segment_spans(text)
+        spans = list(segment_spans(text))
         assert time.perf_counter() - started < 5
         assert spans == [(0, 11), (12, len(text))]
 
@@ -296,7 +330,7 @@ class TestTokenize:
         """enforce_budget cuts a sentence over budget n at the end of its n-th
         token, as the oracle's byte offsets locate it."""
         oracle = oracle_tokenize(raw)
-        sentence = Sentence(index=0, tokens=tuple(token_texts(raw)), raw_text=raw)
+        sentence = Sentence(len(token_texts(raw)), raw)
         doc = Document(episode_id="ep", sentences=(sentence,), total_tokens=len(oracle))
         selection = SelectionResult("ep", "none", (0,), len(oracle))
         for n in range(1, len(oracle)):
@@ -309,6 +343,17 @@ class TestTokenize:
     @settings(max_examples=300)
     def test_token_texts_match_character_oracle(self, text):
         assert token_texts(text) == [value for value, _ in oracle_tokenize(text)]
+
+    @given(MIXED_TEXT)
+    @example("«Ça» va, naïve—über… 中文 ZÜRICH! ok😀.")
+    @settings(max_examples=300)
+    def test_token_end_is_the_end_of_the_nth_token_span(self, text):
+        tokens = tokenize(text)
+        assert [token_end(text, n) for n in range(1, len(tokens) + 1)] == [
+            token.span[1] for token in tokens]
+        for n in (0, len(tokens) + 1):
+            with pytest.raises(ValueError, match=f"^text has no token {n}$"):
+                token_end(text, n)
 
     def test_lower_keeps_whitespace_and_edge_characters_apart_on_every_code_point(self):
         """token_texts lowers a whole text before splitting and stripping it, which
@@ -349,15 +394,16 @@ class TestBuildDocument:
     def test_tokenless_sentences_dropped_and_reindexed(self):
         episode = Episode(id="e1", transcript_text="Real words here. !!! More words now.")
         doc = build_document(episode)
-        assert [s.index for s in doc.sentences] == [0, 1]
+        assert [s.token_count for s in doc.sentences] == [3, 3]
         assert [s.raw_text for s in doc.sentences] == ["Real words here.", "More words now."]
 
     def test_total_tokens(self):
         episode = Episode(id="e1", transcript_text="One two three. Four five.")
         doc = build_document(episode)
         assert doc.total_tokens == 5
-        assert [s.tokens for s in doc.sentences] == [("one", "two", "three"),
-                                                     ("four", "five")]
+        assert [s.token_count for s in doc.sentences] == [3, 2]
+        assert [token_texts(s.raw_text) for s in doc.sentences] == [["one", "two", "three"],
+                                                                    ["four", "five"]]
 
     def test_empty_transcript_raises(self):
         with pytest.raises(EmptyDocumentError):
@@ -366,6 +412,23 @@ class TestBuildDocument:
     def test_deterministic(self):
         episode = Episode(id="e1", transcript_text="Same text. Every time!")
         assert build_document(episode) == build_document(episode)
+
+    @given(st.lists(st.sampled_from(list(MIXED_CHARS + "Σς")) | st.sampled_from(MIXED_WORDS),
+                    max_size=60).map("".join))
+    @settings(max_examples=300)
+    def test_sentence_token_counts_are_the_transcripts_tokens(self, text):
+        """A Sentence keeps only its token count: the counts are those of the
+        sentence texts, and add up to the whole transcript's token count."""
+        count = len(token_texts(text))
+        episode = Episode("e", transcript_text=text)
+        if count == 0:
+            with pytest.raises(EmptyDocumentError):
+                build_document(episode)
+            return
+        doc = build_document(episode)
+        assert doc.total_tokens == count
+        assert [s.token_count for s in doc.sentences] == [
+            len(token_texts(s.raw_text)) for s in doc.sentences]
 
 
 def head_case(rng):
@@ -412,17 +475,17 @@ class TestBuildDocumentPrefix:
             return
         prefix = build_document(episode, budget)
         assert prefix.sentences == full.sentences[:len(prefix.sentences)]
-        assert prefix.total_tokens == sum(len(s.tokens) for s in prefix.sentences)
+        assert prefix.total_tokens == sum(s.token_count for s in prefix.sentences)
         assert prefix == full or prefix.total_tokens >= budget
-        assert prefix.total_tokens - len(prefix.sentences[-1].tokens) < budget
+        assert prefix.total_tokens - prefix.sentences[-1].token_count < budget
         head = select_head(full, budget)
         assert select_head(prefix, budget) == head
         assert enforce_budget(head, prefix, budget) == enforce_budget(head, full, budget)
 
     def test_stops_after_the_sentence_reaching_the_limit(self):
         episode = Episode(id="e1", transcript_text="One two. !!! Three four five. Six. Seven.")
-        assert [s.tokens for s in build_document(episode, 5).sentences] == [
-            ("one", "two"), ("three", "four", "five")]
+        assert [token_texts(s.raw_text) for s in build_document(episode, 5).sentences] == [
+            ["one", "two"], ["three", "four", "five"]]
         assert build_document(episode, 6).total_tokens == 6
         assert build_document(episode, 99) == build_document(episode)
         assert build_document(episode, None) == build_document(episode)
@@ -441,7 +504,7 @@ class TestBuildDocumentPrefix:
 class TestRecords:
     @pytest.mark.parametrize("record, field", [
         (Episode(id="ep"), "description"),
-        (Sentence(index=0, tokens=("a",), raw_text="a"), "tokens"),
+        (Sentence(1, "a"), "token_count"),
         (Document(episode_id="ep", sentences=(), total_tokens=0), "total_tokens"),
     ])
     def test_fields_cannot_be_assigned(self, record, field):

@@ -10,7 +10,7 @@ from podselect.errors import ConfigError
 from podselect.selection import (DEFAULT_WINDOW_SIZE, NOVELTY_WINDOW_SIZE, SelectionResult,
                                  SelectorConfig, WindowScore, score_windows, select_head,
                                  select_novelty, select_window)
-from conftest import make_doc, random_sentences
+from conftest import make_doc, random_sentences, sentence_tokens
 from oracles import (oracle_rouge_avg, oracle_rouge_n, oracle_window_argmax,
                      oracle_window_scores)
 
@@ -39,9 +39,8 @@ class TestScoreWindows:
         for _ in range(30):
             doc = random_doc(rng)
             w = rng.randint(1, len(doc.sentences) + 2)
-            sentence_tokens = [s.tokens for s in doc.sentences]
             got = score_windows(doc, w)
-            expected = oracle_window_scores(sentence_tokens, w)
+            expected = oracle_window_scores(sentence_tokens(doc), w)
             assert [(r.start, r.end, r.score) for r in got] == expected
 
     def test_short_doc_single_perfect_window(self):
@@ -57,10 +56,11 @@ class TestScoreWindows:
         for _ in range(30):
             doc = random_doc(rng)
             w = rng.randint(1, len(doc.sentences) + 1)
-            flat = [t for s in doc.sentences for t in s.tokens]
+            tokens = sentence_tokens(doc)
+            flat = [t for s in tokens for t in s]
             best = None
             for row in score_windows(doc, w):
-                cand = [t for s in doc.sentences[row.start:row.end] for t in s.tokens]
+                cand = [t for s in tokens[row.start:row.end] for t in s]
                 partial = (oracle_rouge_n(cand, flat, 1)[2]
                            + oracle_rouge_n(cand, flat, 2)[2]) / 2
                 if best is None or partial > best[0]:
@@ -95,7 +95,7 @@ class TestSelectWindow:
             doc = random_doc(rng)
             w = rng.randint(1, len(doc.sentences) + 1)
             result = select_window(doc, SelectorConfig(window_size=w))
-            start, end = oracle_window_argmax([s.tokens for s in doc.sentences], w)
+            start, end = oracle_window_argmax(sentence_tokens(doc), w)
             assert result.sentence_indices == tuple(range(start, end))
 
     def test_picks_window_with_most_tokens(self):
@@ -103,7 +103,7 @@ class TestSelectWindow:
         for _ in range(40):
             doc = random_doc(rng)
             w = rng.randint(1, len(doc.sentences) + 1)
-            lengths = [len(s.tokens) for s in doc.sentences]
+            lengths = [len(s) for s in sentence_tokens(doc)]
             starts = range(max(1, len(lengths) - w + 1))
             start = max(starts, key=lambda i: (sum(lengths[i:i + w]), -i))
             result = select_window(doc, SelectorConfig(window_size=w))
@@ -132,7 +132,7 @@ class TestSelectWindow:
                           "indices": list(result.sentence_indices),
                           "tokens": result.selected_token_count}
         with_diag = result.to_record(doc)
-        expected = oracle_window_scores([s.tokens for s in doc.sentences], 1)
+        expected = oracle_window_scores(sentence_tokens(doc), 1)
         assert with_diag == {**record, "window_scores": [list(row) for row in expected]}
 
     @given(st.builds(SelectionResult, st.text(), st.text(),
@@ -156,12 +156,13 @@ class TestSelectWindow:
             doc = random_doc(rng)
             w = rng.randint(1, len(doc.sentences) + 1)
             top_k = rng.randint(0, 3)
-            start, end = oracle_window_argmax([s.tokens for s in doc.sentences], w)
-            longest = sorted(doc.sentences, key=lambda s: (-len(s.tokens), s.index))[:top_k]
+            tokens = sentence_tokens(doc)
+            start, end = oracle_window_argmax(tokens, w)
+            longest = sorted(range(len(tokens)), key=lambda i: (-len(tokens[i]), i))[:top_k]
             config = SelectorConfig(window_size=w, novelty_top_k=top_k)
             assert select_window(doc, config).sentence_indices == tuple(range(start, end))
             assert select_novelty(doc, config).sentence_indices == tuple(
-                sorted(set(range(start, end)) | {s.index for s in longest}))
+                sorted(set(range(start, end)) | set(longest)))
 
     # few words, short sentences: many windows tie on their token count
     @given(st.lists(st.lists(st.sampled_from(VOCAB[:3]), min_size=1, max_size=3),
@@ -200,12 +201,13 @@ class TestScoreSingleSentences:
         rng = random.Random(37)
         for _ in range(30):
             doc = random_doc(rng)
-            flat = [t for s in doc.sentences for t in s.tokens]
+            tokens = sentence_tokens(doc)
+            flat = [t for s in tokens for t in s]
             rows = score_windows(doc, 1)
             assert [(row.start, row.end) for row in rows] == [
                 (i, i + 1) for i in range(len(doc.sentences))]
             for row in rows:
-                assert row.score == oracle_rouge_avg(doc.sentences[row.start].tokens, flat)
+                assert row.score == oracle_rouge_avg(tokens[row.start], flat)
 
 
 class TestSelectNovelty:
@@ -216,15 +218,15 @@ class TestSelectNovelty:
             config = SelectorConfig(window_size=2, novelty_top_k=2)
             result = select_novelty(doc, config)
             base = select_window(doc, SelectorConfig(window_size=2))
-            flat = [t for s in doc.sentences for t in s.tokens]
-            singles = [(s.index, oracle_rouge_avg(s.tokens, flat)) for s in doc.sentences]
+            tokens = sentence_tokens(doc)
+            flat = [t for s in tokens for t in s]
+            singles = [(index, oracle_rouge_avg(s, flat)) for index, s in enumerate(tokens)]
             ranked = sorted(singles, key=lambda pair: (-pair[1], pair[0]))
             top = {index for index, _ in ranked[:2]}
             expected = tuple(sorted(set(base.sentence_indices) | top))
             assert result.sentence_indices == expected
             assert result.strategy == "novelty"
-            assert result.selected_token_count == sum(
-                len(doc.sentences[i].tokens) for i in expected)
+            assert result.selected_token_count == sum(len(tokens[i]) for i in expected)
 
     def test_top_singles_are_longest_sentences(self):
         rng = random.Random(47)
@@ -232,8 +234,9 @@ class TestSelectNovelty:
             doc = random_doc(rng)
             top_k = rng.randint(0, 4)
             result = select_novelty(doc, SelectorConfig(window_size=2, novelty_top_k=top_k))
-            longest = sorted(doc.sentences, key=lambda s: (-len(s.tokens), s.index))
-            assert result.diagnostics["top_k"] == [s.index for s in longest[:top_k]]
+            tokens = sentence_tokens(doc)
+            longest = sorted(range(len(tokens)), key=lambda i: (-len(tokens[i]), i))
+            assert result.diagnostics["top_k"] == longest[:top_k]
 
     def test_outlier_summary_sentence_joins_selection(self):
         # best 2-window sits in sentences 0-1; sentence 4 echoes the most

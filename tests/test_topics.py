@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from podselect.errors import ConfigError, InsufficientContentError
 from podselect.selection import SelectorConfig
 from podselect.topics import TopicConfig, TopicModel, fit_and_select, fit_lda, select_by_topics
-from conftest import make_doc
+from conftest import make_doc, sentence_tokens, token_topics
 from oracles import oracle_topic_picks
 
 FRUIT = [f"fruit{i:02d}" for i in range(20)]
@@ -66,7 +66,7 @@ class TestFitLda:
         model = fit_lda(doc, TopicConfig(num_topics=1, gibbs_iterations=10,
                                          burn_in=5, seed=0))
         assert model.num_topics == 1
-        assert model.assignments == (0, 0, 0)
+        assert token_topics(model, doc) == [0, 0, 0]
         assert model.doc_topic_weight == (1.0,)
         row = model.topic_word[0]
         a, b = model.vocabulary["a"], model.vocabulary["b"]
@@ -78,12 +78,14 @@ class TestFitLda:
         # Three topics over two planted vocabularies leave the topic weights
         # uneven, so they move with alpha (50 / num_topics) and the word rows
         # with beta; with two topics both weights are 0.5 whatever alpha is.
-        # Recorded while alpha and beta were TopicConfig fields at these values.
+        # Recorded while alpha and beta were TopicConfig fields at these values,
+        # and again, from the same fit, once the model no longer kept the final
+        # per-token topics.
         model = fit_lda(planted_doc(), fast_config(num_topics=3, gibbs_iterations=20,
                                                    burn_in=10))
-        fitted = repr((model.topic_word, model.doc_topic_weight, model.assignments))
+        fitted = repr((model.topic_word, model.doc_topic_weight))
         assert hashlib.sha256(fitted.encode()).hexdigest() == (
-            "7266eba0a3cb8e22945c5eaac0aadd0bde2f51f8cacf5d714a3862185090babf")
+            "00d935859e133322a4daa1d4a0a0425561f4a9c34ecd760f95d076b1fd9cf0db")
 
     def test_distributions_normalize(self):
         model = fit_lda(planted_doc(), fast_config())
@@ -103,23 +105,24 @@ class TestFitLda:
         doc = planted_doc()
         first = fit_lda(doc, fast_config(seed=0))
         second = fit_lda(doc, fast_config(seed=1))
-        assert first.assignments != second.assignments
+        assert first.doc_topic_weight != second.doc_topic_weight
         assert first.topic_word != second.topic_word
 
     def test_recovers_planted_split(self):
         doc = planted_doc(seed=3)
         model = fit_lda(doc, fast_config(seed=7))
         token_group = []
-        for i, sentence in enumerate(doc.sentences):
-            token_group.extend([i % 2] * len(sentence.tokens))
+        for i, tokens in enumerate(sentence_tokens(doc)):
+            token_group.extend([i % 2] * len(tokens))
+        assignments = token_topics(model, doc)
         majority = {}
         for group in (0, 1):
-            votes = [z for z, g in zip(model.assignments, token_group) if g == group]
+            votes = [z for z, g in zip(assignments, token_group) if g == group]
             majority[group] = max(set(votes), key=votes.count)
         assert majority[0] != majority[1]
-        agree = sum(1 for z, g in zip(model.assignments, token_group)
+        agree = sum(1 for z, g in zip(assignments, token_group)
                     if z == majority[g])
-        assert agree / len(model.assignments) >= 0.9
+        assert agree / len(assignments) >= 0.9
 
     def test_too_few_sentences_raises(self):
         # fit_and_select raises it too, even though the document fits the budget
@@ -146,7 +149,6 @@ def hand_model():
         vocabulary={"x": 0, "y": 1, "z": 2},
         topic_word=((0.8, 0.1, 0.1), (0.1, 0.8, 0.1)),
         doc_topic_weight=(0.6, 0.4),
-        assignments=(),
         oov_probability=(0.001, 0.002),
     )
 
@@ -157,7 +159,6 @@ def single_topic_model(row, oov=0.001):
         vocabulary={word: w for w, word in enumerate(row)},
         topic_word=(tuple(row.values()),),
         doc_topic_weight=(1.0,),
-        assignments=(),
         oov_probability=(oov,),
     )
 
@@ -210,7 +211,7 @@ class TestSentenceTopicRelevance:
         # favour different vocabularies
         doc = planted_doc(seed=5)
         model = fit_lda(doc, fast_config(seed=1))
-        sentences = [list(s.tokens) for s in doc.sentences]
+        sentences = sentence_tokens(doc)
         favoured = set()
         for j in range(model.num_topics):
             alone = model._replace(topic_word=(model.topic_word[j],), doc_topic_weight=(1.0,),
@@ -282,7 +283,6 @@ class TestSelectByTopics:
             vocabulary={"x": 0, "y": 1, "z": 2},
             topic_word=((0.8, 0.15, 0.05),),
             doc_topic_weight=(1.0,),
-            assignments=(),
             oov_probability=(0.001,),
         )
         # relevance order: s0 (x x), s2 (x y), s1 (y y), s3 (z z)
@@ -310,7 +310,6 @@ def tied_model(rng):
         topic_word=tuple(tuple(rng.choice([0.05, 0.1, 0.2, 0.4]) for _ in vocabulary)
                          for _ in range(num_topics)),
         doc_topic_weight=tuple(rng.choice([0.2, 0.3, 0.5]) for _ in range(num_topics)),
-        assignments=(),
         oov_probability=tuple(rng.choice([0.001, 0.05]) for _ in range(num_topics)),
     )
 
@@ -324,10 +323,10 @@ class TestSelectByTopicsOracle:
         words = list(model.vocabulary) + ["unseen"]
         doc = make_doc([rng.choices(words, k=rng.randint(1, 4))
                         for _ in range(rng.randint(1, 8))])
-        sentence_tokens = [s.tokens for s in doc.sentences]
+        tokens = sentence_tokens(doc)
         for budget in range(1, doc.total_tokens + 2):
             result = select_by_topics(doc, model, SelectorConfig(token_budget=budget))
-            want = oracle_topic_picks(sentence_tokens, model.vocabulary, model.topic_word,
+            want = oracle_topic_picks(tokens, model.vocabulary, model.topic_word,
                                       model.doc_topic_weight, model.oov_probability, budget)
             assert result.sentence_indices == want["sentence_indices"]
             assert result.selected_token_count == want["selected_token_count"]
