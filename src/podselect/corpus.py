@@ -16,7 +16,7 @@ import re
 import string
 import unicodedata
 from importlib import resources
-from itertools import repeat
+from itertools import islice, repeat
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import EmptyDocumentError, RecordParseError
@@ -279,11 +279,6 @@ def segment_spans(text: str) -> Iterator[tuple[int, int]]:
         yield (start, end)
 
 
-def segment_sentences(text: str) -> list[str]:
-    """Split a transcript into sentence strings. See segment_spans."""
-    return [text[s:e] for s, e in segment_spans(text)]
-
-
 # --- tokenization ------------------------------------------------------------
 
 _UNIT_RE = re.compile(r"\S+")
@@ -310,7 +305,7 @@ def token_texts(text: str) -> list[str]:
     """The texts of tokenize(text), without their character spans.
 
     The same rule: str.split() cuts at the str.isspace characters that end
-    tokenize's units, and strip() removes what its lstrip and rstrip do.
+    _token_spans's units, and strip() removes what its lstrip and rstrip do.
     Lowering the whole text first gives the same tokens: lower() maps
     whitespace to whitespace and P*/S* characters to P*/S* characters, and
     every other character to neither (tests/test_corpus.py checks every code
@@ -325,40 +320,36 @@ def token_texts(text: str) -> list[str]:
     return [core for core in map(str.strip, text.split(), repeat(_edge_chars(text))) if core]
 
 
+def _token_spans(text: str) -> Iterator[tuple[int, int]]:
+    """The character span of each token of text, in order: a whitespace-separated
+    unit with its edge characters stripped; a unit of edge characters only is none."""
+    strip_chars = _edge_chars(text)
+    for match in _UNIT_RE.finditer(text):
+        unit = match.group()
+        # strip_chars holds every edge-strippable character of text, so the
+        # strips stop at the unit's first and last kept characters.
+        core = unit.lstrip(strip_chars)
+        if core:
+            start = match.end() - len(core)
+            yield start, start + len(core.rstrip(strip_chars))
+
+
 def tokenize(text: str) -> list[Token]:
     """Whitespace tokenization with edge punctuation stripping and lowercasing.
 
     Units that are all punctuation are dropped. Each token's span is the
     slice of the given text the token was built from (before case folding).
     """
-    strip_chars = _edge_chars(text)
-    tokens: list[Token] = []
-    for match in _UNIT_RE.finditer(text):
-        unit = match.group()
-        # strip_chars holds every edge-strippable character of text, so the
-        # strips stop at the unit's first and last kept characters.
-        core = unit.lstrip(strip_chars)
-        if not core:
-            continue
-        start = match.end() - len(core)
-        value = core.rstrip(strip_chars)
-        end = start + len(value)
-        tokens.append(Token(text=value.lower(), span=(start, end)))
-    return tokens
+    return [Token(text[start:end].lower(), (start, end)) for start, end in _token_spans(text)]
 
 
 def token_end(text: str, n: int) -> int:
     """The character offset just past the n-th token of text, the end of
     tokenize(text)[n - 1].span, found without building any token. Raises
     ValueError when text has no n-th token."""
-    strip_chars = _edge_chars(text)
-    count = 0
-    for match in _UNIT_RE.finditer(text):
-        unit = match.group()
-        if unit.lstrip(strip_chars):  # as in tokenize: a unit not all edge characters
-            count += 1
-            if count == n:
-                return match.end() - (len(unit) - len(unit.rstrip(strip_chars)))
+    if n > 0:
+        for _, end in islice(_token_spans(text), n - 1, n):
+            return end
     raise ValueError(f"text has no token {n}")
 
 

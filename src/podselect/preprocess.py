@@ -17,7 +17,7 @@ import random
 import re
 from typing import Iterable, NamedTuple, Sequence
 
-from .corpus import (ENGLISH_STOPWORDS, Episode, segment_sentences, token_texts,
+from .corpus import (ENGLISH_STOPWORDS, Episode, segment_spans, token_texts,
                      _load_wordlist, _parse_wordlist)
 from .errors import ConfigError, InsufficientContentError
 
@@ -78,7 +78,8 @@ def clean_description(raw: str) -> str:
     text = _FOLLOW_RE.sub(" ", text)
     kept_parts: list[str] = []
     for line in text.split("\n"):
-        for sentence in segment_sentences(line):
+        for start, end in segment_spans(line):
+            sentence = line[start:end]
             lowered = sentence.lower()
             if any(p in lowered for p in SPONSOR_PHRASES):
                 continue
@@ -97,26 +98,15 @@ def load_profanity_list(path=None) -> frozenset[str]:
         raise ConfigError(f"cannot read profanity list {path!r}: {exc}") from exc
 
 
-def contains_profanity(tokens: Iterable[str], wordlist: frozenset[str]) -> bool:
-    """Whole-token blocklist match over token_texts output, which is lowercased.
-
-    No substring matching: a listed word inside a longer token does not hit.
-    """
-    return not wordlist.isdisjoint(tokens)
-
-
-def detect_english(tokens: Sequence[str]) -> tuple[bool, float]:
-    """Stopword-ratio language check over token_texts output.
-
-    Returns (is_english, ratio) where ratio is the fraction of tokens found
-    in the bundled English stopword list. Raises ValueError when there are
-    no tokens, since the ratio is undefined there.
+def detect_english(tokens: Sequence[str]) -> bool:
+    """Stopword-ratio language check over token_texts output: True when at least
+    ENGLISH_MIN_STOPWORD_RATIO of the tokens are in the bundled English
+    stopword list. No tokens cannot be confirmed English: False.
     """
     if not tokens:
-        raise ValueError("cannot detect language of text with no tokens")
+        return False
     hits = sum(1 for token in tokens if token in ENGLISH_STOPWORDS)
-    ratio = hits / len(tokens)
-    return ratio >= ENGLISH_MIN_STOPWORD_RATIO, ratio
+    return hits / len(tokens) >= ENGLISH_MIN_STOPWORD_RATIO
 
 
 def _shingles(tokens: Sequence[str]) -> frozenset[tuple[str, ...]]:
@@ -262,15 +252,11 @@ def filter_corpus(
         if _jaccard(episode_shingles, _shingles(show_tokens)) >= SHOW_DESC_SIM_THRESHOLD:
             add_rejection(episode.id, RULE_SHOW_SIMILAR)
             continue
-        if contains_profanity(description_tokens, wordlist) \
-                or contains_profanity(show_tokens, wordlist):
+        # whole lowercased tokens: a listed word inside a longer token does not hit
+        if not (wordlist.isdisjoint(description_tokens) and wordlist.isdisjoint(show_tokens)):
             add_rejection(episode.id, RULE_PROFANITY)
             continue
-        try:
-            is_english, _ = detect_english(description_tokens)
-        except ValueError:
-            is_english = False  # no tokens at all, cannot be confirmed English
-        if not is_english:
+        if not detect_english(description_tokens):
             add_rejection(episode.id, RULE_NON_ENGLISH)
             continue
         cleaned = clean_description(episode.description)

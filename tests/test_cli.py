@@ -24,7 +24,7 @@ from podselect.cli import _derive_seed, _select_one, atomic_write, main
 from podselect.errors import BackendError, InsufficientContentError
 from podselect.preprocess import clean_description
 from conftest import random_sentences, reaped
-from test_abstractive import FakeBackend, stub_server  # noqa: F401 (a fixture)
+from test_abstractive import FakeBackend, delays, stub_server  # noqa: F401 (fixtures)
 
 
 @pytest.fixture(autouse=True)
@@ -790,7 +790,7 @@ class TestSummarizeCommand:
         assert all(r["backend"] == "remote" for r in rows)
         assert len(server.requests) == 2
 
-    def test_backend_failure_exits_one(self, tmp_path, stub_server):
+    def test_backend_failure_exits_one(self, tmp_path, stub_server, delays):
         server, endpoint = stub_server
         source, selections = self.prepare(tmp_path, count=1)
         for _ in range(3):
@@ -800,6 +800,7 @@ class TestSummarizeCommand:
                      "--episodes", str(source), "--output", str(out),
                      "--backend", "remote", "--endpoint", endpoint, "--jobs", "1"])
         assert code == 1
+        assert delays == [0.5, 1.0]
         assert not out.exists()
         assert (tmp_path / "summ.jsonl.partial").read_text("utf-8") == ""
 
@@ -1253,7 +1254,7 @@ class TestPipelineCommand:
         assert self.run_pipeline(fixtures_dir, out, "--budget", "0") == 2
         assert not out.exists()
 
-    def test_backend_failure_aborts_before_report(self, tmp_path, stub_server):
+    def test_backend_failure_aborts_before_report(self, tmp_path, stub_server, delays):
         server, endpoint = stub_server
         source = tmp_path / "eps.jsonl"
         tiny_corpus(source, count=3, sentences=25)
@@ -1261,6 +1262,7 @@ class TestPipelineCommand:
             server.script.append((500, {"error": "down"}))
         out = tmp_path / "run"
         assert self.run_remote(source, out, endpoint) == 1
+        assert sorted(delays) == sorted([0.5, 1.0] * 3)
         assert (out / "selections.jsonl").exists()
         assert not (out / "report.txt").exists()
 
@@ -1315,7 +1317,7 @@ class TestPipelineCommand:
         assert not (out / "report.txt").exists()
         self.resume_against_healthy_backend(server, records, source, out, endpoint)
 
-    def test_resume_after_partial_backend_failure(self, tmp_path, stub_server):
+    def test_resume_after_partial_backend_failure(self, tmp_path, stub_server, delays):
         server, endpoint = stub_server
         source = tmp_path / "eps.jsonl"
         records = tiny_corpus(source, count=3)
@@ -1325,6 +1327,7 @@ class TestPipelineCommand:
             server.script.append((200, {"id": "x", "summary": "served summary"}))
         out = tmp_path / "run"
         assert self.run_remote(source, out, endpoint) == 1
+        assert delays == [0.5, 1.0]
         assert not (out / "summaries.jsonl").exists()
         partial = read_jsonl(out / "summaries.jsonl.partial")
         assert [r["id"] for r in partial] == [r["id"] for r in records[1:]]

@@ -12,8 +12,8 @@ from podselect.corpus import Episode, load_episodes, token_texts
 from podselect.errors import ConfigError, InsufficientContentError
 from podselect.preprocess import (DUPLICATE_SIM_THRESHOLD, FilterConfig, FilterReport,
                                   _DuplicateIndex, _jaccard, _shingles, clean_description,
-                                  contains_profanity, detect_english, filter_corpus,
-                                  load_profanity_list, split_dataset)
+                                  detect_english, filter_corpus, load_profanity_list,
+                                  split_dataset)
 
 from oracles import oracle_near_duplicates
 
@@ -63,18 +63,30 @@ class TestCleanDescription:
         assert clean_description(once) == once
 
 
+def profanity_verdict(tmp_path, text, words=PLACEHOLDER_LIST):
+    """How filter_corpus, reading the word list file of words, treats an episode
+    whose description is text followed by enough English to pass every other
+    rule: 'profanity' or 'kept'."""
+    path = tmp_path / "verdict_words.txt"
+    path.write_text("".join(word + "\n" for word in sorted(words)), encoding="utf-8")
+    episode = Episode(id="e", transcript_text="t",
+                      description=f"{text}, and that was the end of the story for the day")
+    kept, report = filter_corpus([episode], FilterConfig(profanity_list_path=str(path)))
+    return report.reasons.get("e", "kept" if kept == [episode] else None)
+
+
 class TestProfanity:
-    def test_listed_word_hits(self):
-        assert contains_profanity(token_texts("He said badword twice"), PLACEHOLDER_LIST)
+    def test_listed_word_hits(self, tmp_path):
+        assert profanity_verdict(tmp_path, "He said badword twice") == "profanity"
 
-    def test_case_and_punctuation_insensitive(self):
-        assert contains_profanity(token_texts("He said BadWord!"), PLACEHOLDER_LIST)
+    def test_case_and_punctuation_insensitive(self, tmp_path):
+        assert profanity_verdict(tmp_path, "He said BadWord!") == "profanity"
 
-    def test_substring_does_not_hit(self):
-        assert not contains_profanity(token_texts("the badwording continued"), PLACEHOLDER_LIST)
+    def test_substring_does_not_hit(self, tmp_path):
+        assert profanity_verdict(tmp_path, "the badwording continued") == "kept"
 
-    def test_clean_text_passes(self):
-        assert not contains_profanity(token_texts("a perfectly polite chat"), PLACEHOLDER_LIST)
+    def test_clean_text_passes(self, tmp_path):
+        assert profanity_verdict(tmp_path, "a perfectly polite chat") == "kept"
 
     def test_missing_wordlist_file_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -94,8 +106,9 @@ class TestProfanity:
         path = tmp_path / "words.txt"
         path.write_text("# comment\nzonk\n", encoding="utf-8")
         words = load_profanity_list(path)
-        assert contains_profanity(token_texts("total zonk moment"), words)
-        assert not contains_profanity(token_texts("zonked out"), words)
+        assert words == {"zonk"}
+        assert profanity_verdict(tmp_path, "total zonk moment", words) == "profanity"
+        assert profanity_verdict(tmp_path, "zonked out", words) == "kept"
 
     def test_custom_wordlist_lines_are_stripped_lowercased_and_split_at_newlines(self,
                                                                                   tmp_path):
@@ -107,25 +120,19 @@ class TestProfanity:
 
 class TestDetectEnglish:
     def test_english_sentence(self):
-        tokens = token_texts("the quick brown fox jumps over the lazy dog")
-        is_english, ratio = detect_english(tokens)
-        assert is_english
-        assert ratio == pytest.approx(3 / 9, abs=1e-12)
+        # three stopwords in nine tokens
+        assert detect_english(token_texts("the quick brown fox jumps over the lazy dog")) is True
 
     def test_german_sentence(self):
-        is_english, ratio = detect_english(token_texts("der schnelle braune fuchs springt"))
-        assert not is_english
-        assert ratio == 0.0
+        assert detect_english(token_texts("der schnelle braune fuchs springt")) is False
 
-    def test_no_tokens_raises(self):
-        with pytest.raises(ValueError):
-            detect_english(token_texts("!!! ..."))
+    def test_no_tokens_is_not_english(self):
+        assert detect_english(token_texts("!!! ...")) is False
 
     def test_threshold_is_inclusive(self):
-        # exactly one stopword in five tokens, threshold 0.2
-        is_english, ratio = detect_english(token_texts("the zebra quagga okapi bongo"))
-        assert ratio == pytest.approx(0.2, abs=1e-12)
-        assert is_english
+        # exactly one stopword in five tokens, threshold 0.2; one in six is below it
+        assert detect_english(token_texts("the zebra quagga okapi bongo")) is True
+        assert detect_english(token_texts("the zebra quagga okapi bongo eland")) is False
 
 
 class TestDescriptionSimilarity:
