@@ -89,7 +89,7 @@ def _load_config_mapping(ns) -> dict:
     if not path:
         return {}
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:  # a leading BOM is dropped
             data = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc

@@ -175,8 +175,9 @@ def read_records(path, parse, errors: list[RecordParseError] | None = None) -> I
     appended to it and its line skipped, so the first of a repeated id wins.
     """
     seen: set[str] = set()
+    # utf-8-sig: a leading byte order mark is dropped (RFC 8259 section 8.1);
     # surrogateescape: a line with bad bytes is rejected alone, not its whole chunk
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as handle:
         for line_number, line in enumerate(handle, 1):
             if not line.strip():
                 continue

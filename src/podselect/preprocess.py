@@ -92,7 +92,7 @@ def load_profanity_list(path=None) -> frozenset[str]:
     if path is None:
         return _load_wordlist("profanity_placeholder.txt")
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:  # a leading BOM is dropped
             return _parse_wordlist(handle)
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, or not UTF-8
         raise ConfigError(f"cannot read profanity list {path!r}: {exc}") from exc
@@ -260,12 +260,7 @@ def filter_corpus(
             add_rejection(episode.id, RULE_NON_ENGLISH)
             continue
         cleaned = clean_description(episode.description)
-        # tokens are cut at whitespace, so a cleanup that only collapsed it changed none
-        if cleaned == " ".join(episode.description.split()):
-            cleaned_tokens = description_tokens
-        else:
-            cleaned_tokens = token_texts(cleaned)
-        if len(cleaned_tokens) < DESC_MIN_TOKENS:
+        if len(token_texts(cleaned)) < DESC_MIN_TOKENS:
             add_rejection(episode.id, RULE_TOO_FEW_TOKENS)
             continue
         kept.append(episode)
@@ -289,9 +284,10 @@ class SplitAssignment(NamedTuple):
 def split_dataset(episode_ids: Sequence[str], seed: int = 0) -> SplitAssignment:
     """Seeded shuffle then slice into 80/10/10 train/validation/test buckets.
 
-    Validation and test each get floor(n / 10) episodes; train gets the rest.
-    Fewer than 3 episodes cannot fill the buckets, which is a fault of the
-    data: InsufficientContentError.
+    Validation and test each get max(1, floor(n / 10)) episodes; train gets
+    the rest, so every bucket holds at least one. Fewer than 3 episodes
+    cannot fill the buckets, which is a fault of the data:
+    InsufficientContentError.
     """
     ids = list(episode_ids)
     if len(set(ids)) != len(ids):
@@ -301,14 +297,7 @@ def split_dataset(episode_ids: Sequence[str], seed: int = 0) -> SplitAssignment:
             f"need at least 3 episodes to populate all split buckets, got {len(ids)}")
     rng = random.Random(seed)
     rng.shuffle(ids)
-    n_held_out = len(ids) // 10
-    n_train = len(ids) - 2 * n_held_out
-    assignments: dict[str, str] = {}
-    for position, eid in enumerate(ids):
-        if position < n_train:
-            assignments[eid] = "train"
-        elif position < n_train + n_held_out:
-            assignments[eid] = "validation"
-        else:
-            assignments[eid] = "test"
-    return SplitAssignment(assignments)
+    n_held_out = max(1, len(ids) // 10)
+    splits = (["train"] * (len(ids) - 2 * n_held_out)
+              + ["validation"] * n_held_out + ["test"] * n_held_out)
+    return SplitAssignment(dict(zip(ids, splits)))

@@ -148,14 +148,19 @@ def score_windows(doc: Document, window_size: int) -> list[WindowScore]:
     return [WindowScore(start, end, _self_score(tokens, total)) for start, end, tokens in windows]
 
 
+def _best_window(doc: Document, window_size: int) -> tuple[int, int, int]:
+    """(start, end, token count) of the window with the most tokens, the lowest start on ties."""
+    windows, _ = _windows(doc, window_size)
+    return max(windows, key=lambda window: window[2])  # max keeps the first
+
+
 def select_window(doc: Document, config: SelectorConfig = SelectorConfig()) -> SelectionResult:
     """Pick the contiguous sentence window that best matches the document:
     the one with the most tokens, the lowest start on ties. The diagnostics
     keep the window size, from which to_record rebuilds every window's score.
     """
     window_size = config.window_size or DEFAULT_WINDOW_SIZE
-    windows, _ = _windows(doc, window_size)
-    start, end, tokens = max(windows, key=lambda window: window[2])  # max keeps the first
+    start, end, tokens = _best_window(doc, window_size)
     return SelectionResult(
         episode_id=doc.episode_id,
         strategy="window",
@@ -174,20 +179,17 @@ def select_novelty(doc: Document, config: SelectorConfig = SelectorConfig()) -> 
     longest sentences, the lower index first on ties.
     """
     window_size = config.window_size or NOVELTY_WINDOW_SIZE
-    base = select_window(doc, SelectorConfig(window_size, config.novelty_top_k,
-                                             config.token_budget))
+    start, end, _ = _best_window(doc, window_size)
     ranked = sorted(range(len(doc.sentences)), key=lambda i: -doc.sentences[i].token_count)
     top_k = ranked[:config.novelty_top_k]
-    merged = tuple(sorted(set(base.sentence_indices) | set(top_k)))
+    merged = tuple(sorted(set(range(start, end)) | set(top_k)))
     token_count = sum(doc.sentences[i].token_count for i in merged)
-    diagnostics = dict(base.diagnostics)
-    diagnostics["top_k"] = top_k
     return SelectionResult(
         episode_id=doc.episode_id,
         strategy="novelty",
         sentence_indices=merged,
         selected_token_count=token_count,
-        diagnostics=diagnostics,
+        diagnostics={"window_size": window_size, "top_k": top_k},
     )
 
 

@@ -178,7 +178,9 @@ def stub_server():
     server.script = deque()
     server.faults = {}
     server.requests = []
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll: shutdown() waits out the poll in progress (0.5 s by default)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01},
+                              daemon=True)
     thread.start()
     try:
         yield server, f"http://127.0.0.1:{server.server_address[1]}"

@@ -566,6 +566,16 @@ class TestConfigPrecedence:
                      "--config", str(config), "--jobs", "1"]) == 0
         assert len(read_jsonl(out)[0]["indices"]) == 3
 
+    def test_config_file_with_leading_byte_order_mark(self, tmp_path):
+        source = tmp_path / "eps.jsonl"
+        tiny_corpus(source, count=1, sentences=6)
+        config = tmp_path / "conf.json"
+        config.write_bytes(b"\xef\xbb\xbf" + json.dumps({"window_size": 3}).encode())
+        out = tmp_path / "sel.jsonl"
+        assert main(["select", "--input", str(source), "--output", str(out),
+                     "--config", str(config), "--jobs", "1"]) == 0
+        assert len(read_jsonl(out)[0]["indices"]) == 3
+
     def test_environment_variable_names_config(self, tmp_path, monkeypatch):
         source = tmp_path / "eps.jsonl"
         tiny_corpus(source, count=1, sentences=6)

@@ -180,6 +180,15 @@ class TestLoadEpisodes:
         assert [e.id for e in load_episodes(path, errors=errors)] == ["ok"]
         assert [str(e) for e in errors] == ["line 2: not valid UTF-8"]
 
+    def test_leading_byte_order_mark_dropped(self, tmp_path):
+        # RFC 8259 section 8.1 lets a reader ignore one; later in the file it is no BOM
+        path = tmp_path / "eps.jsonl"
+        path.write_bytes(b'\xef\xbb\xbf{"id": "ep1", "transcript": "a"}\n'
+                         b'\xef\xbb\xbf{"id": "ep2", "transcript": "b"}\n')
+        errors = []
+        assert [e.id for e in load_episodes(path, errors=errors)] == ["ep1"]
+        assert [e.line_number for e in errors] == [2]
+
 
 class TestReadRecords:
     def test_without_errors_the_first_bad_line_raises(self, tmp_path):
