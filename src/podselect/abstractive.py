@@ -132,10 +132,11 @@ class RemoteBackend:
 
     POSTs ``{"id", "text", "max_length"?}`` to the endpoint's path joined with
     ``/summarize``, its query kept and its fragment dropped, on a new
-    connection per call, and expects ``{"id", "summary"}`` back. Each call
-    is one attempt: a non-2xx response raises BackendError with its status, a
-    connection or timeout failure raises one without, and a malformed body or
-    a summary that is not valid Unicode text raises ProtocolError.
+    connection per call (over https, all of them share one TLS context), and
+    expects ``{"id", "summary"}`` back. Each call is one attempt: a non-2xx
+    response raises BackendError with its status, a connection or timeout
+    failure raises one without, and a malformed body or a summary that is not
+    valid Unicode text raises ProtocolError.
     summarize_all decides which of them to retry. An endpoint that no
     request could be sent to is refused when the backend is built.
 
@@ -162,7 +163,18 @@ class RemoteBackend:
             # the query goes with every request; the fragment is never sent
             self._target = (parts.path.rstrip("/") + "/summarize"
                             + (f"?{parts.query}" if parts.query else ""))
-            connection_type = HTTPSConnection if parts.scheme == "https" else HTTPConnection
+            connection_type = HTTPConnection
+            if parts.scheme == "https":
+                import ssl
+
+                # the context HTTPSConnection would build for each connection,
+                # built once: each build loads the trust store, tens of
+                # milliseconds of CPU that hold the GIL
+                context = ssl._create_default_https_context()  # PEP 476's hook
+                context.set_alpn_protocols(["http/1.1"])
+                if context.post_handshake_auth is not None:
+                    context.post_handshake_auth = True
+                connection_type = functools.partial(HTTPSConnection, context=context)
             self._connect = functools.partial(connection_type, parts.hostname, parts.port,
                                               timeout=timeout)
             # only checks: a connection opens on its first request
@@ -237,7 +249,9 @@ def summarize_all(inputs: list[BackendInput], backend: Backend, max_length: int 
     time. A failed attempt that _retry_delay allows goes back into the queue,
     due its backoff after the failure, and the worker that sent it takes the
     next due attempt at once: a backoff holds no request slot. An exception
-    other than BackendError stops every worker and is raised here.
+    other than BackendError, such as a Ctrl-C, is raised here at once, without
+    waiting for requests in flight: each helper, a daemon thread, stops at its
+    next take(). On success every helper has ended before this returns.
     """
     outcomes: list[Summary | BackendError | None] = [None] * len(inputs)
     now = time.monotonic()
@@ -290,17 +304,19 @@ def summarize_all(inputs: list[BackendInput], backend: Backend, max_length: int 
         try:
             while (next_attempt := take()) is not None:
                 attempt_one(*next_attempt)
-        except BaseException as exc:  # raised below, once every worker has stopped
+        except BaseException as exc:  # raised below, while the helpers stop
             with changed:
                 failure = failure or exc
                 changed.notify_all()
 
-    helpers = [threading.Thread(target=work) for _ in range(min(jobs, len(inputs)) - 1)]
+    helpers = [threading.Thread(target=work, daemon=True)
+               for _ in range(min(jobs, len(inputs)) - 1)]
     for helper in helpers:
         helper.start()
     work()
-    for helper in helpers:
-        helper.join()
+    if failure is None:  # every episode has its outcome, so no helper is sending
+        for helper in helpers:
+            helper.join()
     if failure is not None:
         raise failure
     return outcomes

@@ -165,9 +165,8 @@ def _derive_seed(base_seed: int, episode_id: str) -> int:
 def _run_preprocess(input_path: str, out_dir: Path,
                     settings: dict) -> tuple[list[corpus.Episode], dict[str, str]]:
     """Write the preprocess artifacts; return the kept episodes and their cleaned descriptions."""
-    episodes = list(corpus.load_episodes(input_path))
     kept, report = preprocess.filter_corpus(
-        episodes, preprocess.FilterConfig(settings["profanity_list_path"]))
+        corpus.load_episodes(input_path), preprocess.FilterConfig(settings["profanity_list_path"]))
 
     # split before the first write, so a corpus too small to split leaves nothing
     split_payload = ""

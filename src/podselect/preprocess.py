@@ -10,18 +10,16 @@ rules share those tokens.
 
 from __future__ import annotations
 
+import io
 import json
-import logging
 import math
 import random
 import re
 from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import (ENGLISH_STOPWORDS, Episode, segment_spans, token_texts,
-                     _load_wordlist, _parse_wordlist)
+                     write_records, _load_wordlist, _parse_wordlist)
 from .errors import ConfigError, InsufficientContentError
-
-logger = logging.getLogger(__name__)
 
 # rule identifiers, in evaluation order
 RULE_DESC_TOO_SHORT = "desc_too_short"
@@ -54,12 +52,13 @@ SPONSOR_PHRASES = (
     "sponsored by",
     "sponsorship",
     "brought to you by",
-    "use promo code",
     "promo code",
     "use code",
     "discount code",
     "visit our sponsor",
 )
+# a phrase hits only where a word starts: "because code" holds no "use code"
+_SPONSOR_RE = re.compile(r"\b(?:" + "|".join(map(re.escape, SPONSOR_PHRASES)) + ")")
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
 _HANDLE_RE = re.compile(r"(?<!\w)@\w+")
@@ -69,8 +68,8 @@ _FOLLOW_RE = re.compile(r"\bfollow\s+(?:us|me)\b[^.!?\n]*[.!?]?", re.IGNORECASE)
 def clean_description(raw: str) -> str:
     """Strip promotional boilerplate from an episode description.
 
-    Removes URLs, @handles, "follow us ..." clauses, and any sentence
-    containing a sponsorship phrase, then collapses whitespace. Text that
+    Removes URLs, @handles, "follow us ..." clauses, and any sentence with a
+    sponsorship phrase at a word start, then collapses whitespace. Text that
     matches nothing comes back unchanged apart from whitespace collapsing.
     """
     text = _URL_RE.sub(" ", raw)
@@ -80,10 +79,8 @@ def clean_description(raw: str) -> str:
     for line in text.split("\n"):
         for start, end in segment_spans(line):
             sentence = line[start:end]
-            lowered = sentence.lower()
-            if any(p in lowered for p in SPONSOR_PHRASES):
-                continue
-            kept_parts.append(sentence)
+            if not _SPONSOR_RE.search(sentence.lower()):
+                kept_parts.append(sentence)
     return " ".join(" ".join(kept_parts).split())
 
 
@@ -210,10 +207,11 @@ def filter_corpus(
     Length bounds run first, then duplicate detection as a corpus-wide pass
     over the length survivors, then the per-episode checks. Returns the kept
     episodes in input order plus a full report, which also holds each kept
-    episode's cleaned description.
+    episode's cleaned description. episodes is read once, after the word
+    list loads, so it may be a lazy reader: only length survivors are held.
     """
     wordlist = load_profanity_list(config.profanity_list_path)
-    episodes = list(episodes)
+    input_count = 0
     rejected_by_rule: dict[str, int] = {}
     reasons: dict[str, str] = {}
     cleaned_descriptions: dict[str, str] = {}
@@ -222,23 +220,24 @@ def filter_corpus(
         rejected_by_rule[rule] = rejected_by_rule.get(rule, 0) + 1
         reasons.setdefault(episode_id, rule)
 
-    # rule 1: description length bounds (raw characters)
-    survivors: list[Episode] = []
+    # rule 1: description length bounds (raw characters); a survivor's
+    # description is tokenized and shingled here, once, for rules 2 to 5
+    survivors: list[tuple[Episode, list[str], frozenset]] = []
     for episode in episodes:
+        input_count += 1
         length = len(episode.description)
         if length < DESC_MIN_CHARS:
             add_rejection(episode.id, RULE_DESC_TOO_SHORT)
         elif length > DESC_MAX_CHARS:
             add_rejection(episode.id, RULE_DESC_TOO_LONG)
         else:
-            survivors.append(episode)
+            description_tokens = token_texts(episode.description)
+            survivors.append((episode, description_tokens, _shingles(description_tokens)))
 
     # rule 2: near-duplicate descriptions, first occurrence wins
-    tokens = [token_texts(episode.description) for episode in survivors]
-    shingles = [_shingles(description_tokens) for description_tokens in tokens]
-    index = _DuplicateIndex(shingles)
+    index = _DuplicateIndex(episode_shingles for _, _, episode_shingles in survivors)
     deduped: list[tuple[Episode, list[str], frozenset]] = []
-    for episode, description_tokens, episode_shingles in zip(survivors, tokens, shingles):
+    for episode, description_tokens, episode_shingles in survivors:
         if index.add_unless_duplicate(episode_shingles):
             deduped.append((episode, description_tokens, episode_shingles))
         else:
@@ -248,7 +247,7 @@ def filter_corpus(
     kept: list[Episode] = []
     for episode, description_tokens, episode_shingles in deduped:
         show_tokens = token_texts(episode.show_description)
-        # Jaccard over 3-token shingles; the description's were built by rule 2
+        # Jaccard over 3-token shingles; the description's were built with rule 1
         if _jaccard(episode_shingles, _shingles(show_tokens)) >= SHOW_DESC_SIM_THRESHOLD:
             add_rejection(episode.id, RULE_SHOW_SIMILAR)
             continue
@@ -266,7 +265,7 @@ def filter_corpus(
         kept.append(episode)
         cleaned_descriptions[episode.id] = cleaned
 
-    return kept, FilterReport(len(episodes), len(kept), rejected_by_rule, reasons,
+    return kept, FilterReport(input_count, len(kept), rejected_by_rule, reasons,
                               cleaned_descriptions)
 
 
@@ -274,11 +273,10 @@ class SplitAssignment(NamedTuple):
     assignments: dict[str, str]  # episode id -> train | validation | test
 
     def to_jsonl(self) -> str:
-        lines = [
-            json.dumps({"id": eid, "split": split}, ensure_ascii=False)
-            for eid, split in self.assignments.items()
-        ]
-        return "\n".join(lines) + ("\n" if lines else "")
+        lines = io.StringIO()
+        write_records(lines, ({"id": eid, "split": split}
+                              for eid, split in self.assignments.items()))
+        return lines.getvalue()
 
 
 def split_dataset(episode_ids: Sequence[str], seed: int = 0) -> SplitAssignment:

@@ -344,6 +344,21 @@ class TestRemoteBackend:
         assert excinfo.value.attempts == 3
         assert delays == [0.5, 1.0]
 
+    def test_https_backend_builds_one_tls_context(self, monkeypatch):
+        import ssl
+
+        built = []
+        create = ssl._create_default_https_context
+        monkeypatch.setattr(ssl, "_create_default_https_context",
+                            lambda: built.append(create()) or built[-1])
+        backend = RemoteBackend("https://127.0.0.1:1", timeout=1)
+        for _ in range(3):
+            with pytest.raises(BackendError):
+                backend.generate("e", "t")
+        (context,) = built
+        # the checks of the context HTTPSConnection builds by itself
+        assert context.verify_mode == ssl.CERT_REQUIRED and context.check_hostname
+
     def test_read_timeout_retries_then_raises(self, stub_server, delays):
         server, endpoint = stub_server
         for _ in range(3):
@@ -576,6 +591,41 @@ class TestSummarizeAll:
         kind, result = bounded(lambda: summarize_all(episodes(2), backend, None, jobs=2))
         assert kind == "error" and isinstance(result, RuntimeError)
         assert str(result) == "bug"
+
+    def test_interrupt_is_raised_without_waiting_for_a_request_in_flight(self):
+        caller = threading.current_thread()
+        inside, release = threading.Event(), threading.Event()
+        helpers = []
+
+        class Interrupted:
+            """The helper's request hangs; the caller's is interrupted once it does."""
+
+            backend_id = "fake"
+
+            def generate(self, episode_id, text, max_length=None):
+                if threading.current_thread() is caller:
+                    assert inside.wait(5)
+                    raise KeyboardInterrupt
+                helpers.append(threading.current_thread())
+                inside.set()
+                release.wait(10)
+                return text
+
+        timer = threading.Timer(2.0, release.set)  # ends the hang should the raise wait for it
+        timer.start()
+        started = time.monotonic()
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                summarize_all(episodes(2), Interrupted(), None, jobs=2)
+            elapsed = time.monotonic() - started
+        finally:
+            release.set()
+            timer.cancel()
+            timer.join()
+            for helper in helpers:
+                helper.join(5)
+        assert elapsed < 0.5
+        assert len(helpers) == 1 and not helpers[0].is_alive()
 
     def test_stress_exact_attempts_under_fast_switching(self, monkeypatch):
         monkeypatch.setattr(abstractive, "BACKOFF_SECONDS", 0.001)

@@ -186,6 +186,20 @@ class TestPreprocessCommand:
         assert "line 2: invalid JSON" in proc.stderr
         assert [r["id"] for r in read_jsonl(out / "kept.jsonl")] == [r["id"] for r in records]
 
+    def test_missing_profanity_list_exits_two_before_the_corpus_is_read(self, tmp_path,
+                                                                          caplog):
+        source = tmp_path / "eps.jsonl"
+        tiny_corpus(source, count=3)
+        source.write_text("{not json\n" + source.read_text("utf-8"), "utf-8")
+        config = tmp_path / "conf.json"
+        config.write_text(json.dumps({"profanity_list_path": str(tmp_path / "absent.txt")}))
+        out = tmp_path / "stage"
+        assert main(["preprocess", "--input", str(source), "--output", str(out),
+                     "--config", str(config)]) == 2
+        assert "cannot read profanity list" in caplog.text
+        assert "skipping record" not in caplog.text
+        assert not out.exists()
+
     def test_lines_not_utf8_reported_and_skipped(self, tmp_path):
         source = tmp_path / "eps.jsonl"
         records = tiny_corpus(source, count=3)

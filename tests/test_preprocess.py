@@ -34,6 +34,21 @@ class TestCleanDescription:
         raw = "Hosted by Ana. Use promo code SAVE10 at checkout."
         assert clean_description(raw) == "Hosted by Ana."
 
+    @pytest.mark.parametrize("phrase", [*preprocess.SPONSOR_PHRASES, "use promo code"])
+    def test_every_sponsor_phrase_at_a_word_start_removes_its_sentence(self, phrase):
+        raw = f"Hosted by Ana. ({phrase.title()} Acme today.) Thanks for listening."
+        assert clean_description(raw) == "Hosted by Ana. Thanks for listening."
+
+    @pytest.mark.parametrize("sentence", [
+        "We argue because code review matters.",
+        "Please reuse code from the last episode.",
+        "They refuse code changes this late.",
+        "Never misuse code you found online.",
+    ])
+    def test_sponsor_phrase_inside_a_word_is_no_hit(self, sentence):
+        raw = f"Hosted by Ana. {sentence}"
+        assert clean_description(raw) == raw
+
     def test_handles_removed(self):
         raw = "Chat with @host_name about the news."
         assert clean_description(raw) == "Chat with about the news."
@@ -231,11 +246,15 @@ class TestFilterCorpus:
         survivors = [e for e in episodes if preprocess.DESC_MIN_CHARS <= len(e.description)
                      <= preprocess.DESC_MAX_CHARS]
         deduped = len(survivors) - report.rejected_by_rule["duplicate_description"]
-        # rule 2 shingles every length survivor's description; rule 3 only the
-        # show descriptions of those it kept
+        # the length rule shingles every survivor's description; rule 3 only
+        # the show descriptions of those rule 2 kept
         assert shingled[:len(survivors)] == [tuple(token_texts(e.description))
                                              for e in survivors]
         assert len(shingled) == len(survivors) + deduped
+
+    def test_reads_a_one_pass_iterator(self, fixtures_dir):
+        episodes = load_fixture_episodes(fixtures_dir)
+        assert filter_corpus(iter(episodes)) == filter_corpus(episodes)
 
     def test_report_holds_each_kept_cleaned_description(self, fixtures_dir):
         kept, report = filter_corpus(load_fixture_episodes(fixtures_dir))
