@@ -209,7 +209,9 @@ def _select_one(episode: corpus.Episode, strategy: str,
     enforce_budget at the selector's token budget, so pipeline's summarize
     stage needs no second build of the document; without cap it is None. The
     head strategy reads no further than its budget, so only that prefix of
-    the transcript is built.
+    the transcript is built. A pick that holds no sentence, as a topic pick
+    whose first sentence is over the budget does, is an error: the episode
+    is skipped, not summarized from an empty text.
     """
     try:
         limit = selector.token_budget if strategy == "none" else None
@@ -225,6 +227,9 @@ def _select_one(episode: corpus.Episode, strategy: str,
                 num_topics=num_topics, seed=_derive_seed(seed, episode.id)), selector)
         else:
             result = selection.select_head(doc, selector.token_budget)
+        if not result.sentence_indices:
+            return episode.id, None, None, (f"no {strategy} pick fits the budget of "
+                                            f"{selector.token_budget} tokens")
         capped = abstractive.enforce_budget(result, doc, selector.token_budget) if cap else None
         return episode.id, result.to_record(doc if diagnostics else None), capped, None
     except (EmptyDocumentError, InsufficientContentError) as exc:
@@ -299,6 +304,10 @@ def _read_capped_inputs(selections_path: str, episodes_path: str,
         episode = episodes.get(episode_id)
         if episode is None:
             logger.warning("selection line %d: no episode %r", line_number, episode_id)
+            return None
+        if not result.sentence_indices and not tokens:  # else the count check below refuses it
+            logger.warning("selection line %d: skipping %r: no sentence selected",
+                           line_number, episode_id)
             return None
         try:
             doc = corpus.build_document(episode)

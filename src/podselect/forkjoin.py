@@ -34,14 +34,13 @@ _POOL_AFTER_S = 0.008
 def _pool_pays(elapsed: float, done: int, rest: int, jobs: int) -> bool:
     """Whether forking should take the rest, done items having taken elapsed seconds.
 
-    Not before _POOL_AFTER_S. Then only when the rest, projected from the mean
-    time per item so far, would finish sooner on min(jobs, rest) workers by
-    more than _POOL_AFTER_S: the projection times (1 - 1 / workers).
+    Not before one item is done and _POOL_AFTER_S has passed. Then only when
+    the rest, projected from the mean time per item so far, would finish
+    sooner on min(jobs, rest) workers by more than _POOL_AFTER_S: the
+    projection times (1 - 1 / workers).
     """
-    if elapsed < _POOL_AFTER_S:
+    if not done or elapsed < _POOL_AFTER_S:
         return False
-    if not done:  # only a zero _POOL_AFTER_S gets here: nothing to project from
-        return True
     return elapsed / done * rest * (1 - 1 / min(jobs, rest)) > _POOL_AFTER_S
 
 
@@ -50,11 +49,12 @@ def map_in_order(fn, items: list, jobs: int, stage: str) -> list:
 
     Works in-process, and before each item asks _pool_pays whether to hand
     the rest to min(jobs, len(rest)) workers: this process and forked
-    children. So a small input never pays for a fork, nor does a large one
-    whose remaining work is too short to repay it. Nothing forks with
-    jobs == 1, where os.fork is missing, or while another thread runs, since
-    a forked child would hold that thread's locks but not the thread. A dead
-    worker raises PodselectError("<stage> pool: a worker process died").
+    children. The first item is always worked here. So a small input never
+    pays for a fork, nor does a large one whose remaining work is too short
+    to repay it. Nothing forks with jobs == 1, where os.fork is missing, or
+    while another thread runs, since a forked child would hold that thread's
+    locks but not the thread. A dead worker raises
+    PodselectError("<stage> pool: a worker process died").
     """
     results = []
     forkable = jobs > 1 and hasattr(os, "fork") and threading.active_count() == 1

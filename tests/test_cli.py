@@ -309,8 +309,9 @@ class TestSelectCommand:
                              ids=["jobs-4", "cpu-count-64"])
     def test_pool_holds_at_most_one_worker_per_episode(self, tmp_path, monkeypatch,
                                                        pools, jobs, cpus):
+        """The parent selects the first of 4 episodes; the 3 left get 3 workers."""
         source = tmp_path / "eps.jsonl"
-        tiny_corpus(source, count=3)
+        ids = [record["id"] for record in tiny_corpus(source, count=4)]
         serial = tmp_path / "serial.jsonl"
         assert main(["select", "--input", str(source), "--output", str(serial),
                      "--jobs", "1"]) == 0
@@ -320,8 +321,22 @@ class TestSelectCommand:
                             raising=False)
         out = tmp_path / "sel.jsonl"
         assert main(["select", "--input", str(source), "--output", str(out), *jobs]) == 0
-        assert [size for size, _ in pools] == [3]
+        assert pools == [(3, ids[1:])]
         assert out.read_bytes() == serial.read_bytes()
+
+    @pytest.mark.parametrize("jobs", [2, 3, 4])
+    @pytest.mark.parametrize("count", range(1, 7))
+    def test_the_parent_selects_the_first_episode_itself(self, tmp_path, monkeypatch, pools,
+                                                         count, jobs):
+        """Even with no rent to pay, no episode goes to a pool before the parent
+        has selected the first: the pool then takes the rest if two or more are
+        left, and one left is not worth a fork."""
+        source = tmp_path / "eps.jsonl"
+        ids = [record["id"] for record in tiny_corpus(source, count=count)]
+        monkeypatch.setattr(forkjoin, "_POOL_AFTER_S", 0)
+        assert main(["select", "--input", str(source), "--output",
+                     str(tmp_path / "sel.jsonl"), "--jobs", str(jobs)]) == 0
+        assert pools == ([(min(jobs, count - 1), ids[1:])] if count > 2 else [])
 
     def test_default_jobs_count_the_cpus_this_process_may_run_on(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
@@ -382,10 +397,12 @@ class TestSelectCommand:
         """A clock ticking one second per document built crosses _POOL_AFTER_S = k
         after k episodes. Two workers would then save half of the n - k seconds
         left: the pool takes them at n = 3k + 1 (k + 1/2 > k) and never at
-        n = 3k (exactly k, and less after each further episode)."""
+        n = 3k (exactly k, and less after each further episode). The parent
+        selects the first episode itself, so with k = 0 the one episode builds
+        no pool."""
         ids = self.select_with_clock(tmp_path / "over", monkeypatch, built, 3 * k + 1, k, 2)
-        assert pools == [(min(2, 2 * k + 1), ids[k:])]
-        if k:  # with k = 0 the pool takes everything, having nothing to project from
+        assert pools == ([(min(2, 2 * k + 1), ids[k:])] if k else [])
+        if k:
             pools.clear()
             self.select_with_clock(tmp_path / "edge", monkeypatch, built, 3 * k, k, 2)
             assert pools == []
@@ -480,6 +497,23 @@ class TestSelectCommand:
         assert main([*args, "--output", str(patched)]) == 0
         assert patched.read_bytes() == plain.read_bytes()
         assert len(forked) == (2 if jobs == "2" else 0)
+
+    def test_topic_skips_an_episode_whose_first_pick_cannot_fit(self, fixtures_dir,
+                                                                tmp_path, caplog):
+        """At budget 8 the first topic pick of three mini episodes overflows: each
+        is skipped with a warning, not written as a pick of no sentence."""
+        out = tmp_path / "sel.jsonl"
+        assert main(["select", "--input", str(fixtures_dir / "mini_corpus.jsonl"),
+                     "--output", str(out), "--strategy", "topic", "--budget", "8",
+                     "--seed", "7", "--jobs", "1"]) == 0
+        skipped = ["mini-02", "mini-06", "mini-10"]
+        rows = read_jsonl(out)
+        assert [row["id"] for row in rows] == [
+            f"mini-{i:02d}" for i in range(1, 11) if f"mini-{i:02d}" not in skipped]
+        assert all(row["indices"] and 0 < row["tokens"] <= 8 for row in rows)
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warnings == [f"skipping {episode_id}: no topic pick fits the budget of 8 tokens"
+                            for episode_id in skipped]
 
     def test_empty_transcript_skipped(self, tmp_path):
         source = tmp_path / "eps.jsonl"
@@ -965,6 +999,27 @@ class TestSummarizeCommand:
         assert [r["id"] for r in read_jsonl(out)] == ["tiny-00", "tiny-01"]
         warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
         assert warnings == ["selection line 3: no episode 'elsewhere'"]
+
+    def test_a_selection_of_no_sentence_left_out(self, tmp_path, caplog):
+        """Not summarized from an empty text; a line that claims tokens for no
+        sentence still fails the count check."""
+        source, selections = self.prepare(tmp_path, count=3)
+        lines = read_jsonl(selections)
+        lines[1] = {"id": "tiny-01", "strategy": "topic", "indices": [], "tokens": 0}
+        write_jsonl(selections, lines)
+        out = tmp_path / "summ.jsonl"
+        assert main(["summarize", "--input", str(selections), "--episodes", str(source),
+                     "--output", str(out), "--jobs", "1"]) == 0
+        assert [r["id"] for r in read_jsonl(out)] == ["tiny-00", "tiny-02"]
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warnings == ["selection line 2: skipping 'tiny-01': no sentence selected"]
+        lines[1]["tokens"] = 3
+        write_jsonl(selections, lines)
+        assert main(["summarize", "--input", str(selections), "--episodes", str(source),
+                     "--output", str(out), "--jobs", "1"]) == 1
+        assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+            "selection line 2: 'tokens' is 3, but the indexed sentences of 'tiny-01' hold 0: "
+            "not selected from this episodes file"]
 
     def test_zero_budget_exits_two(self, tmp_path):
         source, selections = self.prepare(tmp_path, count=1)

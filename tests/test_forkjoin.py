@@ -15,7 +15,7 @@ from conftest import reaped
 
 @pytest.fixture
 def always_fork(monkeypatch):
-    """Every item but those done before the first check goes to a fork-join."""
+    """Every item after the first goes to a fork-join, when two or more are left."""
     monkeypatch.setattr(forkjoin, "_POOL_AFTER_S", 0)
 
 
@@ -33,8 +33,9 @@ class TestMapInOrder:
     def test_results_keep_input_order_whichever_worker_takes_each_item(
             self, always_fork, forked, count, jobs):
         results = forkjoin.map_in_order(slow_square_and_pid, list(range(count)), jobs, "test")
-        assert len(forked) == min(jobs, count) - 1 and all(map(reaped, forked))
+        assert len(forked) == max(0, min(jobs, count - 1) - 1) and all(map(reaped, forked))
         assert [value for value, _ in results] == [i * i for i in range(count)]
+        assert results[0][1] == os.getpid()  # the first item is never handed to a fork-join
         assert {pid for _, pid in results} <= {os.getpid(), *forked}
 
     def test_a_slower_worker_takes_fewer_items(self, always_fork, forked):
@@ -111,7 +112,9 @@ class TestMapInOrder:
 
         def fail_in_the_parent(item):
             if os.getpid() == parent:
-                raise RuntimeError("parent failed")
+                if item:  # its second item is in the fork-join, beside the children
+                    raise RuntimeError("parent failed")
+                return item
             time.sleep(60)
 
         started = time.monotonic()
@@ -121,22 +124,30 @@ class TestMapInOrder:
         assert len(forked) == 2 and all(map(reaped, forked))
 
     def test_output_buffered_before_the_fork_is_written_once(self):
-        script = ("from podselect import forkjoin\n"
+        script = ("import os, time\n"
+                  "from podselect import forkjoin\n"
                   "forkjoin._POOL_AFTER_S = 0\n"
                   "print('before', end='|')\n"  # a pipe: block-buffered, not yet written
-                  "forkjoin.map_in_order(lambda i: print(f'<{i}>', end='', flush=True),\n"
-                  "                      [1, 2, 3], 3, 'test')\n")
+                  "def work(i):\n"
+                  "    if i > 1:\n"  # forked: slow enough that the child takes one of the two
+                  "        time.sleep(0.3)\n"
+                  # the parent's first item, worked before the fork, stays in the buffer
+                  "    print(f'<{i}:{os.getpid()}>', end='', flush=i > 1)\n"
+                  "forkjoin.map_in_order(work, [1, 2, 3], 3, 'test')\n")
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True, timeout=60, env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("before|") and proc.stdout.count("before") == 1
-        assert sorted(re.findall(r"<(\d)>", proc.stdout)) == ["1", "2", "3"]
+        written = re.findall(r"<(\d):(\d+)>", proc.stdout)
+        assert sorted(item for item, _ in written) == ["1", "2", "3"]
+        assert len({pid for _, pid in written}) == 2  # the child wrote one
 
 
-# A pipeline whose select episodes sleep in the processes argv[2] names
-# ("all" or "children"), each first touching argv[1]/<its pid>. A parent that
-# does not sleep holds its first episode until a child has touched its mark:
+# A pipeline whose forked select episodes sleep in the processes argv[2] names
+# ("all" or "children"), each first touching argv[1]/<its pid>. The parent's
+# first episode, selected before the fork, returns at once. A parent that does
+# not sleep holds its first forked episode until a child has touched its mark:
 # else it could take every episode before the child reads one.
 SLEEPY_PIPELINE = """
 import os, sys, time
@@ -147,8 +158,13 @@ marks, sleepers = Path(sys.argv[1]), sys.argv[2]
 parent = os.getpid()
 forkjoin._POOL_AFTER_S = 0
 select_one = cli._select_one
+first = True
 
 def sleepy(episode, **kwargs):
+    global first
+    if first:
+        first = False
+        return select_one(episode, **kwargs)
     if sleepers == "all" or os.getpid() != parent:
         (marks / str(os.getpid())).touch()
         time.sleep(60)
