@@ -369,6 +369,9 @@ def _run_evaluate(summaries_path: str, references: dict[str, str], output_path: 
     if not summaries:
         raise PodselectError(f"no summaries to evaluate in {summaries_path!r}")
     row = evalharness.evaluate_run(summaries, references, method_id, jobs=_jobs(settings))
+    if len(summaries) < len(references):
+        logger.warning("evaluate: %d of %d episodes have no summary and score zero",
+                       len(references) - len(summaries), len(references))
     rendered = evalharness.render_table([row], settings["format"])
     with atomic_write(output_path) as handle:
         handle.write(rendered)

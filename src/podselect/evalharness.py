@@ -32,9 +32,12 @@ def evaluate_run(summaries: Iterable[Summary], references: Mapping[str, str],
                  method_id: str = "run", *, jobs: int = 1) -> EvalRow:
     """Macro-average ROUGE-L of summaries against reference descriptions.
 
-    References are expected to be the cleaned descriptions. Every summary
-    must have a reference; missing ones are reported together rather than
-    one at a time. The summaries are scored through forkjoin.map_in_order on
+    References are expected to be the cleaned descriptions of every episode
+    the run was given, and the average is over all of them: an episode with
+    no summary, as one that select skipped, scores zero, so runs that skip
+    different episodes are scored on the same set. Every summary must have
+    a reference; missing ones are reported together rather than one at a
+    time. The summaries are scored through forkjoin.map_in_order on
     up to `jobs` processes, and their scores summed in input order.
     """
     summaries = list(summaries)
@@ -52,7 +55,7 @@ def evaluate_run(summaries: Iterable[Summary], references: Mapping[str, str],
         p_total += score.precision
         r_total += score.recall
         f_total += score.f1
-    n = len(summaries)
+    n = len(references)
     return EvalRow(
         method_id=method_id,
         rouge_l_p=_to_percent(p_total / n),

@@ -228,23 +228,16 @@ def fit_and_select(doc: Document, config: TopicConfig = TopicConfig(),
     When the whole document fits selector.token_budget, the round-robin of
     select_by_topics takes every sentence whatever the topics are (every
     sentence of a built Document has tokens), so every sentence is selected
-    without fitting. When every sentence is over the budget, its first pick
-    overflows whatever the topics are, so nothing is selected. A document
-    too small for config.num_topics raises the same InsufficientContentError
-    as fit_lda either way. The result differs from the fitted one only in
-    its diagnostics.
+    without fitting. A document too small for config.num_topics raises the
+    same InsufficientContentError as fit_lda either way. The result differs
+    from the fitted one only in its diagnostics.
     """
     _require_content(doc, config.num_topics)
-    budget = selector.token_budget
-    if doc.total_tokens <= budget:
-        picked, tokens = tuple(range(len(doc.sentences))), doc.total_tokens
-    elif min(sentence.token_count for sentence in doc.sentences) > budget:
-        picked, tokens = (), 0
-    else:
-        return select_by_topics(doc, fit_lda(doc, config), selector)
-    return SelectionResult(
-        episode_id=doc.episode_id,
-        strategy="topic",
-        sentence_indices=picked,
-        selected_token_count=tokens,
-    )
+    if doc.total_tokens <= selector.token_budget:
+        return SelectionResult(
+            episode_id=doc.episode_id,
+            strategy="topic",
+            sentence_indices=tuple(range(len(doc.sentences))),
+            selected_token_count=doc.total_tokens,
+        )
+    return select_by_topics(doc, fit_lda(doc, config), selector)

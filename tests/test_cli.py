@@ -1181,6 +1181,20 @@ class TestPipelineCommand:
         for name in PIPELINE_ARTIFACTS:
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
+    def test_topic_episodes_skipped_at_select_score_zero(self, fixtures_dir, tmp_path, caplog):
+        """At budget 8 topic skips mini-02, mini-06 and mini-10, whose first pick
+        cannot fit, yet its report averages over all 10 kept episodes, as the
+        other strategies' reports do, with those three at zero."""
+        out = tmp_path / "run"
+        assert main(["pipeline", "--input", str(fixtures_dir / "mini_corpus.jsonl"),
+                     "--output", str(out), "--strategy", "topic", "--budget", "8",
+                     "--seed", "7", "--jobs", "1", "--format", "json"]) == 0
+        assert len(read_jsonl(out / "summaries.jsonl")) == 7
+        assert json.loads((out / "report.json").read_text()) == [
+            {"method": "topic", "rouge_l_p": 16.43, "rouge_l_r": 4.46, "rouge_l_f": 6.99}]
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warnings[-1] == "evaluate: 3 of 10 episodes have no summary and score zero"
+
     def test_small_null_run_loads_no_http_client_and_forks_no_pool(self, fixtures_dir,
                                                                     tmp_path):
         probe = ("import sys\n"

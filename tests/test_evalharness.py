@@ -35,6 +35,15 @@ class TestEvaluateRun:
         row = evaluate_run(summaries, references)
         assert (row.rouge_l_p, row.rouge_l_r, row.rouge_l_f) == (50.0, 50.0, 50.0)
 
+    def test_an_episode_without_a_summary_scores_zero(self):
+        """It still counts in the average, so runs that skip different episodes
+        are scored on the same set."""
+        references = {"kept": "match these words", "skipped": "never summarized here"}
+        row = evaluate_run([summary("kept", "match these words")], references)
+        assert (row.rouge_l_p, row.rouge_l_r, row.rouge_l_f) == (50.0, 50.0, 50.0)
+        assert row == evaluate_run([summary("kept", "match these words"),
+                                    summary("skipped", "")], references)
+
     def test_rounding_is_half_even(self):
         # candidate of 32 tokens sharing exactly one with a 1-token reference:
         # P = 1/32 -> 3.125 rounds down to the even digit, F = 2/33 -> 6.06

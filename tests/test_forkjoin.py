@@ -123,19 +123,26 @@ class TestMapInOrder:
         assert time.monotonic() - started < 30  # killed, not waited out
         assert len(forked) == 2 and all(map(reaped, forked))
 
-    def test_output_buffered_before_the_fork_is_written_once(self):
-        script = ("import os, time\n"
+    def test_output_buffered_before_the_fork_is_written_once(self, tmp_path):
+        script = ("import os, sys, time\n"
+                  "from pathlib import Path\n"
                   "from podselect import forkjoin\n"
                   "forkjoin._POOL_AFTER_S = 0\n"
+                  "mark, parent = Path(sys.argv[1]), os.getpid()\n"
                   "print('before', end='|')\n"  # a pipe: block-buffered, not yet written
                   "def work(i):\n"
-                  "    if i > 1:\n"  # forked: slow enough that the child takes one of the two
-                  "        time.sleep(0.3)\n"
+                  # forked: the child touches the mark, and the parent holds its item
+                  # until it is there, so the child takes the other of the two
+                  "    if i > 1 and os.getpid() != parent:\n"
+                  "        mark.touch()\n"
+                  "    deadline = time.monotonic() + 30\n"
+                  "    while i > 1 and not mark.exists() and time.monotonic() < deadline:\n"
+                  "        time.sleep(0.01)\n"
                   # the parent's first item, worked before the fork, stays in the buffer
                   "    print(f'<{i}:{os.getpid()}>', end='', flush=i > 1)\n"
                   "forkjoin.map_in_order(work, [1, 2, 3], 3, 'test')\n")
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        proc = subprocess.run([sys.executable, "-c", script],
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "mark")],
                               capture_output=True, text=True, timeout=60, env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("before|") and proc.stdout.count("before") == 1

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from podselect import topics
 from podselect.errors import ConfigError, InsufficientContentError
 from podselect.selection import SelectorConfig
 from podselect.topics import TopicConfig, TopicModel, fit_and_select, fit_lda, select_by_topics
@@ -143,27 +142,6 @@ class TestFitAndSelect:
         result = fit_and_select(doc, config, selector)
         assert result == fitted and result.diagnostics == fitted.diagnostics
         assert len(result.sentence_indices) < 10
-
-    def test_no_fit_when_every_sentence_is_over_the_budget(self, monkeypatch):
-        """The first pick then overflows whatever the topics are: nothing is
-        selected, as the fitted pick selects nothing. A sentence that exactly
-        fits the budget still needs the fit."""
-        rng = random.Random(4)
-        doc = make_doc([[rng.choice(FRUIT + ENGINE) for _ in range(length)]
-                        for length in (12, 10, 15, 11, 13, 10)])
-        config = fast_config(num_topics=3)
-        over = SelectorConfig(token_budget=9)
-        fitted = select_by_topics(doc, fit_lda(doc, config), over)
-
-        def no_fit(doc, config):
-            raise RuntimeError("fit_lda called")
-
-        monkeypatch.setattr(topics, "fit_lda", no_fit)
-        result = fit_and_select(doc, config, over)
-        assert (result.sentence_indices, result.selected_token_count) == ((), 0)
-        assert result == fitted and fitted.diagnostics["budget_too_small"]
-        with pytest.raises(RuntimeError, match="fit_lda called"):
-            fit_and_select(doc, config, SelectorConfig(token_budget=10))
 
 
 def hand_model():
