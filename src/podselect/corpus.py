@@ -41,49 +41,6 @@ ABBREVIATIONS = _load_wordlist("abbreviations.txt")
 ENGLISH_STOPWORDS = _load_wordlist("english_stopwords.txt")
 
 
-class Frozen:
-    """Base of the immutable records whose __init__ does more than store.
-
-    A subclass lists its fields in __slots__, in the order of its __init__
-    arguments, and its __init__ checks or fills them and hands them all to
-    Frozen.__init__, which sets each one once. The fields are then compared,
-    hashed, shown and pickled in that order; assigning one raises
-    AttributeError. Pickling calls the class with the field values, so
-    unpickling runs the subclass's checks again. A subclass overrides
-    _compared to leave a field out of equality and hashing.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, *values):
-        for name, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def _compared(self) -> tuple:
-        return self._fields()
-
-    def __reduce__(self):
-        return type(self), self._fields()
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._compared() == other._compared()
-
-    def __hash__(self):
-        return hash(self._compared())
-
-    def __repr__(self):
-        return f"{type(self).__name__}(" + ", ".join(
-            f"{name}={getattr(self, name)!r}" for name in self.__slots__) + ")"
-
-
 class Episode(NamedTuple):
     """One podcast episode as ingested, before any processing."""
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import NamedTuple
 
-from .corpus import Document, Frozen
+from .corpus import Document
 from .errors import ConfigError
 from .rouge import RougeScore
 
@@ -28,21 +28,15 @@ DEFAULT_TOKEN_BUDGET = 1024
 DEFAULT_NUM_TOPICS = 5  # the topic strategy's; here so that the CLI need not import topics
 
 
-class SelectorConfig(Frozen):
-    """Selection settings, checked when built. Immutable; pickles by its arguments."""
+class SelectorConfig(NamedTuple):
+    """Selection settings. The function that reads a value checks its range:
+    window_size in _windows, novelty_top_k in select_novelty, token_budget in
+    select_head and the topic strategy."""
 
-    __slots__ = ("window_size", "novelty_top_k", "token_budget")
-
-    # window_size None picks the strategy default: 40 for the plain window, 25 for novelty
-    def __init__(self, window_size: int | None = None, novelty_top_k: int = DEFAULT_TOP_K,
-                 token_budget: int = DEFAULT_TOKEN_BUDGET):
-        if window_size is not None and window_size < 1:
-            raise ConfigError(f"window_size must be >= 1, got {window_size}")
-        if novelty_top_k < 0:
-            raise ConfigError(f"novelty_top_k must be >= 0, got {novelty_top_k}")
-        if token_budget < 1:
-            raise ConfigError(f"token_budget must be >= 1, got {token_budget}")
-        super().__init__(window_size, novelty_top_k, token_budget)
+    # None picks the strategy default: 40 for the plain window, 25 for novelty
+    window_size: int | None = None
+    novelty_top_k: int = DEFAULT_TOP_K
+    token_budget: int = DEFAULT_TOKEN_BUDGET
 
 
 class WindowScore(NamedTuple):
@@ -51,20 +45,14 @@ class WindowScore(NamedTuple):
     score: float
 
 
-class SelectionResult(Frozen):
-    """One episode's pick. Immutable; diagnostics take no part in equality."""
+class SelectionResult(NamedTuple):
+    """One episode's pick. The diagnostics, a dict or None, count in equality."""
 
-    __slots__ = ("episode_id", "strategy", "sentence_indices", "selected_token_count",
-                 "diagnostics")
-
-    def __init__(self, episode_id: str, strategy: str, sentence_indices: tuple[int, ...],
-                 selected_token_count: int | None, diagnostics: dict | None = None):
-        super().__init__(episode_id, strategy, sentence_indices, selected_token_count,
-                         {} if diagnostics is None else diagnostics)
-
-    def _compared(self) -> tuple:
-        return (self.episode_id, self.strategy, self.sentence_indices,
-                self.selected_token_count)
+    episode_id: str
+    strategy: str
+    sentence_indices: tuple[int, ...]
+    selected_token_count: int | None
+    diagnostics: dict | None = None
 
     def to_record(self, doc: Document | None = None) -> dict:
         """The pick's selections-file line. Given the document it was picked
@@ -75,7 +63,7 @@ class SelectionResult(Frozen):
             "indices": list(self.sentence_indices),
             "tokens": self.selected_token_count,
         }
-        if doc is not None and "window_size" in self.diagnostics:
+        if doc is not None and "window_size" in (self.diagnostics or ()):
             record["window_scores"] = [
                 list(row) for row in score_windows(doc, self.diagnostics["window_size"])
             ]
@@ -103,6 +91,11 @@ class SelectionResult(Frozen):
         return cls(episode_id, strategy, tuple(indices), tokens)
 
 
+def _require_budget(token_budget: int) -> None:
+    if token_budget < 1:
+        raise ConfigError(f"token_budget must be >= 1, got {token_budget}")
+
+
 def _self_score(length: int, total: int) -> float:
     """Mean ROUGE-1/2/L F1 of a contiguous slice of `length` tokens against
     the `total`-token document it was cut from.
@@ -126,7 +119,8 @@ def _windows(doc: Document, window_size: int) -> tuple[list[tuple[int, int, int]
     """(start, end, token count) of every window, and the document's token count.
 
     One window per start in [0, max(1, N - w + 1)); when the document has
-    fewer sentences than the window, the single window covers it all.
+    fewer sentences than the window, the single window covers it all. A
+    window_size below 1 and an empty document raise ConfigError.
     """
     if window_size < 1:
         raise ConfigError(f"window_size must be >= 1, got {window_size}")
@@ -159,7 +153,7 @@ def select_window(doc: Document, config: SelectorConfig = SelectorConfig()) -> S
     the one with the most tokens, the lowest start on ties. The diagnostics
     keep the window size, from which to_record rebuilds every window's score.
     """
-    window_size = config.window_size or DEFAULT_WINDOW_SIZE
+    window_size = DEFAULT_WINDOW_SIZE if config.window_size is None else config.window_size
     start, end, tokens = _best_window(doc, window_size)
     return SelectionResult(
         episode_id=doc.episode_id,
@@ -176,9 +170,12 @@ def select_novelty(doc: Document, config: SelectorConfig = SelectorConfig()) -> 
     The extra sentences inject high-overlap material that sits outside the
     best window. A single sentence's score against the document (_self_score
     of its token count) rises strictly with that count, so the top k are the
-    longest sentences, the lower index first on ties.
+    longest sentences, the lower index first on ties. A negative novelty_top_k
+    raises ConfigError.
     """
-    window_size = config.window_size or NOVELTY_WINDOW_SIZE
+    if config.novelty_top_k < 0:
+        raise ConfigError(f"novelty_top_k must be >= 0, got {config.novelty_top_k}")
+    window_size = NOVELTY_WINDOW_SIZE if config.window_size is None else config.window_size
     start, end, _ = _best_window(doc, window_size)
     ranked = sorted(range(len(doc.sentences)), key=lambda i: -doc.sentences[i].token_count)
     top_k = ranked[:config.novelty_top_k]
@@ -200,8 +197,7 @@ def select_head(doc: Document, token_budget: int = DEFAULT_TOKEN_BUDGET) -> Sele
     enforcement trims back to the boundary (or mid-sentence when the very
     first sentence is oversized), leaving the first token_budget tokens.
     """
-    if token_budget < 1:
-        raise ConfigError(f"token_budget must be >= 1, got {token_budget}")
+    _require_budget(token_budget)
     indices: list[int] = []
     total = 0
     for index, sentence in enumerate(doc.sentences):
@@ -214,5 +210,4 @@ def select_head(doc: Document, token_budget: int = DEFAULT_TOKEN_BUDGET) -> Sele
         strategy="none",
         sentence_indices=tuple(indices),
         selected_token_count=total,
-        diagnostics={},
     )

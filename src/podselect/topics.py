@@ -14,27 +14,20 @@ import random
 from itertools import cycle
 from typing import NamedTuple
 
-from .corpus import Document, Frozen, token_texts
+from .corpus import Document, token_texts
 from .errors import ConfigError, InsufficientContentError
-from .selection import DEFAULT_NUM_TOPICS, SelectionResult, SelectorConfig
+from .selection import DEFAULT_NUM_TOPICS, SelectionResult, SelectorConfig, _require_budget
 
 BETA = 0.01  # word-topic prior; the topic prior is 50 / num_topics (Griffiths & Steyvers)
 
 
-class TopicConfig(Frozen):
-    """LDA settings, checked when built. Immutable; pickles by its arguments."""
+class TopicConfig(NamedTuple):
+    """LDA settings; _require_content checks their ranges before a fit."""
 
-    __slots__ = ("num_topics", "gibbs_iterations", "burn_in", "seed")
-
-    def __init__(self, num_topics: int = DEFAULT_NUM_TOPICS, gibbs_iterations: int = 500,
-                 burn_in: int = 300, seed: int = 0):
-        if num_topics < 1:
-            raise ConfigError(f"num_topics must be >= 1, got {num_topics}")
-        if gibbs_iterations < 1:
-            raise ConfigError("gibbs_iterations must be >= 1")
-        if not 0 <= burn_in < gibbs_iterations:
-            raise ConfigError("burn_in must satisfy 0 <= burn_in < gibbs_iterations")
-        super().__init__(num_topics, gibbs_iterations, burn_in, seed)
+    num_topics: int = DEFAULT_NUM_TOPICS
+    gibbs_iterations: int = 500
+    burn_in: int = 300
+    seed: int = 0
 
 
 class TopicModel(NamedTuple):
@@ -48,11 +41,19 @@ class TopicModel(NamedTuple):
         return len(self.topic_word)
 
 
-def _require_content(doc: Document, num_topics: int) -> None:
-    if len(doc.sentences) < num_topics:
+def _require_content(doc: Document, config: TopicConfig) -> None:
+    """Raise ConfigError for a config out of range, then InsufficientContentError
+    for a document too small to fit it."""
+    if config.num_topics < 1:
+        raise ConfigError(f"num_topics must be >= 1, got {config.num_topics}")
+    if config.gibbs_iterations < 1:
+        raise ConfigError("gibbs_iterations must be >= 1")
+    if not 0 <= config.burn_in < config.gibbs_iterations:
+        raise ConfigError("burn_in must satisfy 0 <= burn_in < gibbs_iterations")
+    if len(doc.sentences) < config.num_topics:
         raise InsufficientContentError(
             f"episode {doc.episode_id!r}: {len(doc.sentences)} sentences cannot "
-            f"support {num_topics} topics"
+            f"support {config.num_topics} topics"
         )
     if doc.total_tokens < 1:
         raise InsufficientContentError(f"episode {doc.episode_id!r}: no tokens")
@@ -69,9 +70,11 @@ def fit_lda(doc: Document, config: TopicConfig = TopicConfig()) -> TopicModel:
     where n_wj counts the token's word in topic j, n_j the topic size, and
     n_dj the pseudo-document's tokens in topic j. Word and topic
     distributions are estimated from counts averaged over the post-burn-in
-    iterations. Deterministic for a fixed config.seed.
+    iterations. Deterministic for a fixed config.seed. A config out of range
+    or a document too small for it raises (see _require_content) before any
+    sampling.
     """
-    _require_content(doc, config.num_topics)
+    _require_content(doc, config)
     num_topics = config.num_topics
 
     vocabulary: dict[str, int] = {}
@@ -166,8 +169,8 @@ def select_by_topics(doc: Document, model: TopicModel,
     A sentence's relevance to a topic is the mean log probability of its
     tokens under the topic's word row: the mean keeps long and short
     sentences comparable, and a word the model never saw gets the topic's
-    smoothing floor instead of a zero. Raises ValueError for a sentence
-    with no tokens.
+    smoothing floor instead of a zero. Raises ConfigError for a
+    config.token_budget below 1 and ValueError for a sentence with no tokens.
 
     Topics take turns (heaviest topic first) claiming their most relevant
     unselected sentence. Selection stops the moment the next pick would
@@ -176,6 +179,7 @@ def select_by_topics(doc: Document, model: TopicModel,
     topic weight go to the lower topic id.
     """
     budget = config.token_budget
+    _require_budget(budget)
     order = sorted(range(model.num_topics),
                    key=lambda j: (-model.doc_topic_weight[j], j))
     sentence_tokens = [token_texts(sentence.raw_text) for sentence in doc.sentences]
@@ -228,11 +232,13 @@ def fit_and_select(doc: Document, config: TopicConfig = TopicConfig(),
     When the whole document fits selector.token_budget, the round-robin of
     select_by_topics takes every sentence whatever the topics are (every
     sentence of a built Document has tokens), so every sentence is selected
-    without fitting. A document too small for config.num_topics raises the
-    same InsufficientContentError as fit_lda either way. The result differs
-    from the fitted one only in its diagnostics.
+    without fitting. Either way the budget and config are checked first, and a
+    document too small for config.num_topics raises the same
+    InsufficientContentError as fit_lda. The result differs from the fitted
+    one only in its diagnostics, which are None.
     """
-    _require_content(doc, config.num_topics)
+    _require_budget(selector.token_budget)
+    _require_content(doc, config)
     if doc.total_tokens <= selector.token_budget:
         return SelectionResult(
             episode_id=doc.episode_id,

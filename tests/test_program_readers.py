@@ -4,6 +4,9 @@ in program code: src/podselect or the perfbench harness, tests left out.
 A name is read when it appears as a name token anywhere but its own
 definition; strings and comments do not count. A name whose only readers are
 tests is code that no run executes, and goes.
+
+The package also has one record idiom, typing.NamedTuple: no class of its own
+re-implements equality, hashing, pickling or immutability.
 """
 
 import ast
@@ -57,3 +60,36 @@ def test_every_public_name_has_a_program_reader():
 def test_every_exemption_is_still_unread():
     # a reader or a deletion ends an exemption, and the entry goes with it
     assert unread_definitions() >= NOT_YET_READ
+
+
+RECORD_MACHINERY = {"__eq__", "__hash__", "__reduce__", "__setattr__"}
+
+
+def record_machinery():
+    """(module, class, name) of each record-protocol method a class under
+    src/podselect defines, and of each non-empty __slots__."""
+    found = set()
+    for path in PACKAGE.rglob("*.py"):
+        for cls in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for statement in cls.body:
+                if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    defined = {statement.name: None}
+                elif isinstance(statement, ast.Assign):
+                    defined = {target.id: statement.value for target in statement.targets
+                               if isinstance(target, ast.Name)}
+                elif isinstance(statement, ast.AnnAssign) and isinstance(statement.target,
+                                                                         ast.Name):
+                    defined = {statement.target.id: statement.value}
+                else:
+                    continue
+                for name, value in defined.items():
+                    empty = isinstance(value, (ast.Tuple, ast.List)) and not value.elts
+                    if name in RECORD_MACHINERY or (name == "__slots__" and not empty):
+                        found.add((path.stem, cls.name, name))
+    return found
+
+
+def test_records_are_named_tuples():
+    assert sorted(record_machinery()) == []

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from podselect import topics
 from podselect.errors import ConfigError, InsufficientContentError
 from podselect.selection import SelectorConfig
 from podselect.topics import TopicConfig, TopicModel, fit_and_select, fit_lda, select_by_topics
@@ -36,12 +37,20 @@ def fast_config(**overrides):
 
 class TestTopicConfig:
     def test_validation(self):
-        with pytest.raises(ConfigError):
-            TopicConfig(num_topics=0)
-        with pytest.raises(ConfigError):
-            TopicConfig(gibbs_iterations=100, burn_in=100)
-        with pytest.raises(ConfigError):
-            TopicConfig(gibbs_iterations=0)
+        # checked before a fit, and before fit_and_select skips one: the
+        # five-sentence document fits the default budget whole
+        doc = make_doc([["a", "b"], ["c", "d"], ["e"], ["f"], ["g"]])
+        assert fit_and_select(doc, TopicConfig()).sentence_indices == (0, 1, 2, 3, 4)
+        for overrides, message in [
+                (dict(num_topics=0), "^num_topics must be >= 1, got 0$"),
+                (dict(num_topics=-2), "^num_topics must be >= 1, got -2$"),
+                (dict(gibbs_iterations=0), "^gibbs_iterations must be >= 1$"),
+                (dict(gibbs_iterations=100, burn_in=100),
+                 "^burn_in must satisfy 0 <= burn_in < gibbs_iterations$"),
+                (dict(burn_in=-1), "^burn_in must satisfy 0 <= burn_in < gibbs_iterations$")]:
+            for fit in (fit_lda, fit_and_select):
+                with pytest.raises(ConfigError, match=message):
+                    fit(doc, TopicConfig(**overrides))
 
     def test_immutable_and_pickles_with_its_values(self):
         config = TopicConfig(num_topics=3, seed=9)
@@ -51,11 +60,6 @@ class TestTopicConfig:
         assert config != TopicConfig(num_topics=3)
         assert repr(config) == ("TopicConfig(num_topics=3, gibbs_iterations=500, burn_in=300, "
                                 "seed=9)")
-        # unpickling calls the class, so its checks run again
-        invalid = TopicConfig()
-        object.__setattr__(invalid, "burn_in", 500)
-        with pytest.raises(ConfigError, match="burn_in must satisfy"):
-            pickle.loads(pickle.dumps(invalid))
 
 
 class TestFitLda:
@@ -142,6 +146,18 @@ class TestFitAndSelect:
         result = fit_and_select(doc, config, selector)
         assert result == fitted and result.diagnostics == fitted.diagnostics
         assert len(result.sentence_indices) < 10
+
+    def test_budget_checked_before_any_fit(self, monkeypatch):
+        def no_fit(*args):
+            raise AssertionError("fitted before the budget was checked")
+
+        monkeypatch.setattr(topics, "fit_lda", no_fit)
+        doc = planted_doc(sentences_total=10, tokens_each=10)
+        for budget in (0, -5):
+            with pytest.raises(ConfigError, match=f"^token_budget must be >= 1, got {budget}$"):
+                fit_and_select(doc, fast_config(), SelectorConfig(token_budget=budget))
+        with pytest.raises(ConfigError, match="^token_budget must be >= 1, got 0$"):
+            select_by_topics(doc, hand_model(), SelectorConfig(token_budget=0))
 
 
 def hand_model():
