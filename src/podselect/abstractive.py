@@ -20,7 +20,7 @@ from urllib.parse import urlsplit
 
 from .corpus import Document, token_end
 from .errors import BackendError, ConfigError, ProtocolError
-from .selection import DEFAULT_TOKEN_BUDGET, SelectionResult
+from .selection import DEFAULT_TOKEN_BUDGET, SelectionResult, _require_budget
 
 logger = logging.getLogger(__name__)
 
@@ -71,10 +71,10 @@ def enforce_budget(selection: SelectionResult, doc: Document,
 
     The cut counts the tokens of that one sentence's text, so each sentence's
     token_count must be len(token_texts(sentence.raw_text)), as
-    build_document makes it.
+    build_document makes it. A max_tokens below 1 raises ConfigError, as
+    every reader of the token budget does.
     """
-    if max_tokens < 1:
-        raise ValueError(f"max_tokens must be >= 1, got {max_tokens}")
+    _require_budget(max_tokens)
     for index in selection.sentence_indices:
         if not 0 <= index < len(doc.sentences):
             raise ValueError(

@@ -55,10 +55,10 @@ _SETTINGS = {
                "token budget handed to the backend (default: {})"),
     "seed": (int, 0, None, "random seed for anything stochastic (default: {})"),
     "jobs": (int, None, 1,
-             "worker count; select and evaluate start in-process and, once they have run "
-             "longer than a fork costs and forking is projected to save more than that, "
-             "split the rest between this process and forked children, at most this many "
-             "in all (default: the CPUs this process may run on; no fork where os.fork is "
+             "worker count; select starts in-process and, once it has run longer than a "
+             "fork costs and forking is projected to save more than that, splits the rest "
+             "between this process and forked children, at most this many in all "
+             "(default: the CPUs this process may run on; no fork where os.fork is "
              "missing or other threads run); backend calls default to 4 concurrent "
              "requests, and a retry waits out its backoff without holding one"),
     "backend": (str, "null", BACKENDS, "summarization backend (default: {})"),
@@ -142,8 +142,8 @@ def _read_records(path: str, what: str, parse) -> list:
 
 
 def _jobs(settings: dict) -> int:
-    """The worker processes select and evaluate may fork up to: --jobs, or else
-    the CPUs this process may run on."""
+    """The worker processes select may fork up to: --jobs, or else the CPUs this
+    process may run on."""
     if settings["jobs"]:
         return settings["jobs"]
     if hasattr(os, "sched_getaffinity"):  # not on macOS or Windows
@@ -368,7 +368,7 @@ def _run_evaluate(summaries_path: str, references: dict[str, str], output_path: 
                               lambda record, _: abstractive.Summary.from_record(record))
     if not summaries:
         raise PodselectError(f"no summaries to evaluate in {summaries_path!r}")
-    row = evalharness.evaluate_run(summaries, references, method_id, jobs=_jobs(settings))
+    row = evalharness.evaluate_run(summaries, references, method_id)
     if len(summaries) < len(references):
         logger.warning("evaluate: %d of %d episodes have no summary and score zero",
                        len(references) - len(summaries), len(references))
@@ -472,7 +472,7 @@ _COMMANDS = {
                   ("episodes", "budget", "backend", "endpoint", "jobs", "config")),
     "evaluate": (cmd_evaluate, "score summaries against reference descriptions",
                  "report path",
-                 ("references", "format", "method_id", "raw_references", "jobs", "config")),
+                 ("references", "format", "method_id", "raw_references", "config")),
     "pipeline": (cmd_pipeline, "preprocess, select, summarize, and evaluate",
                  "output directory for all stage artifacts",
                  (*_STRATEGY_FLAGS, "backend", "endpoint", "format", "resume", "seed", "jobs",

@@ -10,8 +10,7 @@ from typing import Iterable, Mapping, NamedTuple
 from .abstractive import Summary
 from .corpus import token_texts
 from .errors import MissingReferenceError
-from .forkjoin import map_in_order
-from .rouge import RougeScore, rouge_l
+from .rouge import rouge_l
 
 
 class EvalRow(NamedTuple):
@@ -29,7 +28,7 @@ def _to_percent(value: float) -> float:
 
 
 def evaluate_run(summaries: Iterable[Summary], references: Mapping[str, str],
-                 method_id: str = "run", *, jobs: int = 1) -> EvalRow:
+                 method_id: str = "run") -> EvalRow:
     """Macro-average ROUGE-L of summaries against reference descriptions.
 
     References are expected to be the cleaned descriptions of every episode
@@ -37,8 +36,7 @@ def evaluate_run(summaries: Iterable[Summary], references: Mapping[str, str],
     no summary, as one that select skipped, scores zero, so runs that skip
     different episodes are scored on the same set. Every summary must have
     a reference; missing ones are reported together rather than one at a
-    time. The summaries are scored through forkjoin.map_in_order on
-    up to `jobs` processes, and their scores summed in input order.
+    time. The scores are summed in input order.
     """
     summaries = list(summaries)
     if not summaries:
@@ -47,11 +45,9 @@ def evaluate_run(summaries: Iterable[Summary], references: Mapping[str, str],
     if missing:
         raise MissingReferenceError(missing)
 
-    def score_one(summary: Summary) -> RougeScore:
-        return rouge_l(token_texts(summary.text), token_texts(references[summary.episode_id]))
-
     p_total = r_total = f_total = 0.0
-    for score in map_in_order(score_one, summaries, jobs, "evaluate"):
+    for summary in summaries:
+        score = rouge_l(token_texts(summary.text), token_texts(references[summary.episode_id]))
         p_total += score.precision
         r_total += score.recall
         f_total += score.f1

@@ -1,8 +1,8 @@
 """An in-order map that forks worker processes for its tail once that pays.
 
-Select and evaluate treat each episode on its own, so both split across
-cores. The map starts in-process and hands the items left to forked
-children only while they are projected to save more than a fork-join
+Select treats each episode on its own, so it splits across cores; it is the
+only stage that forks. The map starts in-process and hands the items left to
+forked children only while they are projected to save more than a fork-join
 costs. The children inherit the function and the items, so only their
 results cross a pipe.
 """

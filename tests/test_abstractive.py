@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from podselect import abstractive
 from podselect.abstractive import (ATTEMPTS, BackendInput, NullBackend, RemoteBackend,
                                    Summary, enforce_budget, summarize, summarize_all)
-from podselect.errors import BackendError, ProtocolError
+from podselect.errors import BackendError, ConfigError, ProtocolError
 from podselect.selection import SelectionResult
 from conftest import make_doc, random_sentences
 
@@ -88,7 +88,7 @@ class TestEnforceBudget:
 
     def test_invalid_arguments(self):
         doc = make_doc([["a"]])
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match=r"^token_budget must be >= 1, got 0$"):
             enforce_budget(make_selection([0], doc), doc, max_tokens=0)
         dangling = SelectionResult(episode_id=doc.episode_id, strategy="window",
                                    sentence_indices=(3,), selected_token_count=0)

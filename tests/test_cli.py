@@ -717,6 +717,7 @@ class TestConfigPrecedence:
         ("preprocess", [], "--jobs"),
         ("summarize", ["--episodes", "eps.jsonl"], "--seed"),
         ("evaluate", ["--references", "eps.jsonl"], "--seed"),
+        ("evaluate", ["--references", "eps.jsonl"], "--jobs"),
     ])
     def test_no_command_takes_a_flag_it_never_reads(self, capsys, command, required, flag):
         with pytest.raises(SystemExit) as excinfo:
@@ -769,7 +770,6 @@ class TestConfigPrecedence:
         for command, input_name, extra, keys in [
             ("select", "eps.jsonl", [], ["window_size", "top_k", "topics", "budget", "jobs"]),
             ("summarize", "sel.jsonl", ["--episodes", "eps.jsonl"], ["budget", "jobs"]),
-            ("evaluate", "summ.jsonl", ["--references", "eps.jsonl"], ["jobs"]),
             ("pipeline", "eps.jsonl", [], ["window_size", "top_k", "topics", "budget", "jobs"]),
         ]
         for key in keys
@@ -1574,7 +1574,7 @@ class TestGoldenDigests:
         args, expected = pipeline_args(fixtures_dir, out, case, "2")
         assert main(args) == 0
         assert {p.name: sha256_of(p) for p in out.iterdir()} == expected
-        assert len(forked) == 2 and all(map(reaped, forked))  # one for select, one for evaluate
+        assert len(forked) == 1 and all(map(reaped, forked))  # select's; evaluate never forks
 
     @pytest.mark.parametrize("case", list(GOLDEN_PIPELINE_DIGESTS))
     def test_three_workers_write_the_golden_artifacts(self, fixtures_dir, tmp_path,
@@ -1584,7 +1584,7 @@ class TestGoldenDigests:
         args, expected = pipeline_args(fixtures_dir, out, case, "3")
         assert main(args) == 0
         assert {p.name: sha256_of(p) for p in out.iterdir()} == expected
-        assert len(forked) == 4 and all(map(reaped, forked))
+        assert len(forked) == 2 and all(map(reaped, forked))
 
     def test_resume_rebuilds_summaries_from_kept(self, fixtures_dir, tmp_path, built):
         out = tmp_path / "run"
