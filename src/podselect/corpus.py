@@ -113,6 +113,11 @@ class Sentence(NamedTuple):
     raw_text: str
 
 
+# Sentence(token_count, raw_text) through tuple.__new__, skipping the
+# Python-level __new__ a NamedTuple class is given: one is built per sentence
+_sentence = functools.partial(tuple.__new__, Sentence)
+
+
 class Document(NamedTuple):
     """A segmented transcript ready for selection."""
 
@@ -180,38 +185,53 @@ def load_episodes(path, errors: list[RecordParseError] | None = None) -> Iterato
 
 # --- sentence segmentation ---------------------------------------------------
 
-# A maximal run of the terminals . ! ?, then any closing quotes or brackets
-# (group 1), then the whitespace that makes it a boundary. The lookbehind lets
-# a match start only at the head of a run, so a long run with no whitespace
-# after it is tried once, not again from each of its characters (time
-# quadratic in the run's length).
-_BOUNDARY_RE = re.compile(r"""[.!?](?<![.!?]{2})[.!?]*(["'”’)\]]*)\s+""")
-
-
-# The length of the longest abbreviation. A word ending in more letters than
-# this is neither an abbreviation nor an initial: stripping never removes a
-# letter, and lower() never shortens a string.
+# The length of the longest abbreviation. A word whose core is longer is
+# neither an abbreviation nor an initial: lower() never shortens a string.
 _ABBREVIATION_LENGTH = max(map(len, ABBREVIATIONS))
+
+# A maximal run of the terminals . ! ?, then any closing quotes or brackets
+# (group 2), then the whitespace that makes it a boundary. It is searched for
+# in a copy of the text with each ! and ? replaced by a period: a pattern
+# that starts with one literal character is found at C speed, where one that
+# starts with a set is tried at every character. The lookbehind lets a match
+# start only at the head of a run, so a long run with no whitespace after it
+# is tried once, not again from each of its characters (time quadratic in
+# the run's length). Group 1 matches, empty, at a lone terminal that the
+# abbreviation guard must decide when it is a period: one right after a
+# character that is not whitespace, unless an alphanumeric character and
+# more characters than the longest abbreviation, none of them whitespace,
+# come before it. An alphanumeric character is never stripped from a word's
+# edge, so such a word is too long to be an abbreviation or an initial.
+_BOUNDARY_RE = re.compile(r"\.(?<!\.\.)(?:(?<=\S\.)(?<![^\W_]\S{%d}\.)(?!\.)())?"
+                          r"""\.*(["'”’)\]]*)\s+""" % _ABBREVIATION_LENGTH)
 
 
 def _is_abbreviation_guard(text: str, dot_index: int) -> bool:
-    """True when the period at dot_index ends an abbreviation, not a sentence."""
-    letters_start = dot_index - _ABBREVIATION_LENGTH - 1
-    if letters_start >= 0 and text[letters_start:dot_index].isalpha():
-        return False
-    # Linear over a transcript: every candidate period has whitespace after
-    # it, so the words walked back over never overlap.
-    start = dot_index
-    while start > 0 and not text[start - 1].isspace():
-        start -= 1
-    word = text[start:dot_index]
-    # ignore any opening punctuation stuck to the word, e.g. '("Dr'
-    word = word.lstrip(_edge_chars(word))
-    if not word:
-        return False
-    if len(word) == 1 and word.isalpha():
+    """True when the period at dot_index, right after a character that is
+    not whitespace, ends an abbreviation, not a sentence."""
+    # The word is the whitespace-free run before the period. It is cut from a
+    # window one character longer than the longest abbreviation, which
+    # settles it when it holds whitespace or the start of the text. Else the
+    # word only matters when its core, what is left once the opening
+    # punctuation stuck to it (as in '("Dr') is stripped, fits in the window
+    # after edge characters: then the window doubles. Each call reads at most
+    # about twice its word plus the window, and the words of two calls never
+    # overlap, as each candidate period has whitespace after it, so
+    # segmentation stays linear.
+    look_back = _ABBREVIATION_LENGTH + 1
+    while True:
+        start = dot_index - look_back if dot_index > look_back else 0
+        tail = text[start:dot_index]
+        word = tail.rsplit(None, 1)[-1]
+        core = word.lstrip(_edge_chars(word))
+        if not core or len(core) > _ABBREVIATION_LENGTH:
+            return False
+        if start == 0 or len(word) < len(tail):
+            break
+        look_back *= 2
+    if len(core) == 1 and core.isalpha():
         return True  # initials such as "J. Smith"
-    return word.lower() in ABBREVIATIONS
+    return core.lower() in ABBREVIATIONS
 
 
 def segment_spans(text: str) -> Iterator[tuple[int, int]]:
@@ -225,12 +245,11 @@ def segment_spans(text: str) -> Iterator[tuple[int, int]]:
     the original text can always be reassembled from them.
     """
     start = len(text) - len(text.lstrip())
-    for match in _BOUNDARY_RE.finditer(text):
-        run_start, run_end = match.start(), match.start(1)
-        if (run_end - run_start == 1 and text[run_start] == "."
-                and _is_abbreviation_guard(text, run_start)):
+    for match in _BOUNDARY_RE.finditer(text.replace("!", ".").replace("?", ".")):
+        if (match.start(1) >= 0 and text[match.start()] == "."
+                and _is_abbreviation_guard(text, match.start())):
             continue
-        yield (start, match.end(1))
+        yield (start, match.end(2))
         start = match.end()
     end = len(text.rstrip())
     if start < end:
@@ -259,6 +278,28 @@ def _edge_chars(text: str) -> str:
     return "".join(ch for ch in set(text) if _is_edge_strippable(ch))
 
 
+# A sentence's token count is read from bytes: bytes.translate deletes the
+# ASCII edge characters and bytes.split() cuts at the ASCII whitespace that
+# str.split() cuts at, but for these four separators, so they become spaces.
+_ASCII_EDGE_BYTES = _ASCII_EDGE_CHARS.encode()
+_SEPARATORS_TO_SPACES = bytes.maketrans(b"\x1c\x1d\x1e\x1f", b"    ")
+_NON_ASCII_RE = re.compile(r"[^\x00-\x7f]")
+
+
+def _countable_bytes(text: str) -> bytes:
+    """The UTF-8 bytes of non-ASCII text, its whitespace units kept apart
+    for the count: each non-ASCII whitespace character becomes a space and
+    each non-ASCII P*/S* character is deleted. Every other non-ASCII
+    character is kept, and its bytes are never whitespace or deleted."""
+    data = text.encode("utf-8", "surrogatepass")
+    for ch in set(_NON_ASCII_RE.findall(text)):
+        if ch.isspace():
+            data = data.replace(ch.encode(), b" ")
+        elif _is_edge_strippable(ch):
+            data = data.replace(ch.encode(), b"")
+    return data
+
+
 def token_texts(text: str) -> list[str]:
     """The texts of tokenize(text), without their character spans.
 
@@ -275,7 +316,7 @@ def token_texts(text: str) -> list[str]:
         return [core.lower() for core in (unit.strip(strip_chars) for unit in text.split())
                 if core]
     text = text.lower()
-    return [core for core in map(str.strip, text.split(), repeat(_edge_chars(text))) if core]
+    return list(filter(None, map(str.strip, text.split(), repeat(_edge_chars(text)))))
 
 
 def _token_spans(text: str) -> Iterator[tuple[int, int]]:
@@ -326,9 +367,12 @@ def build_document(episode: Episode, token_limit: int | None = None) -> Document
     total = 0
     for start, end in segment_spans(text):
         raw = text[start:end]
-        count = len(token_texts(raw))
+        # len(token_texts(raw)) without building a token: the whitespace units
+        # that still hold a character once every edge character is deleted
+        data = raw.encode() if raw.isascii() else _countable_bytes(raw)
+        count = len(data.translate(_SEPARATORS_TO_SPACES, _ASCII_EDGE_BYTES).split())
         if count:
-            sentences.append(Sentence(count, raw))
+            sentences.append(_sentence((count, raw)))
             total += count
             if token_limit is not None and total >= token_limit:
                 break

@@ -75,9 +75,9 @@ def lcs_length(a: Sequence, b: Sequence) -> int:
     ``row`` packs one DP row over the shorter sequence into an int: a
     cleared bit j marks the positions where the row's value steps up by one,
     so the LCS is the number of cleared bits. Each element of the longer
-    sequence advances the whole row with one big-int addition (Allison &
-    Dix 1986; Hyyrö 2004). Elements must be hashable; every caller passes
-    str tokens.
+    sequence that occurs in the shorter one advances the whole row with one
+    big-int addition (Allison & Dix 1986; Hyyrö 2004). Elements must be
+    hashable; every caller passes str tokens.
     """
     if len(a) < len(b):
         a, b = b, a
@@ -87,13 +87,15 @@ def lcs_length(a: Sequence, b: Sequence) -> int:
     for i, x in enumerate(b):
         masks[x] = masks.get(x, 0) | (1 << i)
     full = (1 << len(b)) - 1
+    steps = {x: (mask, full ^ mask) for x, mask in masks.items()}
     row = full
-    for x in a:
-        mask = masks.get(x)
-        if mask:  # an element absent from the shorter side leaves row as it is
-            low = row & mask
-            row = ((row + low) | (row - low)) & full
-    return len(b) - row.bit_count()
+    # An element absent from the shorter side would leave row as it is, so
+    # the loop runs over the shared elements only. The bits above len(b) only
+    # count the carries out of the top bit, as neither mask reaches them:
+    # no step reads them, and they are cleared once, at the end.
+    for mask, rest in filter(None, map(steps.get, a)):
+        row = (row + (row & mask)) | (row & rest)
+    return len(b) - (row & full).bit_count()
 
 
 def rouge_l(candidate: Sequence[str], reference: Sequence[str]) -> RougeScore:

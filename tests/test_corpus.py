@@ -2,6 +2,7 @@ import itertools
 import json
 import pickle
 import random
+import re
 import string
 import sys
 import time
@@ -50,6 +51,17 @@ BOUNDARY_DENSE_TEXT = st.lists(
     | st.integers(1, 5).map(lambda n: "(" * n)
     | st.integers(1, 20).map(lambda n: "(" * n + "Dr"),
     max_size=60).map("".join)
+
+# Where the token count's rule is easiest to get wrong: the separators
+# str.split() cuts at and bytes.split() does not, non-ASCII whitespace, C0
+# controls and DEL (neither whitespace nor P*/S*: a unit of them is a token),
+# a combining mark, the P* underscore, a capital sigma, and non-ASCII
+# punctuation and symbols; plus units made only of edge characters.
+COUNT_EDGE_CHARS = ["\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2028", "\u3000",
+                    "\x00", "\x01", "\x08", "\x0e", "\x1b", "\x7f", "\u0301", "_", "Σ",
+                    "—", "“", "€", "·"]
+EDGE_ONLY_UNITS = ["--", "...", "_", "“”", "—_—", "(€)", "·!·"]
+COUNT_CHARS = COUNT_EDGE_CHARS + list(" \t\n.!?aZé中") + ["Dr.", "word"]
 
 
 def write_lines(path, lines):
@@ -272,16 +284,20 @@ class TestSegmentation:
             assert list(segment_spans(text)) == oracle_segment_spans(text), text
 
     def test_guard_premises_hold_on_every_code_point(self):
-        """The abbreviation guard calls a period after more letters than the
-        longest abbreviation a sentence end without looking at the word: that
-        needs every letter to survive tokenize's edge stripping, and lower()
-        to map every character to at least one."""
-        letters_stripped = [hex(point) for point in range(sys.maxunicode + 1)
-                            if chr(point).isalpha()
-                            and unicodedata.category(chr(point))[0] in "PS"]
-        shortened = [hex(point) for point in range(sys.maxunicode + 1)
-                     if not chr(point).lower()]
-        assert letters_stripped == shortened == []
+        """The boundary pattern calls a period after an alphanumeric character
+        and more characters than the longest abbreviation, none of them
+        whitespace, a sentence end without asking the guard: that needs the
+        pattern's alphanumerics ([^\\W_]) to be str.isalnum, its \\s to be
+        str.isspace, and no alphanumeric character to be whitespace or
+        stripped from a token's edge. Its word is then too long, as lower()
+        maps every character to at least one."""
+        alnum, space = re.compile(r"[^\W_]"), re.compile(r"\s")
+        broken = [hex(point) for point, ch in enumerate(map(chr, range(sys.maxunicode + 1)))
+                  if bool(alnum.match(ch)) != ch.isalnum()
+                  or bool(space.match(ch)) != ch.isspace()
+                  or (ch.isalnum() and (ch.isspace() or unicodedata.category(ch)[0] in "PS"))
+                  or not ch.lower()]
+        assert broken == []
 
     @pytest.mark.parametrize("run", ["(", ".", "!.", '."'])
     def test_linear_in_a_million_character_run(self, run):
@@ -294,6 +310,29 @@ class TestSegmentation:
         spans = list(segment_spans(text))
         assert time.perf_counter() - started < 5
         assert spans == [(0, 11), (12, len(text))]
+
+    @pytest.mark.parametrize("unit, end, sentences", [
+        ("a.\n", "", 1),               # whitespace but no space: every period an initial's
+        ("Mr. ", "", 1),                # every period an abbreviation's
+        ("U.S.A. ", "", None),          # not an abbreviation: one sentence per unit
+        ("(", "Dr. Smith. b", 2),       # one word of a million characters
+    ], ids=["initials", "abbreviations", "not-abbreviations", "bracket-run"])
+    def test_guard_linear_in_a_million_character_transcript(self, unit, end, sentences):
+        # The guard reads a bounded window before each period, and doubles it
+        # only while the word could still be an abbreviation: quadratic work,
+        # such as an unbounded look-back from each period, takes far longer
+        # than the limit here.
+        def transcript(length):
+            return unit * (length // len(unit)) + end
+
+        text = transcript(1_000_000)
+        started = time.perf_counter()
+        spans = list(segment_spans(text))
+        assert time.perf_counter() - started < 5
+        assert len(spans) == (sentences or 1_000_000 // len(unit))
+        assert spans[0][0] == 0 and spans[-1][1] == len(text.rstrip())
+        short = transcript(2_000)
+        assert list(segment_spans(short)) == oracle_segment_spans(short)
 
 
 def char_offset(text, byte_offset):
@@ -433,16 +472,34 @@ class TestBuildDocument:
     def test_sentence_token_counts_are_the_transcripts_tokens(self, text):
         """A Sentence keeps only its token count: the counts are those of the
         sentence texts, and add up to the whole transcript's token count."""
-        count = len(token_texts(text))
-        episode = Episode("e", transcript_text=text)
-        if count == 0:
-            with pytest.raises(EmptyDocumentError):
-                build_document(episode)
-            return
-        doc = build_document(episode)
-        assert doc.total_tokens == count
-        assert [s.token_count for s in doc.sentences] == [
-            len(token_texts(s.raw_text)) for s in doc.sentences]
+        assert_counts_match_the_oracle(text)
+
+    @given(st.lists(st.sampled_from(COUNT_CHARS) | st.sampled_from(EDGE_ONLY_UNITS),
+                    max_size=60).map("".join))
+    @settings(max_examples=500)
+    def test_token_counts_match_the_oracle_at_the_count_rules_edges(self, text):
+        assert_counts_match_the_oracle(text)
+
+    @pytest.mark.parametrize("ch", COUNT_EDGE_CHARS + EDGE_ONLY_UNITS)
+    def test_token_count_of_one_character_between_two_words(self, ch):
+        for text in (f"first {ch} second", f"first{ch}second", f"{ch} first. second {ch}"):
+            assert_counts_match_the_oracle(text)
+
+
+def assert_counts_match_the_oracle(text):
+    """build_document counts each sentence's tokens as the character oracle
+    does, and drops just the sentences without one."""
+    episode = Episode("e", transcript_text=text)
+    if not oracle_tokenize(text):
+        with pytest.raises(EmptyDocumentError):
+            build_document(episode)
+        return
+    doc = build_document(episode)
+    counts = [s.token_count for s in doc.sentences]
+    assert counts == [len(oracle_tokenize(s.raw_text)) for s in doc.sentences], text
+    assert counts == [len(token_texts(s.raw_text)) for s in doc.sentences]
+    assert 0 not in counts
+    assert doc.total_tokens == sum(counts) == len(oracle_tokenize(text))
 
 
 def head_case(rng):

@@ -109,6 +109,20 @@ class TestLcs:
                 assert lcs_length(candidate, reference) == expected
                 assert lcs_length(reference, candidate) == expected
 
+    @pytest.mark.parametrize("shared_share", [0.0, 1 / 3, 1.0])
+    def test_matches_full_table_when_the_loop_skips_unshared_tokens(self, shared_share):
+        # The loop runs only over the longer side's tokens that occur in the
+        # shorter side: none of them, about a third as in evaluation, or all.
+        rng = random.Random(f"shared:{shared_share}")
+        shorter = [f"r{rng.randrange(40)}" for _ in range(60)]
+        pool = sorted(set(shorter))
+        longer = [rng.choice(pool) if rng.random() < shared_share else f"c{rng.randrange(500)}"
+                  for _ in range(1000)]
+        expected = oracle_lcs_full_table(longer, shorter)
+        assert lcs_length(longer, shorter) == lcs_length(shorter, longer) == expected
+        if shared_share == 0.0:
+            assert expected == 0
+
     @given(WORDS, WORDS)
     def test_symmetry(self, a, b):
         assert lcs_length(a, b) == lcs_length(b, a)
