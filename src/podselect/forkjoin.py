@@ -83,7 +83,8 @@ def _fork_join(fn, items: list, workers: int, stage: str) -> list:
     the next run left from a shared pipe until none is: a worker on a slower
     or busier core takes fewer. A child's exception is raised here again.
     Whatever ends this call, every child has been reaped by then, and on a
-    failure killed first.
+    failure killed first. A child whose parent is gone (a SIGTERM or SIGKILL
+    that no cleanup runs after) finishes the run in hand and exits.
     """
     import pickle
 
@@ -94,6 +95,7 @@ def _fork_join(fn, items: list, workers: int, stage: str) -> list:
     os.close(todo_write)
     sys.stdout.flush()  # or a child's exit would write the parent's buffers again
     sys.stderr.flush()
+    parent = os.getpid()
     read_ends: list[int] = []
     pids: list[int] = []
     reaped = 0
@@ -103,7 +105,7 @@ def _fork_join(fn, items: list, workers: int, stage: str) -> list:
             read_ends.append(read_end)
             try:
                 if not (pid := os.fork()):
-                    _serve(fn, items, chunk, todo, write_end, read_ends)
+                    _serve(fn, items, chunk, todo, write_end, read_ends, parent)
             finally:
                 os.close(write_end)
             pids.append(pid)
@@ -141,20 +143,27 @@ def _fork_join(fn, items: list, workers: int, stage: str) -> list:
             os.waitpid(pid, 0)
 
 
-def _take(fn, items: list, chunk: int, todo: int) -> list[tuple[int, object]]:
+def _take(fn, items: list, chunk: int, todo: int,
+          parent: int | None = None) -> list[tuple[int, object]]:
     """(i, fn(items[i])) for each run of `chunk` items this worker takes from todo.
 
     Each record is 4 bytes, all written before any read, and a pipe read
-    holds the pipe's lock, so no two workers take the same run.
+    holds the pipe's lock, so no two workers take the same run. A forked
+    child passes the pid that forked it, and exits before taking a run once
+    its parent is gone: nothing would read its results.
     """
     taken = []
-    while record := os.read(todo, 4):
+    while True:
+        if parent is not None and os.getppid() != parent:
+            os._exit(1)
+        if not (record := os.read(todo, 4)):
+            return taken
         start = int.from_bytes(record, "little")
         taken += ((i, fn(items[i])) for i in range(start, min(start + chunk, len(items))))
-    return taken
 
 
-def _serve(fn, items: list, chunk: int, todo: int, write_end: int, read_ends: list[int]):
+def _serve(fn, items: list, chunk: int, todo: int, write_end: int, read_ends: list[int],
+           parent: int):
     """In a forked child: pickle (True, what _take returns) or (False, the
     exception raised) into write_end, then exit at once, running none of the
     parent's cleanup."""
@@ -165,7 +174,7 @@ def _serve(fn, items: list, chunk: int, todo: int, write_end: int, read_ends: li
         for read_end in read_ends:  # inherited; held open, a parent's close would not end a write
             os.close(read_end)
         try:
-            reply = (True, _take(fn, items, chunk, todo))
+            reply = (True, _take(fn, items, chunk, todo, parent))
         except BaseException as exc:
             reply = (False, exc)
         with open(write_end, "wb", closefd=False) as pipe:

@@ -151,13 +151,73 @@ class TestMapInOrder:
         assert len({pid for _, pid in written}) == 2  # the child wrote one
 
 
+# map_in_order over items 0-5 on two workers, each forked item first touching
+# argv[1]/taken-<item>-<pid>. The parent holds its forked item until it is
+# killed; the child holds its first one until argv[1]/release exists, then
+# touches argv[1]/done-<item>.
+ORPHANED_CHILD = """
+import os, sys, time
+from pathlib import Path
+from podselect import forkjoin
+
+marks, parent = Path(sys.argv[1]), os.getpid()
+forkjoin._POOL_AFTER_S = 0
+
+def work(item):
+    if item:  # item 0 is worked before the fork
+        (marks / f"taken-{item}-{os.getpid()}").touch()
+        deadline = time.monotonic() + 60
+        while ((os.getpid() == parent or not (marks / "release").exists())
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        (marks / f"done-{item}").touch()
+    return item
+
+forkjoin.map_in_order(work, list(range(6)), 2, "test")
+"""
+
+
+@pytest.mark.parametrize("signum", [signal.SIGKILL, signal.SIGTERM], ids=["SIGKILL", "SIGTERM"])
+def test_a_child_whose_parent_is_killed_finishes_its_item_and_takes_no_other(tmp_path, signum):
+    """A parent killed by a signal that no cleanup follows leaves its forked
+    child to finish the item in hand, with three items still in the pipe."""
+    marks = tmp_path / "marks"
+    marks.mkdir()
+    # the child inherits stdout, so the pipe reads EOF once the child has exited too
+    proc = subprocess.Popen([sys.executable, "-c", ORPHANED_CHILD, str(marks)],
+                            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    orphan = None
+    try:
+        deadline = time.monotonic() + 60
+        while len(taken := sorted(p.name for p in marks.glob("taken-*"))) < 2:
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.02)
+        [(child_item, orphan)] = [(int(item), int(pid)) for _, item, pid in
+                                  (name.split("-") for name in taken) if int(pid) != proc.pid]
+        os.kill(proc.pid, signum)
+        assert proc.wait(timeout=30) == -signum
+        (marks / "release").touch()  # the parent is reaped, so the child has another
+        proc.communicate(timeout=30)
+        orphan = None  # it has exited
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+        if orphan is not None:
+            os.kill(orphan, signal.SIGKILL)
+        proc.communicate()
+    assert sorted(p.name for p in marks.iterdir()) == sorted(
+        [*taken, "release", f"done-{child_item}"])
+
+
 # A pipeline whose forked select episodes sleep in the processes argv[2] names
 # ("all" or "children"), each first touching argv[1]/<its pid>. The parent's
 # first episode, selected before the fork, returns at once. A parent that does
 # not sleep holds its first forked episode until a child has touched its mark:
-# else it could take every episode before the child reads one.
+# else it could take every episode before the child reads one. It installs
+# Python's SIGINT handler, as a terminal's foreground job has it: one that
+# inherits SIGINT ignored gets none, and the program keeps the SIG_IGN.
 SLEEPY_PIPELINE = """
-import os, sys, time
+import os, signal, sys, time
 from pathlib import Path
 from podselect import cli, forkjoin
 
@@ -180,25 +240,35 @@ def sleepy(episode, **kwargs):
     return select_one(episode, **kwargs)
 
 cli._select_one = sleepy
+signal.signal(signal.SIGINT, signal.default_int_handler)
 sys.exit(cli.main(sys.argv[3:]))
 """
 
 
-@pytest.mark.parametrize("sleepers, target", [("all", "parent"), ("all", "group"),
-                                              ("children", "parent")],
-                         ids=["working-parent", "working-group", "waiting-parent"])
+@pytest.mark.parametrize("sleepers, target, ignoring", [
+    ("all", "parent", False), ("all", "group", False), ("children", "parent", False),
+    ("all", "group", True)],
+    ids=["working-parent", "working-group", "waiting-parent", "inherited-sig-ign"])
 def test_interrupt_mid_select_leaves_no_process_and_no_partial(
-        fixtures_dir, tmp_path, sleepers, target):
+        fixtures_dir, tmp_path, sleepers, target, ignoring):
     """SIGINT to the parent alone, or to its whole group as a terminal sends it,
-    while the parent works through its share or waits for its child's."""
+    while the parent works through its share or waits for its child's; last,
+    with the pipeline started while this process ignores SIGINT."""
     marks = tmp_path / "marks"
     marks.mkdir()
     out = tmp_path / "run"
-    proc = subprocess.Popen(
-        [sys.executable, "-c", SLEEPY_PIPELINE, str(marks), sleepers, "pipeline",
-         "--input", str(fixtures_dir / "mini_corpus.jsonl"), "--output", str(out),
-         "--strategy", "none", "--jobs", "2"],
-        start_new_session=True, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    handler = signal.getsignal(signal.SIGINT)
+    if ignoring:  # as in a background job of a non-interactive shell
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        proc = subprocess.Popen(
+            [sys.executable, "-c", SLEEPY_PIPELINE, str(marks), sleepers, "pipeline",
+             "--input", str(fixtures_dir / "mini_corpus.jsonl"), "--output", str(out),
+             "--strategy", "none", "--jobs", "2"],
+            start_new_session=True, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            text=True)
+    finally:
+        signal.signal(signal.SIGINT, handler)
     try:
         deadline = time.monotonic() + 60
         while len(os.listdir(marks)) < (2 if sleepers == "all" else 1):

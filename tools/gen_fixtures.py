@@ -3,58 +3,22 @@
 
 Deterministic: running this twice produces identical files. The filter
 fixture plants exactly one violation per rejection rule; the mini corpus
-is ten synthetic episodes that all pass the default filter.
+is ten synthetic episodes that all pass the default filter, one per theme
+of perfbench/workloads.py's vocabulary, which the benchmark corpora use too.
 """
 
 from __future__ import annotations
 
 import json
 import random
+import sys
 from pathlib import Path
 
-FIXTURES = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "tests" / "fixtures"
+sys.path.insert(0, str(ROOT / "perfbench"))
 
-FUNCTION_WORDS = [
-    "the", "and", "we", "it", "a", "of", "to", "in", "was", "so",
-    "then", "that", "for", "on", "with", "they", "this", "but",
-]
-
-THEMES = {
-    "sourdough": ["sourdough", "starter", "crust", "flour", "oven", "proofing",
-                  "crumb", "loaf", "bakery", "hydration", "levain", "scoring"],
-    "astronomy": ["telescope", "nebula", "orbit", "comet", "eclipse", "galaxy",
-                  "aperture", "stargazing", "meteor", "planet", "lens", "dark"],
-    "cycling": ["gravel", "derailleur", "climb", "descent", "panniers", "route",
-                "saddle", "tires", "cadence", "headwind", "bikepacking", "frame"],
-    "gardening": ["compost", "seedlings", "mulch", "trellis", "tomatoes", "soil",
-                  "pruning", "beds", "harvest", "pollinators", "shade", "weeds"],
-    "chess": ["opening", "endgame", "gambit", "blunder", "tactics", "knight",
-              "castling", "tempo", "sacrifice", "position", "clock", "rating"],
-    "jazz": ["saxophone", "improvisation", "quartet", "swing", "vinyl", "chord",
-             "session", "trumpet", "rhythm", "ballad", "club", "solo"],
-    "hiking": ["trailhead", "switchback", "summit", "ridgeline", "blisters",
-               "shelter", "creek", "elevation", "permits", "scramble", "fog", "pack"],
-    "pottery": ["wheel", "glaze", "kiln", "stoneware", "trimming", "slip",
-                "bisque", "clay", "studio", "mugs", "firing", "wedging"],
-    "sailing": ["mainsail", "harbor", "tack", "rigging", "keel", "swell",
-                "anchorage", "jib", "crossing", "knots", "chart", "mooring"],
-    "photography": ["shutter", "aperture", "film", "darkroom", "portrait",
-                    "exposure", "tripod", "negatives", "prints", "lightroom",
-                    "contrast", "grain"],
-}
-
-DESCRIPTION_TEMPLATES = {
-    "sourdough": "We talk through keeping a sourdough starter alive, getting an open crumb, and why oven steam makes the crust sing.",
-    "astronomy": "A tour of backyard astronomy this week, from picking a first telescope to catching a meteor shower far from city light.",
-    "cycling": "Notes from a long gravel ride, with honest talk about tire choice, packing panniers, and surviving a brutal headwind.",
-    "gardening": "The garden wakes up this month, so we cover compost, hardening off seedlings, and keeping pollinators happy in small beds.",
-    "chess": "We break down a wild gambit game, the endgame technique that saved it, and how to stop repeating the same opening blunder.",
-    "jazz": "A late night session on the records that shaped modern jazz, with a detour into why vinyl reissues keep selling out.",
-    "hiking": "Trail notes from a three day ridgeline loop, including permits, water caches, and the switchback that nearly ended us.",
-    "pottery": "From wedging clay to pulling the kiln door open, we walk through a full firing cycle and the glazes that surprised us.",
-    "sailing": "We recap a coastal crossing, mooring etiquette in a crowded harbor, and the rigging fix that held through a squall.",
-    "photography": "Darkroom stories this week, covering film stocks we love, contact prints, and how to meter a portrait in harsh light.",
-}
+from workloads import DESCRIPTION_TEMPLATES, FUNCTION_WORDS, THEMES  # noqa: E402
 
 
 def make_transcript(rng: random.Random, theme_words: list[str], sentence_count: int) -> str:
