@@ -55,9 +55,9 @@ _SETTINGS = {
                "token budget handed to the backend (default: {})"),
     "seed": (int, 0, None, "random seed for anything stochastic (default: {})"),
     "jobs": (int, None, 1,
-             "worker count; select starts in-process and, once it has run longer than a "
-             "fork costs and forking is projected to save more than that, splits the rest "
-             "between this process and forked children, at most this many in all "
+             "worker count; select splits its episodes between this process and forked "
+             "children, at most this many in all, when its estimate from the transcripts' "
+             "length says that saves more than a fork costs, and else runs in-process "
              "(default: the CPUs this process may run on; no fork where os.fork is "
              "missing or other threads run); backend calls default to 4 concurrent "
              "requests, and a retry waits out its backoff without holding one"),
@@ -149,6 +149,46 @@ def _jobs(settings: dict) -> int:
     if hasattr(os, "sched_getaffinity"):  # not on macOS or Windows
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+# Select's estimated cost. Medians of six `python tools/bench.py --seed 101
+# --repeat 25` runs at transcript scale (2-core host, Python 3.11.7): a build
+# plus the window, novelty or head pick took 42.6-45.2 ns a character read, a
+# Gibbs sweep 1.48 us a token; a token is 6.07 characters there (6.02-6.06 on the
+# benchmark workloads). A cold fork-join cost 14-20 ms in fresh seed-101
+# head-corpus and remote-backend pipelines: importing pickle, forking and
+# collecting (4.5-7.0 ms), plus both processes copying the shared pages they
+# write, reference counts included.
+_CHARS_PER_TOKEN = 6
+_SELECT_S_PER_CHAR = 43e-9
+_SWEEP_S_PER_TOKEN = 1.5e-6
+_FORK_JOIN_S = 0.015
+
+
+def _select_workers(episodes: list[corpus.Episode], settings: dict) -> tuple[int, float]:
+    """(workers, estimated seconds) to select episodes, decided before the first.
+
+    The estimate counts the characters read (whole transcripts, or at most
+    budget * _CHARS_PER_TOKEN of each for the head strategy), plus a topic fit
+    for each transcript longer than that. It forks only when min(_jobs(settings),
+    episodes) workers save more than _FORK_JOIN_S: the estimate times
+    (1 - 1 / workers). No clock is read.
+    """
+    strategy, head = settings["strategy"], settings["budget"] * _CHARS_PER_TOKEN
+    read = fitted = 0
+    for episode in episodes:
+        length = len(episode.transcript_text)
+        read += min(length, head) if strategy == "none" else length
+        fitted += length if strategy == "topic" and length > head else 0
+    estimate = read * _SELECT_S_PER_CHAR
+    if fitted:
+        from . import topics
+
+        sweeps = topics.TopicConfig().gibbs_iterations
+        estimate += fitted / _CHARS_PER_TOKEN * sweeps * _SWEEP_S_PER_TOKEN
+    workers = min(_jobs(settings), len(episodes))
+    forks = workers > 1 and estimate * (1 - 1 / workers) > _FORK_JOIN_S
+    return (workers if forks else 1), estimate
 
 
 def _derive_seed(base_seed: int, episode_id: str) -> int:
@@ -245,19 +285,14 @@ def _run_select(episodes: list[corpus.Episode], output_path: Path, settings: dic
         novelty_top_k=settings["top_k"],
         token_budget=settings["budget"],
     )
-    if settings["strategy"] == "topic":
-        # imported before the map's clock starts: timed as the first episode's
-        # work, the imports would tip the projection into forking
-        import hashlib  # noqa: F401 (for _derive_seed)
-
-        from . import topics  # noqa: F401
+    workers, estimate = _select_workers(episodes, settings)
     select_one = functools.partial(
         _select_one, strategy=settings["strategy"], selector=selector,
         num_topics=settings["topics"], seed=settings["seed"], diagnostics=diagnostics,
         cap=cap)
     results: list[dict] = []
     inputs: list[abstractive.BackendInput] = []
-    outcomes = map_in_order(select_one, episodes, _jobs(settings), "select")
+    outcomes = map_in_order(select_one, episodes, workers, "select")
     for episode_id, payload, capped, error in outcomes:
         if error is not None:
             logger.warning("skipping %s: %s", episode_id, error)
@@ -267,8 +302,9 @@ def _run_select(episodes: list[corpus.Episode], output_path: Path, settings: dic
             inputs.append(capped)
     with atomic_write(output_path) as handle:
         corpus.write_records(handle, results)
-    logger.info("select(%s): %d selected, %d skipped",
-                settings["strategy"], len(results), len(episodes) - len(results))
+    logger.info("select(%s): %d selected, %d skipped; %.3f s estimated, %s",
+                settings["strategy"], len(results), len(episodes) - len(results), estimate,
+                f"{workers} workers" if workers > 1 else "in-process")
     return inputs
 
 

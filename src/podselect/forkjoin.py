@@ -1,10 +1,8 @@
-"""An in-order map that forks worker processes for its tail once that pays.
+"""An in-order map over this process and forked children.
 
-Select treats each episode on its own, so it splits across cores; it is the
-only stage that forks. The map starts in-process and hands the items left to
-forked children only while they are projected to save more than a fork-join
-costs. The children inherit the function and the items, so only their
-results cross a pipe.
+Select, the only stage that forks, treats each episode on its own and decides
+how many workers pay. The children inherit the function and the items, so
+only their results cross a pipe.
 """
 
 from __future__ import annotations
@@ -12,61 +10,24 @@ from __future__ import annotations
 import os
 import sys
 import threading
-from time import perf_counter
 
 from .errors import PodselectError
 
-# Seconds of in-process work before a fork-join is considered for the rest of
-# the items: about what one costs. On a 2-core host (Python 3.11; 6 fresh
-# processes, each holding a loaded 60-episode corpus) importing pickle took
-# 2.5-3.9 ms and a first fork-join of one child 3.5-4.4 ms, a second one
-# 2.8-3.7 ms; the pages then copied on write cost parent and child a little
-# more. Forking from the first episode made cold runs on 20 episodes, whose
-# select and evaluate take under 10 ms each, 9 ms slower (0.150 -> 0.159 s,
-# medians of 24 alternated runs). Working in-process until that price has
-# been paid (ski rental), and forking only while the fork is projected to
-# save more than that price, needs no guess about the input: against all
-# in-process or all forked, whichever is faster, it costs at most about this
-# plus one item more.
-_POOL_AFTER_S = 0.008
 
-
-def _pool_pays(elapsed: float, done: int, rest: int, jobs: int) -> bool:
-    """Whether forking should take the rest, done items having taken elapsed seconds.
-
-    Not before one item is done and _POOL_AFTER_S has passed. Then only when
-    the rest, projected from the mean time per item so far, would finish
-    sooner on min(jobs, rest) workers by more than _POOL_AFTER_S: the
-    projection times (1 - 1 / workers).
-    """
-    if not done or elapsed < _POOL_AFTER_S:
-        return False
-    return elapsed / done * rest * (1 - 1 / min(jobs, rest)) > _POOL_AFTER_S
-
-
-def map_in_order(fn, items: list, jobs: int, stage: str) -> list:
+def map_in_order(fn, items: list, workers: int, stage: str) -> list:
     """[fn(item) for item in items], in input order.
 
-    Works in-process, and before each item asks _pool_pays whether to hand
-    the rest to min(jobs, len(rest)) workers: this process and forked
-    children. The first item is always worked here. So a small input never
-    pays for a fork, nor does a large one whose remaining work is too short
-    to repay it. Nothing forks with jobs == 1, where os.fork is missing, or
-    while another thread runs, since a forked child would hold that thread's
-    locks but not the thread. A dead worker raises
+    With workers > 1, splits the items between min(workers, len(items))
+    workers: this process and forked children. Nothing forks where os.fork
+    is missing or while another thread runs, since a forked child would hold
+    that thread's locks but not the thread; the items are then mapped
+    in-process, as with workers == 1. A dead worker raises
     PodselectError("<stage> pool: a worker process died").
     """
-    results = []
-    forkable = jobs > 1 and hasattr(os, "fork") and threading.active_count() == 1
-    started = perf_counter()
-    for done, item in enumerate(items):
-        if forkable and _pool_pays(perf_counter() - started, done, len(items) - done, jobs):
-            break
-        results.append(fn(item))
-    rest = items[len(results):]
-    if rest:
-        results += _fork_join(fn, rest, min(jobs, len(rest)), stage)
-    return results
+    workers = min(workers, len(items))
+    if workers > 1 and hasattr(os, "fork") and threading.active_count() == 1:
+        return _fork_join(fn, items, workers, stage)
+    return list(map(fn, items))
 
 
 # At most this many records in a fork-join's pipe of work, so that writing

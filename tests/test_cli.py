@@ -298,7 +298,7 @@ class TestSelectCommand:
         tiny_corpus(source, count=6)
         serial = tmp_path / "serial.jsonl"
         parallel = tmp_path / "parallel.jsonl"
-        monkeypatch.setattr(forkjoin, "_POOL_AFTER_S", 0)  # every episode goes to a fork-join
+        monkeypatch.setattr(cli, "_FORK_JOIN_S", 0)  # every episode goes to a fork-join
         for out, jobs in ((serial, "1"), (parallel, "2")):
             assert main(["select", "--input", str(source), "--output", str(out),
                          "--strategy", "novelty", "--window-size", "2",
@@ -309,34 +309,33 @@ class TestSelectCommand:
                              ids=["jobs-4", "cpu-count-64"])
     def test_pool_holds_at_most_one_worker_per_episode(self, tmp_path, monkeypatch,
                                                        pools, jobs, cpus):
-        """The parent selects the first of 4 episodes; the 3 left get 3 workers."""
+        """4 episodes get 4 workers."""
         source = tmp_path / "eps.jsonl"
         ids = [record["id"] for record in tiny_corpus(source, count=4)]
         serial = tmp_path / "serial.jsonl"
         assert main(["select", "--input", str(source), "--output", str(serial),
                      "--jobs", "1"]) == 0
-        monkeypatch.setattr(forkjoin, "_POOL_AFTER_S", 0)
+        monkeypatch.setattr(cli, "_FORK_JOIN_S", 0)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                             raising=False)
         out = tmp_path / "sel.jsonl"
         assert main(["select", "--input", str(source), "--output", str(out), *jobs]) == 0
-        assert pools == [(3, ids[1:])]
+        assert pools == [(4, ids)]
         assert out.read_bytes() == serial.read_bytes()
 
     @pytest.mark.parametrize("jobs", [2, 3, 4])
     @pytest.mark.parametrize("count", range(1, 7))
-    def test_the_parent_selects_the_first_episode_itself(self, tmp_path, monkeypatch, pools,
-                                                         count, jobs):
-        """Even with no rent to pay, no episode goes to a pool before the parent
-        has selected the first: the pool then takes the rest if two or more are
-        left, and one left is not worth a fork."""
+    def test_a_forking_select_hands_every_episode_to_one_fork_join(
+            self, tmp_path, monkeypatch, pools, count, jobs):
+        """With no fork-join price, every episode, the first included, goes to one
+        fork-join on min(jobs, count) workers; one episode is not worth a fork."""
         source = tmp_path / "eps.jsonl"
         ids = [record["id"] for record in tiny_corpus(source, count=count)]
-        monkeypatch.setattr(forkjoin, "_POOL_AFTER_S", 0)
+        monkeypatch.setattr(cli, "_FORK_JOIN_S", 0)
         assert main(["select", "--input", str(source), "--output",
                      str(tmp_path / "sel.jsonl"), "--jobs", str(jobs)]) == 0
-        assert pools == ([(min(jobs, count - 1), ids[1:])] if count > 2 else [])
+        assert pools == ([(min(jobs, count), ids)] if count > 1 else [])
 
     def test_default_jobs_count_the_cpus_this_process_may_run_on(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
@@ -358,7 +357,7 @@ class TestSelectCommand:
 
         source = tmp_path / "eps.jsonl"
         tiny_corpus(source, count=3)
-        monkeypatch.setattr(forkjoin, "_POOL_AFTER_S", 0)
+        monkeypatch.setattr(cli, "_FORK_JOIN_S", 0)
         monkeypatch.setattr(cli, "_select_one", dying_in_a_child)
         out = tmp_path / "sel.jsonl"
         assert main(["select", "--input", str(source), "--output", str(out),
@@ -369,64 +368,93 @@ class TestSelectCommand:
         assert len(forked) == 1 and reaped(forked[0])
         assert os.listdir(tmp_path) == ["eps.jsonl"]  # no .partial either
 
-    def select_with_clock(self, tmp_path, monkeypatch, built, count, pool_after, jobs,
-                          costs=None):
-        """--jobs `jobs` select of a novelty tiny corpus under a clock advancing costs[i]
-        seconds (default 1) as episode i is built; returns the episode ids, after
-        checking the output bytes equal --jobs 1 and every episode was built in order."""
-        tmp_path.mkdir(exist_ok=True)
-        source = tmp_path / "eps.jsonl"
-        ids = [record["id"] for record in tiny_corpus(source, count=count)]
-        serial = tmp_path / "serial.jsonl"
-        assert main(["select", "--input", str(source), "--output", str(serial),
-                     "--strategy", "novelty", "--jobs", "1"]) == 0
-        costs = costs or [1] * count
-        built.clear()
-        monkeypatch.setattr(forkjoin, "perf_counter", lambda: float(sum(costs[:len(built)])))
-        monkeypatch.setattr(forkjoin, "_POOL_AFTER_S", pool_after)
-        out = tmp_path / "sel.jsonl"
-        assert main(["select", "--input", str(source), "--output", str(out),
-                     "--strategy", "novelty", "--jobs", str(jobs)]) == 0
-        assert built == ids
-        assert out.read_bytes() == serial.read_bytes()
-        return ids
-
-    @pytest.mark.parametrize("k", [0, 4, 5, 6])
-    def test_pool_takes_the_episodes_left_once_the_clock_crosses(
-            self, tmp_path, monkeypatch, built, pools, k):
-        """A clock ticking one second per document built crosses _POOL_AFTER_S = k
-        after k episodes. Two workers would then save half of the n - k seconds
-        left: the pool takes them at n = 3k + 1 (k + 1/2 > k) and never at
-        n = 3k (exactly k, and less after each further episode). The parent
-        selects the first episode itself, so with k = 0 the one episode builds
-        no pool."""
-        ids = self.select_with_clock(tmp_path / "over", monkeypatch, built, 3 * k + 1, k, 2)
-        assert pools == ([(min(2, 2 * k + 1), ids[k:])] if k else [])
-        if k:
-            pools.clear()
-            self.select_with_clock(tmp_path / "edge", monkeypatch, built, 3 * k, k, 2)
-            assert pools == []
-
-    @pytest.mark.parametrize("costs, jobs, forks_at", [
-        ([1, 1, 5, 5, 5, 5], 2, 3),  # 2 s saved at 2 done; the slower mean then pays
-        ([2, 1, 1], 3, None),        # 2 left on 2 workers, not 3, save 2 s at 1 done
-        ([1, 1, 1, 1, 1, 9], 2, None),  # 1 left on 1 worker saves nothing
-    ])
-    def test_pool_projects_from_the_mean_so_far(self, tmp_path, monkeypatch, built, pools,
-                                                costs, jobs, forks_at):
-        """With _POOL_AFTER_S = 2, the pool takes the rest before the first episode
-        whose projection (mean so far x episodes left x (1 - 1/workers)) exceeds 2 s."""
-        ids = self.select_with_clock(tmp_path, monkeypatch, built, len(costs), 2, jobs, costs)
-        assert pools == ([] if forks_at is None
-                         else [(min(jobs, len(ids) - forks_at), ids[forks_at:])])
-
     def test_one_job_never_builds_a_pool(self, tmp_path, monkeypatch, pools):
         source = tmp_path / "eps.jsonl"
         tiny_corpus(source, count=3)
-        monkeypatch.setattr(forkjoin, "_POOL_AFTER_S", 0)
+        monkeypatch.setattr(cli, "_FORK_JOIN_S", 0)
         assert main(["select", "--input", str(source), "--output",
                      str(tmp_path / "sel.jsonl"), "--jobs", "1"]) == 0
         assert pools == []
+
+    @pytest.mark.parametrize("strategy, budget, lengths, jobs, price, expected", [
+        # whole transcripts read: 8 s on 2 workers saves 4 s, which must exceed the price
+        ("window", 1, [3, 5], 2, 3, (2, 8.0)),
+        ("window", 1, [3, 5], 2, 4, (1, 8.0)),
+        ("novelty", 1, [3, 5], 2, 3, (2, 8.0)),
+        ("novelty", 1, [3, 5], 2, 4, (1, 8.0)),
+        # the head pick reads at most budget * 6 characters: 6 + 4
+        ("none", 1, [10, 4], 2, 4, (2, 10.0)),
+        ("none", 1, [10, 4], 2, 5, (1, 10.0)),
+        # a fit only for the transcript over budget * 6: 12 / 6 tokens x 500 sweeps
+        ("topic", 1, [12, 6], 2, 508, (2, 1018.0)),
+        ("topic", 1, [12, 6], 2, 509, (1, 1018.0)),
+        ("topic", 2, [12, 6], 2, 8, (2, 18.0)),
+        # workers are capped by the episode count; 4 workers save 3/4 of 8 s
+        ("window", 1, [3, 5], 4, 3, (2, 8.0)),
+        ("window", 1, [1, 2, 2, 3], 4, 5.5, (4, 8.0)),
+        ("window", 1, [1, 2, 2, 3], 4, 6, (1, 8.0)),
+        ("window", 1, [100], 4, 0, (1, 100.0)),
+    ])
+    def test_select_workers_weighs_the_characters_read_against_the_price(
+            self, monkeypatch, strategy, budget, lengths, jobs, price, expected):
+        """At one second a character and a token-sweep, the estimate is the
+        characters read plus any fits, and select forks only when the workers
+        save strictly more than the fork-join price."""
+        monkeypatch.setattr(cli, "_SELECT_S_PER_CHAR", 1.0)
+        monkeypatch.setattr(cli, "_SWEEP_S_PER_TOKEN", 1.0)
+        monkeypatch.setattr(cli, "_FORK_JOIN_S", price)
+        episodes = [corpus.Episode(f"ep-{i}", transcript_text="x" * length)
+                    for i, length in enumerate(lengths)]
+        settings = {"strategy": strategy, "budget": budget, "jobs": jobs}
+        assert cli._select_workers(episodes, settings) == expected
+
+    @pytest.fixture
+    def free_fits(self, monkeypatch):
+        """topics.fit_lda at no cost, under a model that ranks every sentence alike."""
+        def no_fit(doc, config):
+            k = config.num_topics
+            return topics.TopicModel({}, ((),) * k, (1 / k,) * k, (0.5,) * k)
+
+        monkeypatch.setattr(topics, "fit_lda", no_fit)
+
+    # 3 tiny episodes of about 170 characters: a topic fit at budget 12 would
+    # run on each, which repays a fork-join; the novelty picks would not
+    FORK_CASES = pytest.mark.parametrize("args, forks", [
+        (["--strategy", "topic", "--topics", "2", "--budget", "12"], True),
+        (["--strategy", "novelty"], False)], ids=["topic-over-budget", "novelty"])
+
+    @FORK_CASES
+    def test_select_decides_from_the_input_before_the_first_episode(
+            self, tmp_path, free_fits, pools, args, forks):
+        """With no constant patched and fits that cost nothing, the topic corpus
+        hands every episode to a fork-join, the first included; the novelty
+        one forks nothing."""
+        source = tmp_path / "eps.jsonl"
+        ids = [record["id"] for record in tiny_corpus(source, count=3, sentences=8)]
+        assert main(["select", "--input", str(source), "--output", str(tmp_path / "sel.jsonl"),
+                     *args, "--jobs", "2"]) == 0
+        assert pools == ([(2, ids)] if forks else [])
+
+    @FORK_CASES
+    def test_the_same_input_forks_alike_however_long_its_episodes_take(
+            self, tmp_path, monkeypatch, free_fits, pools, args, forks):
+        """Selected twice at --jobs 2, once with each episode taking 20 ms more,
+        the same input records the same fork-joins: the clock plays no part."""
+        source = tmp_path / "eps.jsonl"
+        tiny_corpus(source, count=3, sentences=8)
+        select_one = cli._select_one
+        runs = []
+        for delay in (0.02, 0):
+            def slowed(episode, delay=delay, **kwargs):
+                time.sleep(delay)
+                return select_one(episode, **kwargs)
+
+            monkeypatch.setattr(cli, "_select_one", slowed)
+            assert main(["select", "--input", str(source), "--output",
+                         str(tmp_path / f"sel-{delay}.jsonl"), *args, "--jobs", "2"]) == 0
+            runs.append(pools[:])
+            pools.clear()
+        assert runs[0] == runs[1] and bool(runs[0]) == forks
 
     def test_topic_strategy_deterministic_for_seed(self, tmp_path):
         source = tmp_path / "eps.jsonl"
@@ -484,7 +512,7 @@ class TestSelectCommand:
         """Standalone select writes the selections and never caps a pick."""
         source = tmp_path / "eps.jsonl"
         tiny_corpus(source, count=6)
-        monkeypatch.setattr(forkjoin, "_POOL_AFTER_S", 0)  # --jobs 2 forks from the start
+        monkeypatch.setattr(cli, "_FORK_JOIN_S", 0)  # --jobs 2 forks from the start
         plain, patched = tmp_path / "plain.jsonl", tmp_path / "patched.jsonl"
         args = ["select", "--input", str(source), "--strategy", "novelty",
                 "--window-size", "2", "--top-k", "2", "--jobs", jobs]
@@ -1569,7 +1597,7 @@ class TestGoldenDigests:
     @pytest.mark.parametrize("case", list(GOLDEN_PIPELINE_DIGESTS))
     def test_parallel_pipeline_artifacts_unchanged(self, fixtures_dir, tmp_path, monkeypatch,
                                                    forked, case):
-        monkeypatch.setattr(forkjoin, "_POOL_AFTER_S", 0)  # every episode goes to a fork-join
+        monkeypatch.setattr(cli, "_FORK_JOIN_S", 0)  # every episode goes to a fork-join
         out = tmp_path / "run"
         args, expected = pipeline_args(fixtures_dir, out, case, "2")
         assert main(args) == 0
@@ -1579,7 +1607,7 @@ class TestGoldenDigests:
     @pytest.mark.parametrize("case", list(GOLDEN_PIPELINE_DIGESTS))
     def test_three_workers_write_the_golden_artifacts(self, fixtures_dir, tmp_path,
                                                       monkeypatch, forked, case):
-        monkeypatch.setattr(forkjoin, "_POOL_AFTER_S", 0)
+        monkeypatch.setattr(cli, "_FORK_JOIN_S", 0)
         out = tmp_path / "run"
         args, expected = pipeline_args(fixtures_dir, out, case, "3")
         assert main(args) == 0

@@ -13,12 +13,6 @@ from podselect.errors import PodselectError
 from conftest import reaped
 
 
-@pytest.fixture
-def always_fork(monkeypatch):
-    """Every item after the first goes to a fork-join, when two or more are left."""
-    monkeypatch.setattr(forkjoin, "_POOL_AFTER_S", 0)
-
-
 def square_and_pid(item):
     return item * item, os.getpid()
 
@@ -31,14 +25,13 @@ def slow_square_and_pid(item):
 class TestMapInOrder:
     @pytest.mark.parametrize("count, jobs", [(1, 2), (2, 2), (7, 2), (7, 3), (5, 8), (64, 4)])
     def test_results_keep_input_order_whichever_worker_takes_each_item(
-            self, always_fork, forked, count, jobs):
+            self, forked, count, jobs):
         results = forkjoin.map_in_order(slow_square_and_pid, list(range(count)), jobs, "test")
-        assert len(forked) == max(0, min(jobs, count - 1) - 1) and all(map(reaped, forked))
+        assert len(forked) == min(jobs, count) - 1 and all(map(reaped, forked))
         assert [value for value, _ in results] == [i * i for i in range(count)]
-        assert results[0][1] == os.getpid()  # the first item is never handed to a fork-join
         assert {pid for _, pid in results} <= {os.getpid(), *forked}
 
-    def test_a_slower_worker_takes_fewer_items(self, always_fork, forked):
+    def test_a_slower_worker_takes_fewer_items(self, forked):
         parent = os.getpid()
 
         def slow_in_a_child(item):
@@ -49,14 +42,14 @@ class TestMapInOrder:
         assert pids.count(parent) >= 15 and set(pids) <= {parent, *forked}
 
     @pytest.mark.parametrize("records", [1, 3])
-    def test_more_items_than_records_go_in_runs(self, always_fork, forked, monkeypatch,
+    def test_more_items_than_records_go_in_runs(self, forked, monkeypatch,
                                                 records):
         monkeypatch.setattr(forkjoin, "_MAX_CHUNKS", records)
         results = forkjoin.map_in_order(slow_square_and_pid, list(range(10)), 2, "test")
         assert [value for value, _ in results] == [i * i for i in range(10)]
         assert all(map(reaped, forked))
 
-    def test_nothing_forks_while_another_thread_runs(self, always_fork, forked):
+    def test_nothing_forks_while_another_thread_runs(self, forked):
         release = threading.Event()
         waiter = threading.Thread(target=release.wait)
         waiter.start()
@@ -68,18 +61,25 @@ class TestMapInOrder:
         assert results == [(i * i, os.getpid()) for i in (1, 2, 3)]
         assert forked == []
 
-    def test_nothing_forks_without_os_fork(self, always_fork, monkeypatch):
+    def test_nothing_forks_without_os_fork(self, monkeypatch):
         monkeypatch.delattr(os, "fork")
         assert forkjoin.map_in_order(square_and_pid, [1, 2, 3], 2, "test") == [
             (i * i, os.getpid()) for i in (1, 2, 3)]
 
-    def test_a_childs_exception_is_raised_in_the_parent(self, always_fork, forked):
-        parent = os.getpid()
+    def test_a_childs_exception_is_raised_in_the_parent(self, forked, tmp_path):
+        parent, mark = os.getpid(), tmp_path / "failing"
 
         def fail_in_a_child(item):
+            # the child fails on the first item it takes after item 0, and the
+            # parent holds its first item until then, leaving the child one
             if os.getpid() != parent:
-                raise ValueError(f"item {item} failed")
-            time.sleep(0.2)  # leaves the child items to take
+                if item:
+                    mark.touch()
+                    raise ValueError(f"item {item} failed")
+                return item
+            deadline = time.monotonic() + 30
+            while not mark.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
             return item
 
         with pytest.raises(ValueError, match=r"^item [1-3] failed$"):
@@ -88,7 +88,7 @@ class TestMapInOrder:
 
     @pytest.mark.parametrize("death", ["killed", "exit-3", "unpicklable-result",
                                        "unpicklable-exception"])
-    def test_a_dead_child_is_one_error(self, always_fork, forked, death):
+    def test_a_dead_child_is_one_error(self, forked, death):
         parent = os.getpid()
 
         def die_in_a_child(item):
@@ -107,12 +107,12 @@ class TestMapInOrder:
             forkjoin.map_in_order(die_in_a_child, [0, 1, 2, 3], 2, "evaluate")
         assert len(forked) == 1 and reaped(forked[0])
 
-    def test_a_failing_parent_kills_and_reaps_its_children(self, always_fork, forked):
+    def test_a_failing_parent_kills_and_reaps_its_children(self, forked):
         parent = os.getpid()
 
         def fail_in_the_parent(item):
             if os.getpid() == parent:
-                if item:  # its second item is in the fork-join, beside the children
+                if item:  # item 0 is the only one it may finish
                     raise RuntimeError("parent failed")
                 return item
             time.sleep(60)
@@ -127,32 +127,29 @@ class TestMapInOrder:
         script = ("import os, sys, time\n"
                   "from pathlib import Path\n"
                   "from podselect import forkjoin\n"
-                  "forkjoin._POOL_AFTER_S = 0\n"
-                  "mark, parent = Path(sys.argv[1]), os.getpid()\n"
+                  "marks = Path(sys.argv[1])\n"
                   "print('before', end='|')\n"  # a pipe: block-buffered, not yet written
                   "def work(i):\n"
-                  # forked: the child touches the mark, and the parent holds its item
-                  # until it is there, so the child takes the other of the two
-                  "    if i > 1 and os.getpid() != parent:\n"
-                  "        mark.touch()\n"
+                  # each worker touches its mark and holds its item until the
+                  # other's is there too, so each takes one of the two
+                  "    (marks / str(os.getpid())).touch()\n"
                   "    deadline = time.monotonic() + 30\n"
-                  "    while i > 1 and not mark.exists() and time.monotonic() < deadline:\n"
+                  "    while len(os.listdir(marks)) < 2 and time.monotonic() < deadline:\n"
                   "        time.sleep(0.01)\n"
-                  # the parent's first item, worked before the fork, stays in the buffer
-                  "    print(f'<{i}:{os.getpid()}>', end='', flush=i > 1)\n"
-                  "forkjoin.map_in_order(work, [1, 2, 3], 3, 'test')\n")
+                  "    print(f'<{i}:{os.getpid()}>', end='', flush=True)\n"
+                  "forkjoin.map_in_order(work, [1, 2], 3, 'test')\n")
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "mark")],
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
                               capture_output=True, text=True, timeout=60, env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("before|") and proc.stdout.count("before") == 1
         written = re.findall(r"<(\d):(\d+)>", proc.stdout)
-        assert sorted(item for item, _ in written) == ["1", "2", "3"]
+        assert sorted(item for item, _ in written) == ["1", "2"]
         assert len({pid for _, pid in written}) == 2  # the child wrote one
 
 
-# map_in_order over items 0-5 on two workers, each forked item first touching
-# argv[1]/taken-<item>-<pid>. The parent holds its forked item until it is
+# map_in_order over items 0-5 on two workers, each item first touching
+# argv[1]/taken-<item>-<pid>. The parent holds its first item until it is
 # killed; the child holds its first one until argv[1]/release exists, then
 # touches argv[1]/done-<item>.
 ORPHANED_CHILD = """
@@ -161,16 +158,14 @@ from pathlib import Path
 from podselect import forkjoin
 
 marks, parent = Path(sys.argv[1]), os.getpid()
-forkjoin._POOL_AFTER_S = 0
 
 def work(item):
-    if item:  # item 0 is worked before the fork
-        (marks / f"taken-{item}-{os.getpid()}").touch()
-        deadline = time.monotonic() + 60
-        while ((os.getpid() == parent or not (marks / "release").exists())
-               and time.monotonic() < deadline):
-            time.sleep(0.01)
-        (marks / f"done-{item}").touch()
+    (marks / f"taken-{item}-{os.getpid()}").touch()
+    deadline = time.monotonic() + 60
+    while ((os.getpid() == parent or not (marks / "release").exists())
+           and time.monotonic() < deadline):
+        time.sleep(0.01)
+    (marks / f"done-{item}").touch()
     return item
 
 forkjoin.map_in_order(work, list(range(6)), 2, "test")
@@ -180,7 +175,7 @@ forkjoin.map_in_order(work, list(range(6)), 2, "test")
 @pytest.mark.parametrize("signum", [signal.SIGKILL, signal.SIGTERM], ids=["SIGKILL", "SIGTERM"])
 def test_a_child_whose_parent_is_killed_finishes_its_item_and_takes_no_other(tmp_path, signum):
     """A parent killed by a signal that no cleanup follows leaves its forked
-    child to finish the item in hand, with three items still in the pipe."""
+    child to finish the item in hand, with four items still in the pipe."""
     marks = tmp_path / "marks"
     marks.mkdir()
     # the child inherits stdout, so the pipe reads EOF once the child has exited too
@@ -209,29 +204,24 @@ def test_a_child_whose_parent_is_killed_finishes_its_item_and_takes_no_other(tmp
         [*taken, "release", f"done-{child_item}"])
 
 
-# A pipeline whose forked select episodes sleep in the processes argv[2] names
-# ("all" or "children"), each first touching argv[1]/<its pid>. The parent's
-# first episode, selected before the fork, returns at once. A parent that does
-# not sleep holds its first forked episode until a child has touched its mark:
-# else it could take every episode before the child reads one. It installs
-# Python's SIGINT handler, as a terminal's foreground job has it: one that
-# inherits SIGINT ignored gets none, and the program keeps the SIG_IGN.
+# A pipeline whose select episodes, all handed to a fork-join, sleep in the
+# processes argv[2] names ("all" or "children"), each first touching
+# argv[1]/<its pid>. A parent that does not sleep holds its first episode
+# until a child has touched its mark: else it could take every episode before
+# the child reads one. It installs Python's SIGINT handler, as a terminal's
+# foreground job has it: one that inherits SIGINT ignored gets none, and the
+# program keeps the SIG_IGN.
 SLEEPY_PIPELINE = """
 import os, signal, sys, time
 from pathlib import Path
-from podselect import cli, forkjoin
+from podselect import cli
 
 marks, sleepers = Path(sys.argv[1]), sys.argv[2]
 parent = os.getpid()
-forkjoin._POOL_AFTER_S = 0
+cli._FORK_JOIN_S = 0
 select_one = cli._select_one
-first = True
 
 def sleepy(episode, **kwargs):
-    global first
-    if first:
-        first = False
-        return select_one(episode, **kwargs)
     if sleepers == "all" or os.getpid() != parent:
         (marks / str(os.getpid())).touch()
         time.sleep(60)

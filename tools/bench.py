@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Per-layer timings of podselect's text kernels, in-process, on seeded corpora.
+"""Per-layer timings of podselect's text kernels and selectors, in-process, on seeded corpora.
 
     python tools/bench.py --seed 101 --repeat 25 --output bench.json
 
@@ -10,8 +10,11 @@ For each it times, best of --repeat, over the episodes the filter keeps:
 segment_spans over every transcript, build_document on the prefix the head
 baseline reads at the default budget and on the whole transcript,
 token_texts over the null backend's summaries and their references, and
-lcs_length on those token pairs, the shape evaluate scores. It writes one
-JSON object to --output.
+lcs_length on those token pairs, the shape evaluate scores. At transcript
+scale it also times the selectors on documents built beforehand: the window
+and novelty picks over whole documents, the head pick over the budget
+prefixes, and one fit_lda of FIT_SWEEPS sweeps on the first document,
+reported per sweep. It writes one JSON object to --output.
 """
 
 from __future__ import annotations
@@ -32,13 +35,14 @@ from podselect.abstractive import enforce_budget  # noqa: E402
 from podselect.corpus import Episode, build_document, segment_spans, token_texts  # noqa: E402
 from podselect.preprocess import filter_corpus  # noqa: E402
 from podselect.rouge import lcs_length  # noqa: E402
-from podselect.selection import DEFAULT_TOKEN_BUDGET, select_head  # noqa: E402
+from podselect.selection import (DEFAULT_TOKEN_BUDGET, select_head, select_novelty,  # noqa: E402
+                                 select_window)
+from podselect.topics import TopicConfig, fit_lda  # noqa: E402
 
-SPECS = (
-    workloads.SPECS["head-corpus"],
-    workloads.Spec("transcript-scale", "none", "null", kept=20, sentences=(550, 650),
-                   words=(8, 16), non_ascii_share=0.25),
-)
+TRANSCRIPT_SCALE = workloads.Spec("transcript-scale", "none", "null", kept=20,
+                                  sentences=(550, 650), words=(8, 16), non_ascii_share=0.25)
+SPECS = (workloads.SPECS["head-corpus"], TRANSCRIPT_SCALE)
+FIT_SWEEPS = 20
 
 
 def best_ms(repeat: int, work) -> float:
@@ -77,6 +81,24 @@ def measure(spec: workloads.Spec, seed: int, repeat: int) -> dict:
                                                    for summary, reference in pairs]),
         "lcs_length_ms": best_ms(repeat, lambda: [lcs_length(candidate, reference)
                                                   for candidate, reference in token_pairs]),
+        **(measure_selectors(kept, repeat) if spec is TRANSCRIPT_SCALE else {}),
+    }
+
+
+def measure_selectors(kept: list[Episode], repeat: int) -> dict:
+    """The selectors over documents built outside the timed calls."""
+    whole = [build_document(episode) for episode in kept]
+    prefixes = [build_document(episode, DEFAULT_TOKEN_BUDGET) for episode in kept]
+    config = TopicConfig(gibbs_iterations=FIT_SWEEPS, burn_in=0)
+    return {
+        "transcript_tokens": sum(doc.total_tokens for doc in whole),
+        "prefix_tokens": sum(doc.total_tokens for doc in prefixes),
+        "fit_tokens": whole[0].total_tokens,
+        "select_window_ms": best_ms(repeat, lambda: [select_window(doc) for doc in whole]),
+        "select_novelty_ms": best_ms(repeat, lambda: [select_novelty(doc) for doc in whole]),
+        "select_head_ms": best_ms(repeat, lambda: [select_head(doc) for doc in prefixes]),
+        "fit_lda_sweep_ms": round(best_ms(repeat, lambda: fit_lda(whole[0], config))
+                                  / FIT_SWEEPS, 3),
     }
 
 
