@@ -47,10 +47,10 @@ class Summary(NamedTuple):
 
     @classmethod
     def from_record(cls, record: dict) -> Summary:
-        """Read a summaries-file line back. 'summary' defaults to empty and
-        'backend' to unknown; the first bad field raises KeyError or
-        ValueError."""
-        episode_id, text = record["id"], record.get("summary", "")
+        """Read a summaries-file line back. 'id' and 'summary' are required,
+        and 'backend' defaults to unknown; the first bad field raises KeyError
+        or ValueError."""
+        episode_id, text = record["id"], record["summary"]
         backend_id = record.get("backend", "unknown")
         if not isinstance(episode_id, str) or not isinstance(text, str):
             raise ValueError("'id' and 'summary' must be strings")

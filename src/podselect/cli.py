@@ -240,15 +240,15 @@ def cmd_preprocess(ns, settings: dict) -> None:
 
 def _select_one(episode: corpus.Episode, strategy: str,
                 selector: selection.SelectorConfig, num_topics: int, seed: int,
-                diagnostics: bool, cap: bool = True
+                diagnostics: bool
                 ) -> tuple[str, dict | None, abstractive.BackendInput | None, str | None]:
     """Worker: build the document, run one selection strategy and cap the pick.
 
     Returns (id, record, capped input, error), plain values that pickle, so
     a forked worker can send them back through its pipe. The capped input is
     enforce_budget at the selector's token budget, so pipeline's summarize
-    stage needs no second build of the document; without cap it is None. The
-    head strategy reads no further than its budget, so only that prefix of
+    stage needs no second build of the document; standalone select drops it.
+    The head strategy reads no further than its budget, so only that prefix of
     the transcript is built. A pick that holds no sentence, as a topic pick
     whose first sentence is over the budget does, is an error: the episode
     is skipped, not summarized from an empty text.
@@ -270,16 +270,15 @@ def _select_one(episode: corpus.Episode, strategy: str,
         if not result.sentence_indices:
             return episode.id, None, None, (f"no {strategy} pick fits the budget of "
                                             f"{selector.token_budget} tokens")
-        capped = abstractive.enforce_budget(result, doc, selector.token_budget) if cap else None
+        capped = abstractive.enforce_budget(result, doc, selector.token_budget)
         return episode.id, result.to_record(doc if diagnostics else None), capped, None
     except (EmptyDocumentError, InsufficientContentError) as exc:
         return episode.id, None, None, str(exc)
 
 
 def _run_select(episodes: list[corpus.Episode], output_path: Path, settings: dict,
-                diagnostics: bool, *, cap: bool) -> list[abstractive.BackendInput]:
-    """Write the selections file; with cap, return the capped inputs in its line
-    order (else an empty list)."""
+                diagnostics: bool) -> list[abstractive.BackendInput]:
+    """Write the selections file; return the capped inputs in its line order."""
     selector = selection.SelectorConfig(
         window_size=settings["window_size"],
         novelty_top_k=settings["top_k"],
@@ -288,18 +287,16 @@ def _run_select(episodes: list[corpus.Episode], output_path: Path, settings: dic
     workers, estimate = _select_workers(episodes, settings)
     select_one = functools.partial(
         _select_one, strategy=settings["strategy"], selector=selector,
-        num_topics=settings["topics"], seed=settings["seed"], diagnostics=diagnostics,
-        cap=cap)
+        num_topics=settings["topics"], seed=settings["seed"], diagnostics=diagnostics)
     results: list[dict] = []
     inputs: list[abstractive.BackendInput] = []
-    outcomes = map_in_order(select_one, episodes, workers, "select")
+    outcomes = map_in_order(select_one, episodes, workers)
     for episode_id, payload, capped, error in outcomes:
         if error is not None:
             logger.warning("skipping %s: %s", episode_id, error)
             continue
         results.append(payload)
-        if cap:
-            inputs.append(capped)
+        inputs.append(capped)
     with atomic_write(output_path) as handle:
         corpus.write_records(handle, results)
     logger.info("select(%s): %d selected, %d skipped; %.3f s estimated, %s",
@@ -309,8 +306,7 @@ def _run_select(episodes: list[corpus.Episode], output_path: Path, settings: dic
 
 
 def cmd_select(ns, settings: dict) -> None:
-    _run_select(list(corpus.load_episodes(ns.input)), Path(ns.output), settings, ns.diagnostics,
-                cap=False)
+    _run_select(list(corpus.load_episodes(ns.input)), Path(ns.output), settings, ns.diagnostics)
 
 
 # --- summarize ----------------------------------------------------------------
@@ -329,8 +325,8 @@ def _read_capped_inputs(selections_path: str, episodes_path: str,
     """Rebuild the capped backend inputs from a selections file and its episodes.
 
     Builds only the documents a selection line names, one at a time. A line's
-    token count, when it has one, must be what its indexed sentences hold, so
-    a selections file stops at the first line that does not fit its episodes.
+    token count must be what its indexed sentences hold, so a selections file
+    stops at the first line that does not fit its episodes.
     """
     episodes = {episode.id: episode for episode in corpus.load_episodes(episodes_path)}
 
@@ -352,12 +348,11 @@ def _read_capped_inputs(selections_path: str, episodes_path: str,
                            "sentences", line_number, episode_id)
             return None
         capped = abstractive.enforce_budget(result, doc, budget)  # checks every index
-        if tokens is not None:
-            held = sum(doc.sentences[i].token_count for i in result.sentence_indices)
-            if tokens != held:
-                raise ValueError(f"'tokens' is {tokens}, but the indexed sentences of "
-                                 f"{episode_id!r} hold {held}: not selected from this "
-                                 "episodes file")
+        held = sum(doc.sentences[i].token_count for i in result.sentence_indices)
+        if tokens != held:
+            raise ValueError(f"'tokens' is {tokens}, but the indexed sentences of "
+                             f"{episode_id!r} hold {held}: not selected from this "
+                             "episodes file")
         return capped
 
     return _read_records(selections_path, "selection", capped_input)
@@ -443,8 +438,7 @@ def cmd_pipeline(ns, settings: dict) -> None:
     def run_select():
         episodes = (held.pop("kept") if "kept" in held
                     else list(corpus.load_episodes(kept_path)))
-        held["inputs"] = _run_select(episodes, selections_path, settings, ns.diagnostics,
-                                     cap=True)
+        held["inputs"] = _run_select(episodes, selections_path, settings, ns.diagnostics)
 
     def run_summarize():
         # no inputs held: select ran in an earlier process, so rebuild them from its file

@@ -14,7 +14,7 @@ import threading
 from .errors import PodselectError
 
 
-def map_in_order(fn, items: list, workers: int, stage: str) -> list:
+def map_in_order(fn, items: list, workers: int) -> list:
     """[fn(item) for item in items], in input order.
 
     With workers > 1, splits the items between min(workers, len(items))
@@ -22,11 +22,11 @@ def map_in_order(fn, items: list, workers: int, stage: str) -> list:
     is missing or while another thread runs, since a forked child would hold
     that thread's locks but not the thread; the items are then mapped
     in-process, as with workers == 1. A dead worker raises
-    PodselectError("<stage> pool: a worker process died").
+    PodselectError("select pool: a worker process died").
     """
     workers = min(workers, len(items))
     if workers > 1 and hasattr(os, "fork") and threading.active_count() == 1:
-        return _fork_join(fn, items, workers, stage)
+        return _fork_join(fn, items, workers)
     return list(map(fn, items))
 
 
@@ -36,7 +36,7 @@ def map_in_order(fn, items: list, workers: int, stage: str) -> list:
 _MAX_CHUNKS = 1024
 
 
-def _fork_join(fn, items: list, workers: int, stage: str) -> list:
+def _fork_join(fn, items: list, workers: int) -> list:
     """fn over items on this process and workers - 1 forked children; the
     results in input order.
 
@@ -81,7 +81,7 @@ def _fork_join(fn, items: list, workers: int, stage: str) -> list:
             except Exception:  # a short read: the child died writing
                 ok = share = None
             if os.waitstatus_to_exitcode(status) or ok is None:
-                raise PodselectError(f"{stage} pool: a worker process died")
+                raise PodselectError("select pool: a worker process died")
             if not ok:
                 raise share
             shares.append(share)

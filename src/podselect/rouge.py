@@ -1,14 +1,15 @@
 """ROUGE-1, ROUGE-2, and ROUGE-L scoring primitives.
 
-These are the shared metric kernels for both the extractive selectors and
-the evaluation harness, so they stay dependency free and operate on plain
-token sequences.
+The evaluation harness scores with rouge_l. The selectors score in closed
+form from token counts and use only RougeScore.from_counts. rouge_n counts
+n-grams afresh on each call. Every kernel stays dependency free and operates
+on plain token sequences.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 
 class RougeScore(NamedTuple):
@@ -32,41 +33,14 @@ class RougeScore(NamedTuple):
         return cls(precision=precision, recall=recall, f1=f1)
 
 
-class NgramCounts(NamedTuple):
-    """Multiset of n-grams for one token sequence. Treat as immutable."""
-
-    n: int
-    counts: Mapping[tuple[str, ...], int]
-    total: int
-
-
-def ngram_counts(tokens: Sequence[str], n: int) -> NgramCounts:
-    if n <= 0:
-        raise ValueError(f"n must be positive, got {n}")
-    counts = Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
-    return NgramCounts(n=n, counts=counts, total=max(0, len(tokens) - n + 1))
-
-
-def overlap_count(candidate: NgramCounts, reference: NgramCounts) -> int:
-    """Clipped multiset overlap: sum over grams of min(candidate, reference)."""
-    small, large = candidate.counts, reference.counts
-    if len(large) < len(small):
-        small, large = large, small
-    total = 0
-    for gram, count in small.items():
-        other = large.get(gram)
-        if other:
-            total += count if count < other else other
-    return total
-
-
 def rouge_n(candidate: Sequence[str], reference: Sequence[str], n: int) -> RougeScore:
     """N-gram co-occurrence score. This surface supports n = 1 and n = 2."""
     if n not in (1, 2):
         raise ValueError(f"rouge_n supports n in {{1, 2}}, got {n}")
-    cand = ngram_counts(candidate, n)
-    ref = ngram_counts(reference, n)
-    return RougeScore.from_counts(overlap_count(cand, ref), cand.total, ref.total)
+    cand = Counter(zip(*(candidate[i:] for i in range(n))))
+    ref = Counter(zip(*(reference[i:] for i in range(n))))
+    overlap = sum((cand & ref).values())
+    return RougeScore.from_counts(overlap, cand.total(), ref.total())
 
 
 def lcs_length(a: Sequence, b: Sequence) -> int:

@@ -51,7 +51,7 @@ class SelectionResult(NamedTuple):
     episode_id: str
     strategy: str
     sentence_indices: tuple[int, ...]
-    selected_token_count: int | None
+    selected_token_count: int
     diagnostics: dict | None = None
 
     def to_record(self, doc: Document | None = None) -> dict:
@@ -73,12 +73,12 @@ class SelectionResult(NamedTuple):
     def from_record(cls, record: dict) -> SelectionResult:
         """Read a selections-file line back (window scores are left out).
 
-        'strategy' defaults to window, and a line without 'tokens' reads as
-        selected_token_count None. The first bad field raises KeyError or
-        ValueError; the indices are not checked against any document.
+        'strategy' defaults to window; 'id', 'indices' and 'tokens' are
+        required. The first bad field raises KeyError or ValueError; the
+        indices are not checked against any document.
         """
-        episode_id, indices = record["id"], record["indices"]
-        strategy, tokens = record.get("strategy", "window"), record.get("tokens")
+        episode_id, indices, tokens = record["id"], record["indices"], record["tokens"]
+        strategy = record.get("strategy", "window")
         if not isinstance(episode_id, str):
             raise ValueError("'id' must be a string")
         if not (type(indices) is list and all(type(i) is int for i in indices)  # no bools
@@ -86,7 +86,7 @@ class SelectionResult(NamedTuple):
             raise ValueError("'indices' must be a list of strictly increasing integers")
         if not isinstance(strategy, str):
             raise ValueError("'strategy' must be a string")
-        if "tokens" in record and type(tokens) is not int:
+        if type(tokens) is not int:
             raise ValueError("'tokens' must be an integer")
         return cls(episode_id, strategy, tuple(indices), tokens)
 

@@ -129,7 +129,12 @@ class TestSummary:
         assert Summary.from_record(summary.to_record()) == summary
 
     def test_from_record_defaults(self):
-        assert Summary.from_record({"id": "ep"}) == Summary("ep", "", "unknown")
+        """Only 'backend' has a default; 'summary', which to_record always
+        writes, is required like 'id'."""
+        assert Summary.from_record({"id": "ep", "summary": ""}) == Summary("ep", "", "unknown")
+        for key in ("id", "summary"):
+            with pytest.raises(KeyError, match=key):
+                Summary.from_record({k: "x" for k in ("id", "summary") if k != key})
 
 
 class TestNullBackend:

@@ -48,7 +48,7 @@ def pools(monkeypatch):
     the share is mapped in-process."""
     made = []
 
-    def recording_fork_join(fn, items, workers, stage):
+    def recording_fork_join(fn, items, workers):
         made.append((workers, [item.id for item in items]))
         return list(map(fn, items))
 
@@ -507,25 +507,6 @@ class TestSelectCommand:
         assert "window_scores" in row
         assert all(len(entry) == 3 for entry in row["window_scores"])
 
-    @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_builds_no_backend_text(self, tmp_path, monkeypatch, forked, jobs):
-        """Standalone select writes the selections and never caps a pick."""
-        source = tmp_path / "eps.jsonl"
-        tiny_corpus(source, count=6)
-        monkeypatch.setattr(cli, "_FORK_JOIN_S", 0)  # --jobs 2 forks from the start
-        plain, patched = tmp_path / "plain.jsonl", tmp_path / "patched.jsonl"
-        args = ["select", "--input", str(source), "--strategy", "novelty",
-                "--window-size", "2", "--top-k", "2", "--jobs", jobs]
-        assert main([*args, "--output", str(plain)]) == 0
-
-        def no_cap(*args):
-            raise AssertionError("enforce_budget called")
-
-        monkeypatch.setattr(abstractive, "enforce_budget", no_cap)
-        assert main([*args, "--output", str(patched)]) == 0
-        assert patched.read_bytes() == plain.read_bytes()
-        assert len(forked) == (2 if jobs == "2" else 0)
-
     def test_topic_skips_an_episode_whose_first_pick_cannot_fit(self, fixtures_dir,
                                                                 tmp_path, caplog):
         """At budget 8 the first topic pick of three mini episodes overflows: each
@@ -956,11 +937,14 @@ class TestSummarizeCommand:
          "this episodes file"),
         ('{"id": "tiny-01", "indices": [], "tokens": 1}',
          "'tokens' is 1, but the indexed sentences of 'tiny-01' hold 0"),
+        # indices that fit the episode, so only the missing count refuses the line
+        ('{"id": "tiny-01", "strategy": "window", "indices": [0, 1]}', "missing key 'tokens'"),
     ], ids=["not-json", "not-an-object", "missing-indices", "index-out-of-range",
             "duplicate-id", "not-utf8", "nested-too-deeply", "repeated-index",
             "indices-out-of-order", "boolean-indices", "float-indices", "indices-string",
             "id-number", "id-list", "strategy-number", "strategy-null", "tokens-string",
-            "tokens-boolean", "tokens-float", "tokens-not-held", "tokens-for-no-sentence"])
+            "tokens-boolean", "tokens-float", "tokens-not-held", "tokens-for-no-sentence",
+            "missing-tokens"])
     def test_malformed_selection_line_exits_one(self, tmp_path, bad_line, reason):
         source, selections = self.prepare(tmp_path)
         first_line = selections.read_bytes().splitlines()[0]
@@ -1122,11 +1106,14 @@ class TestEvaluateCommand:
         ("[" * 200_000, "invalid JSON (nested too deeply)"),
         ('{"id": "tiny-01", "summary": "text", "backend": ["x"]}', "'backend' must be a string"),
         ('{"id": "tiny-01", "summary": "text", "backend": 0}', "'backend' must be a string"),
+        # not read as an empty summary that scores zero
+        ('{"id": "tiny-01", "backend": "null"}', "missing key 'summary'"),
     ], ids=["not-json", "not-an-object", "missing-id", "summary-not-a-string",
-            "duplicate-id", "not-utf8", "nested-too-deeply", "backend-list", "backend-number"])
+            "duplicate-id", "not-utf8", "nested-too-deeply", "backend-list", "backend-number",
+            "missing-summary"])
     def test_malformed_summary_line_exits_one(self, tmp_path, bad_line, reason):
         source = tmp_path / "eps.jsonl"
-        tiny_corpus(source, count=1)
+        tiny_corpus(source, count=2)  # tiny-01 has a reference
         summaries = tmp_path / "summ.jsonl"
         bad = bad_line if isinstance(bad_line, bytes) else bad_line.encode()
         summaries.write_bytes(b'{"id": "tiny-00", "summary": "text", "backend": "null"}\n'
@@ -1613,6 +1600,28 @@ class TestGoldenDigests:
         assert main(args) == 0
         assert {p.name: sha256_of(p) for p in out.iterdir()} == expected
         assert len(forked) == 2 and all(map(reaped, forked))
+
+    @pytest.mark.parametrize("case", list(GOLDEN_PIPELINE_DIGESTS))
+    def test_standalone_commands_write_the_golden_artifacts(self, fixtures_dir, tmp_path,
+                                                            case):
+        """preprocess, select, summarize and evaluate, each run on its own into one
+        directory, write what pipeline does: every stage does the same work
+        whichever command runs it."""
+        extra, digests = GOLDEN_PIPELINE_DIGESTS[case]
+        strategy = case.split("-")[0]
+        budget = extra[extra.index("--budget"):][:2] if "--budget" in extra else []
+        out = tmp_path / "run"
+        kept = str(out / "kept.jsonl")
+        assert main(["preprocess", "--input", str(fixtures_dir / "mini_corpus.jsonl"),
+                     "--output", str(out), "--seed", "7"]) == 0
+        assert main(["select", "--input", kept, "--output", str(out / "selections.jsonl"),
+                     "--strategy", strategy, "--seed", "7", "--jobs", "1", *extra]) == 0
+        assert main(["summarize", "--input", str(out / "selections.jsonl"), "--episodes", kept,
+                     "--output", str(out / "summaries.jsonl"), "--jobs", "1", *budget]) == 0
+        assert main(["evaluate", "--input", str(out / "summaries.jsonl"), "--references", kept,
+                     "--output", str(out / "report.json"), "--method-id", strategy,
+                     "--format", "json"]) == 0
+        assert {p.name: sha256_of(p) for p in out.iterdir()} == {**PREPROCESS_DIGESTS, **digests}
 
     def test_resume_rebuilds_summaries_from_kept(self, fixtures_dir, tmp_path, built):
         out = tmp_path / "run"

@@ -26,7 +26,7 @@ class TestMapInOrder:
     @pytest.mark.parametrize("count, jobs", [(1, 2), (2, 2), (7, 2), (7, 3), (5, 8), (64, 4)])
     def test_results_keep_input_order_whichever_worker_takes_each_item(
             self, forked, count, jobs):
-        results = forkjoin.map_in_order(slow_square_and_pid, list(range(count)), jobs, "test")
+        results = forkjoin.map_in_order(slow_square_and_pid, list(range(count)), jobs)
         assert len(forked) == min(jobs, count) - 1 and all(map(reaped, forked))
         assert [value for value, _ in results] == [i * i for i in range(count)]
         assert {pid for _, pid in results} <= {os.getpid(), *forked}
@@ -38,14 +38,14 @@ class TestMapInOrder:
             time.sleep(0.001 if os.getpid() == parent else 0.05)
             return os.getpid()
 
-        pids = forkjoin.map_in_order(slow_in_a_child, list(range(20)), 2, "test")
+        pids = forkjoin.map_in_order(slow_in_a_child, list(range(20)), 2)
         assert pids.count(parent) >= 15 and set(pids) <= {parent, *forked}
 
     @pytest.mark.parametrize("records", [1, 3])
     def test_more_items_than_records_go_in_runs(self, forked, monkeypatch,
                                                 records):
         monkeypatch.setattr(forkjoin, "_MAX_CHUNKS", records)
-        results = forkjoin.map_in_order(slow_square_and_pid, list(range(10)), 2, "test")
+        results = forkjoin.map_in_order(slow_square_and_pid, list(range(10)), 2)
         assert [value for value, _ in results] == [i * i for i in range(10)]
         assert all(map(reaped, forked))
 
@@ -54,7 +54,7 @@ class TestMapInOrder:
         waiter = threading.Thread(target=release.wait)
         waiter.start()
         try:
-            results = forkjoin.map_in_order(square_and_pid, [1, 2, 3], 2, "test")
+            results = forkjoin.map_in_order(square_and_pid, [1, 2, 3], 2)
         finally:
             release.set()
             waiter.join()
@@ -63,7 +63,7 @@ class TestMapInOrder:
 
     def test_nothing_forks_without_os_fork(self, monkeypatch):
         monkeypatch.delattr(os, "fork")
-        assert forkjoin.map_in_order(square_and_pid, [1, 2, 3], 2, "test") == [
+        assert forkjoin.map_in_order(square_and_pid, [1, 2, 3], 2) == [
             (i * i, os.getpid()) for i in (1, 2, 3)]
 
     def test_a_childs_exception_is_raised_in_the_parent(self, forked, tmp_path):
@@ -83,7 +83,7 @@ class TestMapInOrder:
             return item
 
         with pytest.raises(ValueError, match=r"^item [1-3] failed$"):
-            forkjoin.map_in_order(fail_in_a_child, [0, 1, 2, 3], 2, "test")
+            forkjoin.map_in_order(fail_in_a_child, [0, 1, 2, 3], 2)
         assert len(forked) == 1 and reaped(forked[0])
 
     @pytest.mark.parametrize("death", ["killed", "exit-3", "unpicklable-result",
@@ -103,8 +103,8 @@ class TestMapInOrder:
                 return lambda: item
             raise ValueError(lambda: item)
 
-        with pytest.raises(PodselectError, match="^evaluate pool: a worker process died$"):
-            forkjoin.map_in_order(die_in_a_child, [0, 1, 2, 3], 2, "evaluate")
+        with pytest.raises(PodselectError, match="^select pool: a worker process died$"):
+            forkjoin.map_in_order(die_in_a_child, [0, 1, 2, 3], 2)
         assert len(forked) == 1 and reaped(forked[0])
 
     def test_a_failing_parent_kills_and_reaps_its_children(self, forked):
@@ -119,7 +119,7 @@ class TestMapInOrder:
 
         started = time.monotonic()
         with pytest.raises(RuntimeError, match="parent failed"):
-            forkjoin.map_in_order(fail_in_the_parent, list(range(6)), 3, "test")
+            forkjoin.map_in_order(fail_in_the_parent, list(range(6)), 3)
         assert time.monotonic() - started < 30  # killed, not waited out
         assert len(forked) == 2 and all(map(reaped, forked))
 
@@ -137,7 +137,7 @@ class TestMapInOrder:
                   "    while len(os.listdir(marks)) < 2 and time.monotonic() < deadline:\n"
                   "        time.sleep(0.01)\n"
                   "    print(f'<{i}:{os.getpid()}>', end='', flush=True)\n"
-                  "forkjoin.map_in_order(work, [1, 2], 3, 'test')\n")
+                  "forkjoin.map_in_order(work, [1, 2], 3)\n")
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
                               capture_output=True, text=True, timeout=60, env=env)
@@ -168,7 +168,7 @@ def work(item):
     (marks / f"done-{item}").touch()
     return item
 
-forkjoin.map_in_order(work, list(range(6)), 2, "test")
+forkjoin.map_in_order(work, list(range(6)), 2)
 """
 
 

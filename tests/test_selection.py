@@ -143,8 +143,15 @@ class TestSelectWindow:
         assert SelectionResult.from_record(result.to_record()) == result._replace(diagnostics=None)
 
     def test_from_record_defaults(self):
-        result = SelectionResult.from_record({"id": "ep", "indices": [0, 2]})
-        assert result == SelectionResult("ep", "window", (0, 2), None)
+        """Only 'strategy' has a default; 'tokens', which to_record always
+        writes, is required like 'id' and 'indices'."""
+        result = SelectionResult.from_record({"id": "ep", "indices": [0, 2], "tokens": 5})
+        assert result == SelectionResult("ep", "window", (0, 2), 5)
+        for key in ("id", "indices", "tokens"):
+            record = {"id": "ep", "indices": [0, 2], "tokens": 5}
+            del record[key]
+            with pytest.raises(KeyError, match=key):
+                SelectionResult.from_record(record)
 
     def test_picks_without_scoring(self, monkeypatch):
         def no_score(*args):
